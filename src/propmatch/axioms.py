@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .lottery import ENUMERATION_LIMIT, EnumerationLimitError, MatchingMechanism, exact_lottery
+from .lottery import MatchingMechanism, exact_lottery, order_stream
 from .mechanisms import top_trading_cycles
-from .model import AgentOrder, FractionalAssignment, Matching, Profile
+from .model import FractionalAssignment, Matching, Profile
 
 
 class Dominance(enum.Enum):
@@ -170,13 +170,11 @@ def satisfies_conditional_bound(
     """Whenever some matching gives everyone a top-k item, the mechanism must
     do so for *every* initial order (the randomized version then succeeds with
     probability 1).  Vacuously true when no such matching exists."""
-    n = profile.n
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(f"n={n} exceeds the order-enumeration limit {ENUMERATION_LIMIT}")
+    orders = order_stream(profile.n)  # refuses n beyond the enumeration limit
     if not feasible_top_k(profile, k):
         return True
-    for perm in itertools.permutations(range(n)):
-        m = mechanism(profile, AgentOrder(perm))
-        if any(profile.rank(j, m.item_of[j]) >= k for j in range(n)):
+    for order in orders:
+        m = mechanism(profile, order)
+        if any(profile.rank(j, o) >= k for j, o in enumerate(m.item_of)):
             return False
     return True

@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 resource-limit refusal.
 from __future__ import annotations
 
 import argparse
-import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -19,12 +19,13 @@ from .axioms import (
     satisfies_conditional_bound,
 )
 from .engine import ALL_ENGINE_CODES, EngineConfig, format_trace_table, run_engine, run_gale_shapley
-from .experiments import ConfigError, parse_config, rows_to_csv, run_experiment
+from .experiments import parse_config, rows_to_csv, run_experiment
 from .lottery import (
     EnumerationLimitError,
     SampleConfig,
     equivalent_on,
     exact_lottery,
+    order_stream,
     randomized_equivalent_on,
     sampled_lottery,
 )
@@ -62,17 +63,10 @@ def _parse_order(arg: str | None, profile: Profile) -> AgentOrder:
     if arg is None:
         return AgentOrder.identity(profile.n)
     names = {textio.agent_name(i): i for i in range(profile.n)}
-    try:
-        return AgentOrder(tuple(names[tok.strip()] for tok in arg.split(",")))
-    except (KeyError, InvalidInstanceError) as exc:
-        _fail(f"bad --order: {exc}", INPUT_ERROR)
-
-
-def _resolve(code: str):
-    try:
-        return resolve(code)
-    except ValueError as exc:
-        _fail(str(exc), INPUT_ERROR)
+    tokens = [tok.strip() for tok in arg.split(",")]
+    if len(tokens) != profile.n or not names.keys() >= set(tokens):
+        raise InvalidInstanceError(f"bad --order {arg!r}: name each of the {profile.n} agents once")
+    return AgentOrder(tuple(names[tok] for tok in tokens))
 
 
 def cmd_run(args) -> int:
@@ -88,7 +82,7 @@ def cmd_run(args) -> int:
         config = None
         result = run_gale_shapley(profile, order)
     else:
-        mech, randomized = _resolve(args.mechanism)
+        mech, randomized = resolve(args.mechanism)
         if randomized:
             _fail("R- codes are lotteries; use the lottery subcommand", USAGE_ERROR)
         if mech.kind != "matching":
@@ -106,7 +100,7 @@ def cmd_run(args) -> int:
 
 def cmd_lottery(args) -> int:
     profile = _read_profile(args.profile)
-    mech, _randomized = _resolve(args.mechanism)
+    mech, _randomized = resolve(args.mechanism)
     if mech.needs_item_prefs and not profile.two_sided:
         _fail(f"{mech.code} needs an @items section in the profile file", INPUT_ERROR)
     if mech.kind == "fractional":
@@ -117,11 +111,7 @@ def cmd_lottery(args) -> int:
         lines += [" ".join(str(x) for x in row) for row in freq]
         out = "\n".join(lines) + "\n"
     else:
-        try:
-            lot = exact_lottery(mech.run, profile)
-        except EnumerationLimitError as exc:
-            _fail(str(exc), LIMIT_ERROR)
-        out = format_matrix(lot.assignment)
+        out = format_matrix(exact_lottery(mech.run, profile).assignment)
     sys.stdout.write(out)
     return 0
 
@@ -142,14 +132,13 @@ def _axiom_profiles(n: int, exhaustive: bool, samples: int, seed: int):
 def cmd_axioms(args) -> int:
     n = args.n
     axioms = [a.strip() for a in args.axioms.split(",")]
-    orders = list(itertools.permutations(range(n)))
-    total = (len(list(itertools.permutations(range(n)))) ** n) if args.exhaustive else args.samples
+    total = math.factorial(n) ** n if args.exhaustive else args.samples
     for code in args.mechanisms.split(","):
-        mech, _ = _resolve(code)
+        mech, _ = resolve(code)
         if mech.needs_item_prefs:
             _fail(f"{mech.code} needs two-sided profiles; axiom sweeps are one-sided", INPUT_ERROR)
         for axiom in axioms:
-            verdict, witness = _run_axiom_sweep(axiom, mech, n, args, orders, total)
+            verdict, witness = _run_axiom_sweep(axiom, mech, n, args, total)
             print(
                 textio.format_axiom_report_line(
                     axiom if axiom != "topk" else f"topk{args.k}",
@@ -164,7 +153,7 @@ def cmd_axioms(args) -> int:
     return 0
 
 
-def _run_axiom_sweep(axiom, mech, n, args, orders, total):
+def _run_axiom_sweep(axiom, mech, n, args, total):
     none = (None, None, None)
     progress = max(total // 10, 1)
     count = 0
@@ -173,10 +162,9 @@ def _run_axiom_sweep(axiom, mech, n, args, orders, total):
         if args.exhaustive and total >= 10000 and count % progress == 0:
             sys.stderr.write(f"  ...{count}/{total} profiles\n")
         if axiom == "expost":
-            for perm in orders:
-                m = mech.run(profile, AgentOrder(perm))
-                if not is_pareto_efficient(m, profile):
-                    return "FAIL", (profile, perm, None)
+            for order in order_stream(n):
+                if not is_pareto_efficient(mech.run(profile, order), profile):
+                    return "FAIL", (profile, order.order, None)
         elif axiom == "ordinal":
             if mech.kind == "fractional":
                 assignment = mech.assignment(profile)
@@ -201,13 +189,10 @@ def _run_axiom_sweep(axiom, mech, n, args, orders, total):
 
 def cmd_experiment(args) -> int:
     try:
-        cfg = parse_config(Path(args.config).read_text())
-        rows = run_experiment(cfg)
+        text = Path(args.config).read_text()
     except FileNotFoundError:
         _fail(f"no such file: {args.config}", INPUT_ERROR)
-    except ConfigError as exc:
-        _fail(f"bad config: {exc}", INPUT_ERROR)
-    csv_text = rows_to_csv(rows)
+    csv_text = rows_to_csv(run_experiment(parse_config(text)))
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -234,8 +219,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    mech_a, rand_a = _resolve(args.mechanism_a)
-    mech_b, rand_b = _resolve(args.mechanism_b)
+    mech_a, rand_a = resolve(args.mechanism_a)
+    mech_b, rand_b = resolve(args.mechanism_b)
     n = args.n
     if args.exhaustive and n > EXHAUSTIVE_PROFILE_LIMIT:
         _fail(f"exhaustive comparison is limited to n <= {EXHAUSTIVE_PROFILE_LIMIT}", LIMIT_ERROR)
@@ -314,8 +299,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` and run the subcommand.  Library errors end the run here:
+    order enumeration beyond the limit exits 3, any other ``ValueError`` (a
+    rejected input) exits 2, each with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EnumerationLimitError as exc:
+        _fail(str(exc), LIMIT_ERROR)
+    except ValueError as exc:
+        _fail(str(exc), INPUT_ERROR)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .mechanisms import immediate_acceptance, serial_dictatorship
 from .model import AgentOrder, InvalidInstanceError, Matching, Profile
 from .textio import agent_name, item_name
 
@@ -138,7 +139,8 @@ def run_engine(profile: Profile, order: AgentOrder, config: EngineConfig) -> Eng
         j = pending.pop(0)
         o = next(x for x in prefs[j] if x not in approached[j])
         approached[j].add(o)
-        assert len(trace) < bound, "proposal bound exceeded; engine semantics broken"
+        if len(trace) >= bound:
+            raise RuntimeError("proposal bound exceeded; engine semantics broken")
         h = holder[o]
         if h is None:
             holder[o] = j
@@ -214,7 +216,8 @@ def run_gale_shapley(profile: Profile, order: AgentOrder) -> EngineResult:
         else:
             pending.append(j)
             trace.append(TraceEvent(j, o, Outcome.REJECTED))
-    assert len(trace) <= n**2
+    if len(trace) > n**2:
+        raise RuntimeError("proposal bound exceeded; engine semantics broken")
     return EngineResult(Matching(tuple(item_of)), len(trace), tuple(trace))
 
 
@@ -227,35 +230,23 @@ def run_boston_two_sided(profile: Profile, order: AgentOrder, mode: BostonMode) 
     """Immediate acceptance with the profile's item preferences.
 
     Sequential: agents commit one at a time in ``order``, each walking down its
-    list until it finds a free item; engagements are never broken.
+    list until it finds a free item; engagements are never broken.  Item
+    preferences are never read, so this is serial dictatorship.
     Simultaneous: in round r every unmatched agent applies to its rank-r item;
     a free item keeps the applicant its own preferences rank highest and
     permanently rejects the rest.
     """
     if profile.item_prefs is None:
         raise ModeError("two-sided Boston needs item-side preferences")
-    n = profile.n
-    item_of: List[Optional[int]] = [None] * n
-    taken = [False] * n
     if mode is BostonMode.SEQUENTIAL:
-        for j in order.order:
-            o = next(x for x in profile.agent_prefs[j] if not taken[x])
-            taken[o] = True
-            item_of[j] = o
-    else:
-        rank_of = [{a: r for r, a in enumerate(p)} for p in profile.item_prefs]
-        for r in range(n):
-            applicants: dict[int, List[int]] = {}
-            for j in range(n):
-                if item_of[j] is None:
-                    applicants.setdefault(profile.agent_prefs[j][r], []).append(j)
-            for o, js in applicants.items():
-                if taken[o]:
-                    continue
-                winner = min(js, key=lambda j: rank_of[o][j])
-                taken[o] = True
-                item_of[winner] = o
-    return Matching(tuple(item_of))
+        return serial_dictatorship(profile, order)
+    priority = []
+    for prefs in profile.item_prefs:
+        rank = [0] * profile.n
+        for r, a in enumerate(prefs):
+            rank[a] = r
+        priority.append(rank)
+    return immediate_acceptance(profile, priority)
 
 
 def replay_trace(profile: Profile, order: AgentOrder, trace: Tuple[TraceEvent, ...]) -> Matching:

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 
@@ -44,56 +45,69 @@ class LotteryResult:
     order_count: int
 
 
-def exact_lottery(
-    mechanism: MatchingMechanism, profile: Profile, limit: int = ENUMERATION_LIMIT
-) -> LotteryResult:
+def order_stream(
+    n: int, orders: str | int = "all", rng: Optional[random.Random] = None
+) -> Iterator[AgentOrder]:
+    """The initial orders a randomized evaluation runs.
+
+    ``orders`` is ``"all"`` (every permutation, lexicographic; refused beyond
+    ``ENUMERATION_LIMIT`` agents) or a count k of uniform draws from ``rng``.
+    The limit is checked on the call, before any order is produced.
+    """
+    if orders == "all":
+        if n > ENUMERATION_LIMIT:
+            raise EnumerationLimitError(
+                f"n={n} exceeds the order-enumeration limit {ENUMERATION_LIMIT}; sample orders"
+            )
+        return map(AgentOrder, itertools.permutations(range(n)))
+
+    def draw() -> AgentOrder:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return AgentOrder(tuple(perm))
+
+    return (draw() for _ in range(orders))
+
+
+def outcome_counts(
+    mechanism: MatchingMechanism, profile: Profile, orders: Iterable[AgentOrder]
+) -> Counter:
+    """How often each outcome ``item_of`` tuple occurs over ``orders``."""
+    return Counter(mechanism(profile, order).item_of for order in orders)
+
+
+def _receipt_rows(counts: Counter, n: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Per agent and item, the share of the counted runs giving the agent that item."""
+    total = sum(counts.values())
+    rows = [[0] * n for _ in range(n)]
+    for item_of, c in counts.items():
+        for a, o in enumerate(item_of):
+            rows[a][o] += c
+    return tuple(tuple(Fraction(c, total) for c in row) for row in rows)
+
+
+def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
     """Run ``mechanism`` under every initial order (lexicographic enumeration)
     and average with weight 1/n!.
     """
-    n = profile.n
-    if n > limit:
-        raise EnumerationLimitError(
-            f"n={n} exceeds the enumeration limit {limit}; use sampled_lottery"
-        )
-    counts: dict[Tuple[int, ...], int] = {}
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        m = mechanism(profile, AgentOrder(perm))
-        counts[m.item_of] = counts.get(m.item_of, 0) + 1
-        total += 1
-    p = [[Fraction(0)] * n for _ in range(n)]
-    support = []
-    for item_of, c in sorted(counts.items()):
-        w = Fraction(c, total)
-        support.append((Matching(item_of), w))
-        for a, o in enumerate(item_of):
-            p[a][o] += w
-    return LotteryResult(
-        FractionalAssignment(tuple(tuple(row) for row in p)), tuple(support), total
+    counts = outcome_counts(mechanism, profile, order_stream(profile.n))
+    total = sum(counts.values())
+    support = tuple(
+        (Matching(item_of), Fraction(c, total)) for item_of, c in sorted(counts.items())
     )
+    assignment = FractionalAssignment(_receipt_rows(counts, profile.n))
+    return LotteryResult(assignment, support, total)
 
 
 def sampled_lottery(
     mechanism: MatchingMechanism, profile: Profile, cfg: SampleConfig
-) -> FractionalAssignment:
+) -> Tuple[Tuple[Fraction, ...], ...]:
     """Estimate the lottery by item-receipt frequencies over sampled uniform
     orders.  Deterministic for a given seed; rows sum to exactly 1 but columns
     generally do not, so the result is returned as raw frequency rows.
     """
-    n = profile.n
-    rng = random.Random(cfg.seed)
-    counts = [[0] * n for _ in range(n)]
-    for _ in range(cfg.sample_count):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        m = mechanism(profile, AgentOrder(tuple(perm)))
-        for a, o in enumerate(m.item_of):
-            counts[a][o] += 1
-    return _frequency_rows(counts, cfg.sample_count)
-
-
-def _frequency_rows(counts: Sequence[Sequence[int]], total: int):
-    return tuple(tuple(Fraction(c, total) for c in row) for row in counts)
+    orders = order_stream(profile.n, cfg.sample_count, random.Random(cfg.seed))
+    return _receipt_rows(outcome_counts(mechanism, profile, orders), profile.n)
 
 
 @dataclass(frozen=True)
@@ -121,18 +135,7 @@ def equivalent_on(
     """
     rng = random.Random(seed)
     for profile in profiles:
-        n = profile.n
-        if orders == "all":
-            order_iter: Iterable[Tuple[int, ...]] = itertools.permutations(range(n))
-        else:
-            def draws():
-                for _ in range(int(orders)):
-                    perm = list(range(n))
-                    rng.shuffle(perm)
-                    yield tuple(perm)
-            order_iter = draws()
-        for perm in order_iter:
-            order = AgentOrder(perm)
+        for order in order_stream(profile.n, orders, rng):
             if mech_a(profile, order) != mech_b(profile, order):
                 return EquivalenceVerdict(False, profile, order)
     return EquivalenceVerdict(True)

@@ -4,8 +4,9 @@ Probabilistic Serial, Top Trading Cycles, and the trade-on-output composition.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence
 
+from .lottery import MatchingMechanism
 from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile
 
 
@@ -21,13 +22,12 @@ def serial_dictatorship(profile: Profile, order: AgentOrder) -> Matching:
     return Matching(tuple(item_of))
 
 
-def naive_boston_one_sided(profile: Profile, order: AgentOrder) -> Matching:
-    """Simultaneous immediate acceptance with the common item preference given
-    by ``order``: in round r every unmatched agent applies to its rank-r item,
-    and a contested free item goes to the applicant earliest in ``order``.
+def immediate_acceptance(profile: Profile, priority: Sequence[Sequence[int]]) -> Matching:
+    """Simultaneous immediate acceptance: in round r every unmatched agent
+    applies to its rank-r item, and a contested free item goes to the applicant
+    with the smallest ``priority[item][agent]``; the others are rejected for good.
     """
     n = profile.n
-    position = {a: i for i, a in enumerate(order.order)}
     item_of: List[Optional[int]] = [None] * n
     taken = [False] * n
     for r in range(n):
@@ -38,10 +38,21 @@ def naive_boston_one_sided(profile: Profile, order: AgentOrder) -> Matching:
         for o, js in applicants.items():
             if taken[o]:
                 continue
-            winner = min(js, key=position.__getitem__)
+            winner = min(js, key=priority[o].__getitem__)
             taken[o] = True
             item_of[winner] = o
     return Matching(tuple(item_of))
+
+
+def naive_boston_one_sided(profile: Profile, order: AgentOrder) -> Matching:
+    """Simultaneous immediate acceptance with the common item preference given
+    by ``order``: in round r every unmatched agent applies to its rank-r item,
+    and a contested free item goes to the applicant earliest in ``order``.
+    """
+    position = [0] * profile.n
+    for i, a in enumerate(order.order):
+        position[a] = i
+    return immediate_acceptance(profile, [position] * profile.n)
 
 
 def probabilistic_serial(profile: Profile) -> FractionalAssignment:
@@ -112,9 +123,6 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
             else:
                 resolved.update(seen)
     return Matching(tuple(item_of))
-
-
-MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
 
 def compose_ttc(mechanism: MatchingMechanism) -> MatchingMechanism:

@@ -4,7 +4,10 @@ Base codes: the eight engine triples (PFS, PFQ, PLS, PLQ, TFS, TFQ, TLS, TLQ),
 SD (serial dictatorship), NB (one-sided naive Boston), PS (probabilistic
 serial), GS (Gale-Shapley), BOS-SEQ and BOS-SIM (two-sided Boston).  SD and
 PFS compute the same matchings, as do NB and PFQ; both implementations are
-kept because their equivalence is a tested property.
+kept because their equivalence is a tested property.  BOS-SEQ never reads
+the item preferences it requires: it runs serial dictatorship.  BOS-SIM and
+NB share one immediate-acceptance loop, with item priorities taken from the
+item preferences and from the order respectively.
 
 Modifiers: a trailing ``+G`` reruns the output through top trading cycles
 (invalid on PS); a leading ``R-`` marks randomization over the initial order

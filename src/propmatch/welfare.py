@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .lottery import SampleConfig, exact_lottery
+from .lottery import SampleConfig, order_stream, outcome_counts
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 from .sampling import ProfileSampler
 
@@ -29,27 +29,35 @@ def borda_utilities(profile: Profile) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _utility_rows(
+    outcome: Union[Matching, FractionalAssignment], u: Sequence[Sequence[int]]
+) -> List[Fraction]:
+    """(Expected) Borda utility of every agent, given the utility table ``u``."""
+    if isinstance(outcome, Matching):
+        return [Fraction(row[o]) for row, o in zip(u, outcome.item_of)]
+    return [
+        sum((p * row[o] for o, p in enumerate(ps)), Fraction(0)) for row, ps in zip(u, outcome.p)
+    ]
+
+
 def agent_utility(
     outcome: Union[Matching, FractionalAssignment], profile: Profile, agent: int
 ) -> Fraction:
-    u = borda_utilities(profile)[agent]
-    if isinstance(outcome, Matching):
-        return Fraction(u[outcome.item_of[agent]])
-    return sum((p * u[o] for o, p in enumerate(outcome.row(agent))), Fraction(0))
+    return _utility_rows(outcome, borda_utilities(profile))[agent]
 
 
 def utilitarian_welfare(
     outcome: Union[Matching, FractionalAssignment], profile: Profile
 ) -> Fraction:
     """Sum over agents of the (expected) Borda utility of their allocation."""
-    return sum((agent_utility(outcome, profile, i) for i in range(profile.n)), Fraction(0))
+    return sum(_utility_rows(outcome, borda_utilities(profile)), Fraction(0))
 
 
 def egalitarian_welfare(
     outcome: Union[Matching, FractionalAssignment], profile: Profile
 ) -> Fraction:
     """(Expected) Borda utility of the worst-off agent, scaled by n."""
-    return min(agent_utility(outcome, profile, i) for i in range(profile.n)) / profile.n
+    return min(_utility_rows(outcome, borda_utilities(profile))) / profile.n
 
 
 def _hungarian_max(weight: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
@@ -128,68 +136,52 @@ def _stats(values: List[Fraction], seed: int) -> WelfareStats:
     return WelfareStats(mean, math.sqrt(var / n), n, seed)
 
 
-def _expected_assignment(mechanism, profile: Profile, order_samples: int, rng) -> FractionalAssignment:
-    """Expected outcome rows of a randomized matching mechanism on one profile.
+def _expected_utilities(
+    mechanism, profile: Profile, order_samples: int, rng: random.Random
+) -> Tuple[List[Fraction], Fraction]:
+    """Expected Borda utility of each agent under a randomized mechanism on one
+    profile, and the expected utility of the worst-off agent of each run.
 
-    ``order_samples`` = 0 means exact enumeration of all n! orders; otherwise
-    that many orders are drawn from ``rng`` (rows then sum to 1 but columns
-    need not, so the sampled result is returned as raw frequency rows).
+    Matching mechanisms run every order when ``order_samples`` is 0 and
+    otherwise that many orders drawn from ``rng``; utilities are summed as
+    integers over the outcome counts and divided once.  Fractional mechanisms
+    draw no orders, and their worst-off value is the minimum expectation.
     """
-    if mechanism.kind == "fractional":
-        return mechanism.assignment(profile)
-    n = profile.n
-    if order_samples == 0:
-        return exact_lottery(mechanism.run, profile).assignment
-    counts = [[0] * n for _ in range(n)]
-    for _ in range(order_samples):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        m = mechanism.run(profile, AgentOrder(tuple(perm)))
-        for a, o in enumerate(m.item_of):
-            counts[a][o] += 1
-    return tuple(tuple(Fraction(c, order_samples) for c in row) for row in counts)
-
-
-def _expected_utility_rows(assignment, profile: Profile) -> List[Fraction]:
     u = borda_utilities(profile)
-    rows = assignment.p if isinstance(assignment, FractionalAssignment) else assignment
-    return [
-        sum((p * u[i][o] for o, p in enumerate(row)), Fraction(0))
-        for i, row in enumerate(rows)
-    ]
+    if mechanism.kind == "fractional":
+        rows = _utility_rows(mechanism.assignment(profile), u)
+        return rows, min(rows)
+    orders = order_stream(profile.n, order_samples or "all", rng)
+    counts = outcome_counts(mechanism.run, profile, orders)
+    sums = [0] * profile.n
+    worst = 0
+    for item_of, c in counts.items():
+        values = [row[o] for row, o in zip(u, item_of)]
+        worst += c * min(values)
+        for i, v in enumerate(values):
+            sums[i] += c * v
+    total = sum(counts.values())
+    return [Fraction(s, total) for s in sums], Fraction(worst, total)
 
 
 def utilitarian_loss(
-    mechanism,
-    n: int,
-    cfg: SampleConfig,
-    order_samples: int = 1,
-    ratio_of_means: bool = False,
+    mechanism, n: int, cfg: SampleConfig, order_samples: int = 1
 ) -> WelfareStats:
     """Average fraction of the optimal utilitarian welfare lost over uniform
     random profiles.
 
     Per profile the loss is (OPT - W)/OPT with W the mechanism's expected
     welfare over initial orders (exact when ``order_samples`` is 0, otherwise
-    estimated from that many sampled orders).  ``ratio_of_means`` switches to
-    the alternative aggregate sum(OPT - W)/sum(OPT).
+    estimated from that many sampled orders).
     """
     sampler = ProfileSampler(n, cfg.seed)
     rng = random.Random(cfg.seed ^ 0x9E3779B97F4A7C15)
     losses: List[Fraction] = []
-    tot_opt = Fraction(0)
-    tot_gap = Fraction(0)
     for profile in sampler.stream(cfg.sample_count):
         opt, _ = optimal_utilitarian(profile)
-        assignment = _expected_assignment(mechanism, profile, order_samples, rng)
-        w = sum(_expected_utility_rows(assignment, profile), Fraction(0))
-        losses.append((opt - w) / opt)
-        tot_opt += opt
-        tot_gap += opt - w
-    stats = _stats(losses, cfg.seed)
-    if ratio_of_means:
-        return WelfareStats(tot_gap / tot_opt, stats.stderr, stats.sample_count, stats.seed)
-    return stats
+        rows, _ = _expected_utilities(mechanism, profile, order_samples, rng)
+        losses.append((opt - sum(rows, Fraction(0))) / opt)
+    return _stats(losses, cfg.seed)
 
 
 def expected_egalitarian(
@@ -205,31 +197,9 @@ def expected_egalitarian(
     rng = random.Random(cfg.seed ^ 0x9E3779B97F4A7C15)
     values: List[Fraction] = []
     for profile in sampler.stream(cfg.sample_count):
-        if realized_min and mechanism.kind != "fractional":
-            if order_samples == 0:
-                lot = exact_lottery(mechanism.run, profile)
-                val = sum(
-                    (w * min(_expected_utility_rows_matching(m, profile)) for m, w in lot.support),
-                    Fraction(0),
-                )
-            else:
-                acc = Fraction(0)
-                for _ in range(order_samples):
-                    perm = list(range(n))
-                    rng.shuffle(perm)
-                    m = mechanism.run(profile, AgentOrder(tuple(perm)))
-                    acc += min(_expected_utility_rows_matching(m, profile))
-                val = acc / order_samples
-            values.append(val / n)
-        else:
-            assignment = _expected_assignment(mechanism, profile, order_samples, rng)
-            values.append(min(_expected_utility_rows(assignment, profile)) / n)
+        rows, worst = _expected_utilities(mechanism, profile, order_samples, rng)
+        values.append((worst if realized_min else min(rows)) / n)
     return _stats(values, cfg.seed)
-
-
-def _expected_utility_rows_matching(m: Matching, profile: Profile) -> List[Fraction]:
-    u = borda_utilities(profile)
-    return [Fraction(u[i][m.item_of[i]]) for i in range(profile.n)]
 
 
 def order_bias(mechanism, n: int, cfg: SampleConfig) -> WelfareStats:

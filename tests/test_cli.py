@@ -178,3 +178,44 @@ class TestCompare:
     def test_randomized_comparison(self):
         out = cli("compare", "R-PFS", "R-SD", "--n", "3", "--exhaustive")
         assert out.startswith("EQUAL")
+
+
+class TestErrorContract:
+    """Every input the library rejects exits 2 and order enumeration beyond the
+    limit exits 3, each with one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("axioms", "PFS", "--n", "0"), 2),
+            (("compare", "PS", "SD", "--n", "3"), 2),
+            (("compare", "GS", "SD", "--n", "3"), 2),
+            (("axioms", "PS", "--n", "3", "--axioms", "expost"), 2),
+            (("lottery", BENCH, "R-TLS", "--samples", "-5"), 2),
+            (("axioms", "TLQ", "--n", "3", "--axioms", "topk", "--k", "9"), 2),
+            (("run", BENCH, "TLQ", "--order", "1,2,3"), 2),
+            (("run", BENCH, "SD", "--order", "1,1,2,3"), 2),
+            (("run", BENCH, "PFS", "--order", "1,2,3,9"), 2),
+            (("run", BENCH, "XYZ"), 2),
+            (("compare", "R-PFS", "R-SD", "--n", "9", "--samples", "1"), 3),
+            (("axioms", "SD", "--n", "9", "--samples", "1", "--axioms", "expost"), 3),
+            (("axioms", "SD", "--n", "9", "--samples", "1", "--axioms", "topk"), 3),
+        ],
+    )
+    def test_bad_input(self, args, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "propmatch.cli", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_trace_table_golden_without_asserts(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "propmatch.cli", "run", BENCH, "TLQ", "--trace"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n", 1)[1] == (DATA / "trace_TLQ.txt").read_text()

@@ -7,18 +7,50 @@ from fractions import Fraction
 import pytest
 
 from propmatch import matching_to_assignment, profile, serial_dictatorship
+from propmatch.axioms import satisfies_conditional_bound
 from propmatch.lottery import (
     EnumerationLimitError,
     SampleConfig,
     equivalent_on,
     exact_lottery,
+    order_stream,
+    outcome_counts,
     randomized_equivalent_on,
     sampled_lottery,
 )
 from propmatch.registry import resolve
-from propmatch.sampling import all_profiles
+from propmatch.sampling import ProfileSampler, all_profiles
 
 F = Fraction
+
+
+class TestOrderStream:
+    def test_all_orders_lexicographic(self):
+        orders = [o.order for o in order_stream(3)]
+        assert orders == list(itertools.permutations(range(3)))
+
+    def test_limit_refused_on_call(self):
+        with pytest.raises(EnumerationLimitError):
+            order_stream(9)
+        identical = profile([list(range(9))] * 9)
+        sd, _ = resolve("SD")
+        with pytest.raises(EnumerationLimitError):  # even with no feasible top-1 matching
+            satisfies_conditional_bound(sd.run, identical, 1)
+
+    def test_draws_are_seeded_shuffles(self):
+        rng, ref = random.Random(4), random.Random(4)
+        for order in order_stream(5, 7, rng):
+            perm = list(range(5))
+            ref.shuffle(perm)
+            assert order.order == tuple(perm)
+        assert rng.random() == ref.random()
+
+    def test_counts_cover_every_order(self, bench4):
+        sd, _ = resolve("SD")
+        counts = outcome_counts(sd.run, bench4, order_stream(4))
+        assert sum(counts.values()) == 24
+        lot = exact_lottery(sd.run, bench4)
+        assert tuple((m.item_of, w * 24) for m, w in lot.support) == tuple(sorted(counts.items()))
 
 
 class TestExactLottery:
@@ -99,6 +131,18 @@ class TestSampledLottery:
                 sigma = math.sqrt(max(p * (1 - p), 1e-12) / N)
                 assert abs(float(freq[a][o]) - p) <= max(3 * sigma, 1e-9)
 
+    @pytest.mark.parametrize(
+        "samples, seed, rows",
+        [
+            (30, 5, ("1/3 3/10 0 11/30", "13/30 4/15 0 3/10", "7/30 13/30 0 1/3", "0 0 1 0")),
+            (7, 2, ("4/7 2/7 0 1/7", "0 3/7 0 4/7", "3/7 2/7 0 2/7", "0 0 1 0")),
+        ],
+    )
+    def test_pinned_rows_tlq_g(self, bench4, samples, seed, rows):
+        mech, _ = resolve("TLQ+G")
+        freq = sampled_lottery(mech.run, bench4, SampleConfig(samples, seed))
+        assert tuple(" ".join(str(x) for x in row) for row in freq) == rows
+
 
 class TestEquivalence:
     def test_pfs_equals_sd_over_all_n3(self):
@@ -114,6 +158,24 @@ class TestEquivalence:
         assert verdict.profile is not None and verdict.order is not None
         order = verdict.order
         assert tfq.run(verdict.profile, order) != tlq.run(verdict.profile, order)
+
+    @pytest.mark.parametrize(
+        "profiles, prefs, order",
+        [
+            (lambda: all_profiles(3), ((0, 1, 2), (0, 1, 2), (0, 1, 2)), (0, 2, 1)),
+            (
+                lambda: ProfileSampler(4, 9).stream(100),
+                ((2, 1, 0, 3), (1, 2, 0, 3), (3, 2, 0, 1), (3, 0, 2, 1)),
+                (2, 1, 0, 3),
+            ),
+        ],
+    )
+    def test_pinned_sampled_order_witness(self, profiles, prefs, order):
+        tfq, _ = resolve("TFQ")
+        tlq, _ = resolve("TLQ")
+        verdict = equivalent_on(tfq.run, tlq.run, profiles(), orders=4, seed=9)
+        assert not verdict.equal
+        assert (verdict.profile.agent_prefs, verdict.order.order) == (prefs, order)
 
     def test_randomized_comparison_uses_exact_matrices(self, lottery4):
         tls, _ = resolve("TLS")

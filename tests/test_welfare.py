@@ -13,6 +13,7 @@ from propmatch import (
     serial_dictatorship,
 )
 from propmatch.axioms import is_pareto_efficient
+from propmatch.experiments import ExperimentConfig, run_experiment
 from propmatch.lottery import SampleConfig
 from propmatch.registry import resolve
 from propmatch.welfare import (
@@ -178,3 +179,37 @@ class TestCampaigns:
         bias_tlq_g = order_bias(tlq_g, 4, cfg)
         assert 0 <= bias_tlq_g.mean <= bias_sd.mean <= F(3, 4)
         assert bias_sd.mean > 0
+
+
+class TestPinnedSampledEstimates:
+    """Exact outputs of the sampled-order branches, recorded before the order
+    loops were merged into one stream: means as Fraction text, stderr as
+    repr(float)."""
+
+    @pytest.mark.parametrize(
+        "code, mean, stderr",
+        [
+            ("R-TLS+G", "109/240", "0.019923641900800586"),
+            ("RSD", "157/480", "0.026087177745964193"),
+            ("R-TLQ", "73/160", "0.01966909338183326"),
+        ],
+    )
+    def test_realized_min_two_orders(self, code, mean, stderr):
+        mech, _ = resolve(code)
+        stats = expected_egalitarian(
+            mech, 4, SampleConfig(60, 15), order_samples=2, realized_min=True
+        )
+        assert (str(stats.mean), repr(stats.stderr)) == (mean, stderr)
+
+    @pytest.mark.parametrize(
+        "code, mean, stderr",
+        [
+            ("R-TLS+G", "147/320", "0.031133597309181235"),
+            ("R-PFQ", "51/160", "0.04315065661918329"),
+            ("PS", "1061/1920", "0.017172475014925942"),
+        ],
+    )
+    def test_experiment_egal_realized_row(self, code, mean, stderr):
+        cfg = ExperimentConfig((code,), (4,), ("egal_realized",), 40, "sampled:2", 3)
+        (row,) = run_experiment(cfg)
+        assert row == (4, code, "egal_realized", mean, stderr, 40, "sampled", 3)
