@@ -75,7 +75,7 @@ def cmd_run(args) -> int:
     code = args.mechanism.upper()
     if code in ALL_ENGINE_CODES:
         config = EngineConfig.from_code(code)
-        result = run_engine(profile, order, config)
+        result = run_engine(profile, order, config, record=args.trace)
     elif code == "GS":
         if not profile.two_sided:
             _fail("GS needs an @items section in the profile file", INPUT_ERROR)
@@ -104,6 +104,8 @@ def cmd_lottery(args) -> int:
     if mech.needs_item_prefs and not profile.two_sided:
         _fail(f"{mech.code} needs an @items section in the profile file", INPUT_ERROR)
     if mech.kind == "fractional":
+        if args.samples:
+            _fail(f"{mech.code} has an exact fractional outcome; drop --samples", USAGE_ERROR)
         out = format_matrix(mech.assignment(profile))
     elif args.samples:
         freq = sampled_lottery(mech.run, profile, SampleConfig(args.samples, args.seed))
@@ -129,20 +131,32 @@ def _axiom_profiles(n: int, exhaustive: bool, samples: int, seed: int):
     return sampler.stream(samples)
 
 
+AXIOMS = ("expost", "ordinal", "sp", "topk")
+MATCHING_AXIOMS = ("expost", "sp", "topk")
+
+
 def cmd_axioms(args) -> int:
     n = args.n
     axioms = [a.strip() for a in args.axioms.split(",")]
-    total = math.factorial(n) ** n if args.exhaustive else args.samples
-    for code in args.mechanisms.split(","):
-        mech, _ = resolve(code)
+    for axiom in axioms:
+        if axiom not in AXIOMS:
+            _fail(f"unknown axiom {axiom!r} ({', '.join(AXIOMS)})", USAGE_ERROR)
+    mechs = [(code.strip(), resolve(code)[0]) for code in args.mechanisms.split(",")]
+    for _code, mech in mechs:
         if mech.needs_item_prefs:
             _fail(f"{mech.code} needs two-sided profiles; axiom sweeps are one-sided", INPUT_ERROR)
+        for axiom in axioms:
+            if mech.kind == "fractional" and axiom in MATCHING_AXIOMS:
+                _fail(f"the {axiom} axiom needs a matching mechanism; {mech.code} is fractional",
+                      INPUT_ERROR)
+    total = math.factorial(n) ** n if args.exhaustive else args.samples
+    for code, mech in mechs:
         for axiom in axioms:
             verdict, witness = _run_axiom_sweep(axiom, mech, n, args, total)
             print(
                 textio.format_axiom_report_line(
                     axiom if axiom != "topk" else f"topk{args.k}",
-                    code.strip(),
+                    code,
                     n,
                     verdict,
                     witness_profile=witness[0],
@@ -173,17 +187,12 @@ def _run_axiom_sweep(axiom, mech, n, args, total):
             if not is_ordinally_efficient(assignment, profile):
                 return "FAIL", (profile, None, None)
         elif axiom == "sp":
-            if mech.kind == "fractional":
-                _fail("strategyproofness sweeps need a matching mechanism", INPUT_ERROR)
             for agent in range(n):
                 report = check_strategyproofness(mech.run, profile, agent)
                 if report.overall is SPVerdict.NOT_WEAKLY_SP:
                     return "FAIL", (profile, None, report.best_deviation())
-        elif axiom == "topk":
-            if not satisfies_conditional_bound(mech.run, profile, args.k):
-                return "FAIL", (profile, None, None)
-        else:
-            _fail(f"unknown axiom {axiom!r} (expost, ordinal, sp, topk)", USAGE_ERROR)
+        elif not satisfies_conditional_bound(mech.run, profile, args.k):  # topk
+            return "FAIL", (profile, None, None)
     return "PASS", none
 
 
@@ -258,8 +267,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lottery", help="exact or sampled uniform-order lottery")
     p.add_argument("profile")
     p.add_argument("mechanism")
-    p.add_argument("--exact", action="store_true", help="enumerate all orders (default)")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo order samples")
+    p.add_argument("--samples", type=int, default=0, help="Monte Carlo order samples; default: all orders")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_lottery)
 

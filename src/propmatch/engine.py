@@ -1,9 +1,11 @@
 """The unified proposal engine.
 
-One machine covers two-sided deferred acceptance (Gale-Shapley), two-sided
-immediate acceptance (Boston), and the eight one-sided algorithms obtained by
-letting items build fictitious preferences dynamically.  The one-sided family
-is parameterized by three independent switches:
+One proposal loop runs the eight one-sided algorithms obtained by letting items
+build fictitious preferences dynamically, and two-sided deferred acceptance
+(Gale-Shapley): the same loop under permanent memory and queue discipline, with
+the items' stated preferences recorded from the start.  Two-sided immediate
+acceptance (Boston) is here too.  The one-sided family is parameterized by
+three independent switches:
 
 * memory: PERMANENT (items keep their preference record for the whole run) or
   TEMPORARY (every time an unmatched item becomes matched, all items lose their
@@ -16,14 +18,18 @@ is parameterized by three independent switches:
 
 An agent always proposes to its most-preferred item it has not approached since
 the last memory reset.  An item holding an agent but without any recorded
-preference prefers the proposer and switches (both acceptance policies).  Each
-(agent, item) pair can be proposed at most once between resets, so permanent
-runs make at most n^2 proposals and temporary runs at most n^3 (at most one
-reset per newly matched item).
+preference prefers the proposer and switches (both acceptance policies).  A
+recorded proposer wins a held item only when the item ranks it above the
+holder; a holder the item recorded dynamically is always ranked first, so only
+stated preferences (Gale-Shapley) make this happen.  Each (agent, item) pair
+can be proposed at most once between resets, so permanent runs make at most
+n^2 proposals and temporary runs at most n^3 (at most one reset per newly
+matched item).
 """
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -90,7 +96,9 @@ class TraceEvent:
 
     ``displaced`` is the previous holder when ``outcome`` is DISPLACED_HOLDER.
     ``reset_occurred`` is True only for a MATCHED_UNASSIGNED event under
-    temporary memory.
+    temporary memory.  ``pending`` is the pending queue after the proposal
+    (next proposer first) and ``memory`` the proposed item's recorded
+    preference after it (most-preferred first).
     """
 
     proposer: int
@@ -98,87 +106,31 @@ class TraceEvent:
     outcome: Outcome
     displaced: Optional[int] = None
     reset_occurred: bool = False
+    pending: Tuple[int, ...] = ()
+    memory: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class EngineResult:
     matching: Matching
     proposal_count: int
-    trace: Tuple[TraceEvent, ...]
+    trace: Tuple[TraceEvent, ...]  # () when the run was not recorded
 
 
-def run_engine(profile: Profile, order: AgentOrder, config: EngineConfig) -> EngineResult:
+def run_engine(
+    profile: Profile, order: AgentOrder, config: EngineConfig, record: bool = True
+) -> EngineResult:
     """Run one deterministic proposal sequence and return the final matching.
 
     Only the agent side of ``profile`` is used; item preferences are built
-    dynamically per ``config``.
+    dynamically per ``config``.  With ``record=False`` no trace is kept.
     """
-    n = profile.n
-    if len(order.order) != n:
-        raise InvalidInstanceError("order length must equal agent count")
-    prefs = profile.agent_prefs
-    temporary = config.memory is Memory.TEMPORARY
-    accept_last = config.acceptance is Acceptance.ACCEPT_LAST
-    stack = config.discipline is Discipline.STACK
-    bound = n**3 if temporary else n**2
+    return _propose(profile, order, config, [[] for _ in range(profile.n)], record)
 
-    pending: List[int] = list(order.order)
-    approached = [set() for _ in range(n)]  # items proposed to since last reset
-    memory: List[List[int]] = [[] for _ in range(n)]  # most-preferred first
-    holder: List[Optional[int]] = [None] * n
-    item_of: List[Optional[int]] = [None] * n
-    trace: List[TraceEvent] = []
 
-    def reenter(agent: int) -> None:
-        if stack:
-            pending.insert(0, agent)
-        else:
-            pending.append(agent)
-
-    while pending:
-        j = pending.pop(0)
-        o = next(x for x in prefs[j] if x not in approached[j])
-        approached[j].add(o)
-        if len(trace) >= bound:
-            raise RuntimeError("proposal bound exceeded; engine semantics broken")
-        h = holder[o]
-        if h is None:
-            holder[o] = j
-            item_of[j] = o
-            if temporary:
-                # Global reset: every item loses its memory and every agent may
-                # approach items that rejected it before.
-                for mem in memory:
-                    mem.clear()
-                for ap in approached:
-                    ap.clear()
-            else:
-                memory[o] = [j]
-            trace.append(TraceEvent(j, o, Outcome.MATCHED_UNASSIGNED, reset_occurred=temporary))
-        elif not memory[o]:
-            # No recorded preference: the item prefers the proposer (both policies).
-            memory[o] = [j, h]
-            holder[o] = j
-            item_of[j] = o
-            item_of[h] = None
-            reenter(h)
-            trace.append(TraceEvent(j, o, Outcome.DISPLACED_HOLDER, displaced=h))
-        elif accept_last and j not in memory[o]:
-            memory[o].insert(0, j)
-            holder[o] = j
-            item_of[j] = o
-            item_of[h] = None
-            reenter(h)
-            trace.append(TraceEvent(j, o, Outcome.DISPLACED_HOLDER, displaced=h))
-        else:
-            # Accept-First rejects every proposer; Accept-Last rejects recorded ones.
-            if not accept_last and j not in memory[o]:
-                memory[o].append(j)
-            reenter(j)
-            trace.append(TraceEvent(j, o, Outcome.REJECTED))
-
-    matching = Matching(tuple(item_of))  # complete by construction
-    return EngineResult(matching, len(trace), tuple(trace))
+# Gale-Shapley is permanent memory with queue discipline; every proposer is
+# recorded from the start, so the acceptance policy never applies.
+_GALE_SHAPLEY = EngineConfig(Memory.PERMANENT, Acceptance.ACCEPT_FIRST, Discipline.QUEUE)
 
 
 def run_gale_shapley(profile: Profile, order: AgentOrder) -> EngineResult:
@@ -189,36 +141,92 @@ def run_gale_shapley(profile: Profile, order: AgentOrder) -> EngineResult:
     """
     if profile.item_prefs is None:
         raise ModeError("Gale-Shapley needs item-side preferences")
+    memory = [list(prefs) for prefs in profile.item_prefs]
+    return _propose(profile, order, _GALE_SHAPLEY, memory, record=True)
+
+
+def _propose(
+    profile: Profile,
+    order: AgentOrder,
+    config: EngineConfig,
+    memory: List[List[int]],
+    record: bool,
+) -> EngineResult:
+    """The proposal loop behind every engine entry point.
+
+    ``memory[o]`` is item o's recorded preference, most-preferred first; it is
+    updated in place.  With ``record`` every proposal becomes a TraceEvent.
+    """
     n = profile.n
+    if len(order.order) != n:
+        raise InvalidInstanceError("order length must equal agent count")
     prefs = profile.agent_prefs
-    rank_of = [{a: r for r, a in enumerate(p)} for p in profile.item_prefs]
-    pending: List[int] = list(order.order)
-    approached = [set() for _ in range(n)]
+    temporary = config.memory is Memory.TEMPORARY
+    accept_last = config.acceptance is Acceptance.ACCEPT_LAST
+    bound = n**3 if temporary else n**2
+
+    pending = deque(order.order)
+    reenter = pending.appendleft if config.discipline is Discipline.STACK else pending.append
+    # Each agent's next position in its list: it approached the items above
+    # that position since the last reset.
+    rank = [0] * n
     holder: List[Optional[int]] = [None] * n
     item_of: List[Optional[int]] = [None] * n
     trace: List[TraceEvent] = []
+    count = 0
 
     while pending:
-        j = pending.pop(0)
-        o = next(x for x in prefs[j] if x not in approached[j])
-        approached[j].add(o)
+        j = pending.popleft()
+        o = prefs[j][rank[j]]
+        rank[j] += 1
+        count += 1
+        if count > bound:
+            raise RuntimeError("proposal bound exceeded; engine semantics broken")
         h = holder[o]
+        mem = memory[o]
         if h is None:
             holder[o] = j
             item_of[j] = o
-            trace.append(TraceEvent(j, o, Outcome.MATCHED_UNASSIGNED))
-        elif rank_of[o][j] < rank_of[o][h]:
-            holder[o] = j
-            item_of[j] = o
-            item_of[h] = None
-            pending.append(h)
-            trace.append(TraceEvent(j, o, Outcome.DISPLACED_HOLDER, displaced=h))
+            if temporary:
+                # Global reset: every item loses its memory and every agent may
+                # approach items that rejected it before.
+                for m in memory:
+                    m.clear()
+                rank = [0] * n
+            elif not mem:
+                mem.append(j)
+            outcome = Outcome.MATCHED_UNASSIGNED
         else:
-            pending.append(j)
-            trace.append(TraceEvent(j, o, Outcome.REJECTED))
-    if len(trace) > n**2:
-        raise RuntimeError("proposal bound exceeded; engine semantics broken")
-    return EngineResult(Matching(tuple(item_of)), len(trace), tuple(trace))
+            if not mem:
+                # No recorded preference: the item prefers the proposer (both policies).
+                mem += (j, h)
+                wins = True
+            elif j in mem:
+                wins = mem.index(j) < mem.index(h)
+            elif accept_last:
+                mem.insert(0, j)
+                wins = True
+            else:
+                mem.append(j)
+                wins = False
+            if wins:
+                holder[o] = j
+                item_of[j] = o
+                item_of[h] = None
+                reenter(h)
+                outcome = Outcome.DISPLACED_HOLDER
+            else:
+                reenter(j)
+                outcome = Outcome.REJECTED
+        if record:
+            trace.append(TraceEvent(
+                j, o, outcome,
+                h if outcome is Outcome.DISPLACED_HOLDER else None,
+                temporary and h is None, tuple(pending), tuple(mem),
+            ))
+
+    matching = Matching(tuple(item_of))  # complete by construction
+    return EngineResult(matching, count, tuple(trace))
 
 
 class BostonMode(enum.Enum):
@@ -271,54 +279,31 @@ def replay_trace(profile: Profile, order: AgentOrder, trace: Tuple[TraceEvent, .
 def format_trace_table(
     order: AgentOrder, result: EngineResult, config: Optional[EngineConfig] = None
 ) -> str:
-    """Render a run in the tabular trace format.
+    """Render a recorded run in the tabular trace format.
 
     One line per proposal:
     ``index | proposer -> item | outcome | pending-after | partial-matching | item-memories``.
     ``config`` is the engine configuration the run used; pass None for a
-    fixed-preference run (queue discipline, no memory column).
+    fixed-preference run (no memory column).
     """
     n = len(order.order)
-    stack = config is not None and config.discipline is Discipline.STACK
-    pending = list(order.order)
-    memory: List[List[int]] = [[] for _ in range(n)]
+    memory: List[Tuple[int, ...]] = [()] * n
     item_of: List[Optional[int]] = [None] * n
     out = []
     for idx, e in enumerate(result.trace, start=1):
-        pending.pop(0)
+        if e.reset_occurred:
+            memory = [()] * n
+        memory[e.item] = e.memory
         if e.outcome is Outcome.MATCHED_UNASSIGNED:
             item_of[e.proposer] = e.item
-            if e.reset_occurred:
-                for mem in memory:
-                    mem.clear()
-            else:
-                memory[e.item] = [e.proposer]
             outcome = "matched"
         elif e.outcome is Outcome.DISPLACED_HOLDER:
-            if memory[e.item]:
-                memory[e.item].insert(0, e.proposer)
-            else:
-                memory[e.item] = [e.proposer, e.displaced]
             item_of[e.displaced] = None
             item_of[e.proposer] = e.item
-            if stack:
-                pending.insert(0, e.displaced)
-            else:
-                pending.append(e.displaced)
             outcome = f"{agent_name(e.displaced)} displaced"
         else:
-            if (
-                config is not None
-                and config.acceptance is Acceptance.ACCEPT_FIRST
-                and e.proposer not in memory[e.item]
-            ):
-                memory[e.item].append(e.proposer)
-            if stack:
-                pending.insert(0, e.proposer)
-            else:
-                pending.append(e.proposer)
             outcome = "rejected"
-        pending_s = ",".join(agent_name(a) for a in pending) or "-"
+        pending_s = ",".join(agent_name(a) for a in e.pending) or "-"
         matching_s = (
             " ".join(
                 f"{agent_name(a)}:{item_name(o, n)}" for a, o in enumerate(item_of) if o is not None

@@ -46,8 +46,6 @@ class ExperimentConfig:
     def order_samples(self, n: int) -> int:
         """Orders per profile; 0 encodes exact enumeration."""
         if self.order_mode == "exact":
-            if n > ENUMERATION_LIMIT:
-                raise ConfigError(f"order_mode=exact needs n <= {ENUMERATION_LIMIT}, got {n}")
             return 0
         return int(self.order_mode.split(":", 1)[1])
 
@@ -96,6 +94,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError("sampled order count must be >= 1")
         except ValueError:
             raise ConfigError("order_mode must be 'exact' or 'sampled:K'") from None
+    elif max(cfg.n_values) > ENUMERATION_LIMIT and set(cfg.metrics) != {"order_bias"}:
+        raise ConfigError(
+            f"order_mode=exact needs n <= {ENUMERATION_LIMIT}, got {max(cfg.n_values)}"
+        )
     for code in cfg.mechanisms:
         mech, randomized = resolve(code)  # raises on unknown codes / +G on PS
         if mech.needs_item_prefs:

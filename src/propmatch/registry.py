@@ -61,7 +61,7 @@ def _engine_mech(code: str) -> Mechanism:
         "matching",
         uses_order=True,
         needs_item_prefs=False,
-        _run=lambda p, o, _c=config: run_engine(p, o, _c).matching,
+        _run=lambda p, o, _c=config: run_engine(p, o, _c, record=False).matching,
     )
 
 

@@ -1,5 +1,5 @@
 """End-to-end command-line tests: outputs, determinism, exit codes, and the
-golden proposal tables for all eight engine codes."""
+golden proposal tables for all eight engine codes and Gale-Shapley."""
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +40,10 @@ class TestRun:
     def test_gale_shapley(self):
         out = cli("run", TWO_SIDED, "GS")
         assert out.splitlines()[0] == "1:c 2:d 3:a 4:b; proposals=9"
+
+    def test_gale_shapley_trace_golden(self):
+        out = cli("run", TWO_SIDED, "GS", "--trace")
+        assert out.split("\n", 1)[1] == (DATA / "trace_GS.txt").read_text()
 
     def test_boston_modes(self):
         assert cli("run", TWO_SIDED, "BOS-SEQ").strip() == "1:a 2:d 3:b 4:c"
@@ -86,6 +90,10 @@ class TestLottery:
 
     def test_composition_on_fractional_is_input_error(self):
         cli("lottery", BENCH, "PS+G", expect=2)
+
+    def test_exact_flag_removed(self):
+        # Enumeration is the default; --samples selects Monte Carlo.
+        cli("lottery", BENCH, "RSD", "--exact", expect=1)
 
 
 class TestAxioms:
@@ -164,6 +172,14 @@ class TestGenerateAndExperiment:
         config.write_text("mechanisms =\nn_values = 4\nmetrics = util_loss\n")
         cli("experiment", str(config), expect=2)
 
+    def test_experiment_exact_beyond_limit_refused_before_any_cell(self, tmp_path):
+        config = tmp_path / "big.cfg"
+        config.write_text(
+            "mechanisms = RSD\nn_values = 3, 9\nmetrics = util_loss\n"
+            "profile_samples = 2\norder_mode = exact\n"
+        )
+        assert cli("experiment", str(config), expect=2) == ""
+
 
 class TestCompare:
     def test_equal_pair(self):
@@ -181,8 +197,9 @@ class TestCompare:
 
 
 class TestErrorContract:
-    """Every input the library rejects exits 2 and order enumeration beyond the
-    limit exits 3, each with one ``error:`` line and no traceback."""
+    """Every input the library rejects exits 2, order enumeration beyond the
+    limit exits 3 and a flag or axiom the command cannot use exits 1, each
+    with one ``error:`` line, no traceback and nothing on stdout."""
 
     @pytest.mark.parametrize(
         "args, code",
@@ -200,6 +217,9 @@ class TestErrorContract:
             (("compare", "R-PFS", "R-SD", "--n", "9", "--samples", "1"), 3),
             (("axioms", "SD", "--n", "9", "--samples", "1", "--axioms", "expost"), 3),
             (("axioms", "SD", "--n", "9", "--samples", "1", "--axioms", "topk"), 3),
+            (("axioms", "SD", "--n", "3", "--exhaustive", "--axioms", "expost,bogus"), 1),
+            (("axioms", "PS", "--n", "3", "--exhaustive", "--axioms", "ordinal,sp"), 2),
+            (("lottery", BENCH, "PS", "--samples", "5"), 1),
         ],
     )
     def test_bad_input(self, args, code):
@@ -207,6 +227,7 @@ class TestErrorContract:
             [sys.executable, "-m", "propmatch.cli", *args], capture_output=True, text=True
         )
         assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,9 +1,12 @@
 """Proposal engine semantics: all eight policy triples, the two-sided modes,
 and their structural invariants."""
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propmatch import (
     AgentOrder,
@@ -92,7 +95,7 @@ class TestEngineRuns:
 class TestEngineInvariants:
     """Bound, reset, and no-futile-repetition properties over random instances."""
 
-    def _random_cases(self, count=60, seed=99):
+    def _random_cases(self, count=60, seed=99, two_sided=False):
         rng = random.Random(seed)
         for _ in range(count):
             n = rng.randint(1, 7)
@@ -101,9 +104,10 @@ class TestEngineInvariants:
                 p = list(range(n))
                 rng.shuffle(p)
                 prefs.append(p)
+            items = [rng.sample(range(n), n) for _ in range(n)] if two_sided else None
             order = list(range(n))
             rng.shuffle(order)
-            yield profile(prefs), AgentOrder(tuple(order))
+            yield profile(prefs, items), AgentOrder(tuple(order))
 
     def test_proposal_bounds(self):
         for p, order in self._random_cases():
@@ -135,6 +139,20 @@ class TestEngineInvariants:
             for code in ALL_ENGINE_CODES:
                 r = run(p, order, code)
                 assert replay_trace(p, order, r.trace) == r.matching
+        for p, order in self._random_cases(count=40, two_sided=True):
+            r = run_gale_shapley(p, order)
+            assert len(r.trace) == r.proposal_count <= p.n**2
+            assert replay_trace(p, order, r.trace) == r.matching
+
+    def test_unrecorded_run_matches_recorded(self):
+        for p, order in self._random_cases():
+            for code in ALL_ENGINE_CODES:
+                config = EngineConfig.from_code(code)
+                recorded = run_engine(p, order, config)
+                bare = run_engine(p, order, config, record=False)
+                assert bare.trace == ()
+                assert bare.matching == recorded.matching
+                assert bare.proposal_count == recorded.proposal_count
 
 
 class TestClassicEquivalences:
@@ -240,7 +258,83 @@ class TestBostonTwoSided:
             run_boston_two_sided(bench4, IDENT4, BostonMode.SEQUENTIAL)
 
 
+@st.composite
+def relabeled_instances(draw):
+    """A two-sided instance, an order, and renamings of agents and items."""
+    n = draw(st.integers(1, 7))
+    perm = st.permutations(range(n))
+    p = profile([draw(perm) for _ in range(n)], [draw(perm) for _ in range(n)])
+    return p, AgentOrder(tuple(draw(perm))), draw(perm), draw(perm)
+
+
+class TestRelabeling:
+    """Renaming agents and items commutes with every engine code and with
+    Gale-Shapley: the same matching up to the renaming, the same proposal
+    count."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(relabeled_instances())
+    def test_equivariant(self, case):
+        p, order, agents, items = case
+        n = p.n
+        agent_prefs, item_prefs = [None] * n, [None] * n
+        for a, prefs in enumerate(p.agent_prefs):
+            agent_prefs[agents[a]] = [items[o] for o in prefs]
+        for o, prefs in enumerate(p.item_prefs):
+            item_prefs[items[o]] = [agents[a] for a in prefs]
+        q = profile(agent_prefs, item_prefs)
+        renamed_order = AgentOrder(tuple(agents[a] for a in order.order))
+        runs = [(lambda pr, o, c=code: run(pr, o, c)) for code in ALL_ENGINE_CODES]
+        for mechanism in runs + [run_gale_shapley]:
+            r, s = mechanism(p, order), mechanism(q, renamed_order)
+            assert s.proposal_count == r.proposal_count
+            for a in range(n):
+                assert s.matching.item_of[agents[a]] == items[r.matching.item_of[a]]
+
+
+def seeded_case(n, seed, two_sided=False):
+    rng = random.Random(seed)
+    side = lambda: [rng.sample(range(n), n) for _ in range(n)]
+    agents = side()
+    items = side() if two_sided else None
+    return profile(agents, items), AgentOrder(tuple(rng.sample(range(n), n)))
+
+
+# sha256 of the trace table of ``seeded_case(n, seed=n)`` (two-sided for GS).
+# They pin every column byte for byte at sizes the golden files do not reach.
+TABLE_DIGESTS = {
+    ("PFS", 8): "808814e3558c312965a9a19fa8ed07a7a27c8d1bafcabb3c59adf130018aa267",
+    ("PFQ", 8): "1b66b61dccac153a7de63f1ce0da80f95173b3bb77c780954e599d80561de33e",
+    ("PLS", 8): "1d2b3c80a8489b53032a1f0335b3b9fc9cafcb9fded7a29da9e6a92a7c8be33c",
+    ("PLQ", 8): "0a4610c564c11883d9387b638850ce2489e57bb82a5da2fab5be64212c4d4b67",
+    ("TFS", 8): "72141389ec93ef5b532af833183bc507582a13d33fb66f6bcbc4d7072853cc16",
+    ("TFQ", 8): "6f4b9e17bf60955722e57e0b1b41a93f5984c4c9eda688463c59cde47c12bba3",
+    ("TLS", 8): "72141389ec93ef5b532af833183bc507582a13d33fb66f6bcbc4d7072853cc16",
+    ("TLQ", 8): "45fd75f1687de3b3c78e2b72e3d3136c87c524b05cf91c4d10ed374e79d3b28a",
+    ("PFS", 16): "5ca932cc17a5d13169b0b67a64a340c2a39122b92fb09a8d443ab5b4973e22f6",
+    ("PFQ", 16): "b4b59ab5c6caad67476a0014dd82f5e97af9d452c5dc7841c994d76abfadbc28",
+    ("PLS", 16): "d49f2b49ed0cca110f8278f4273ad135222ac6939cf4f714120c1629f7f5b4da",
+    ("PLQ", 16): "6273ddb378a6178245dc852e278e39a3adf8c5c882b20ccf9b6a48c500466306",
+    ("TFS", 16): "1e4d58496c52513627733889d61617c8667b979c57ebfeb0b698f496eb37fcd6",
+    ("TFQ", 16): "3397c3ec97f09a619ed4c52607daccdb55880760c7032ea5fccda0d9b2585294",
+    ("TLS", 16): "720c7bfbc5a9fffb7de46800e14a5c5e6a3362965c416d4476d9d793898158d2",
+    ("TLQ", 16): "25dfdc7f3ff02e418784940d1393ee279e292c1eb781bb6b1a54ccd942568b70",
+    ("GS", 8): "77ea60b79ea2d9993155c9c67af3116fb393f8bdedb5778d4182c2b9bf7b876c",
+}
+
+
 class TestTraceTable:
+    @pytest.mark.parametrize("code, n", list(TABLE_DIGESTS))
+    def test_pinned_table_digests(self, code, n):
+        p, order = seeded_case(n, seed=n, two_sided=code == "GS")
+        if code == "GS":
+            config, r = None, run_gale_shapley(p, order)
+        else:
+            config = EngineConfig.from_code(code)
+            r = run_engine(p, order, config)
+        table = format_trace_table(order, r, config)
+        assert hashlib.sha256(table.encode()).hexdigest() == TABLE_DIGESTS[code, n]
+
     def test_columns_and_shape(self, bench4):
         config = EngineConfig.from_code("TLS")
         r = run_engine(bench4, IDENT4, config)

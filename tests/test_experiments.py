@@ -32,8 +32,11 @@ class TestParseAndValidate:
     def test_exact_mode_guard(self):
         cfg = parse_config(GOOD.replace("sampled:2", "exact"))
         assert cfg.order_samples(4) == 0
-        with pytest.raises(ConfigError):
-            cfg.order_samples(9)
+        # Refused when parsed, before any cell of a smaller n runs.
+        with pytest.raises(ConfigError, match="exact"):
+            parse_config(GOOD.replace("sampled:2", "exact").replace("3, 4", "3, 9"))
+        bias_only = GOOD.replace("RSD, R-TLS+G, PS", "SD").replace("util_loss, egal", "order_bias")
+        assert parse_config(bias_only.replace("3, 4", "9").replace("sampled:2", "exact")).n_values == (9,)
 
     @pytest.mark.parametrize(
         "mutation, match",
