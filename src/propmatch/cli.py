@@ -31,11 +31,10 @@ from .lottery import (
 )
 from .model import AgentOrder, InvalidInstanceError, Profile
 from .registry import resolve
-from .sampling import ProfileSampler, all_profiles
+from .sampling import profile_stream
 from .textio import ProfileParseError, format_matching, format_matrix, format_profile
 
 USAGE_ERROR, INPUT_ERROR, LIMIT_ERROR = 1, 2, 3
-EXHAUSTIVE_PROFILE_LIMIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,18 +76,16 @@ def cmd_run(args) -> int:
         config = EngineConfig.from_code(code)
         result = run_engine(profile, order, config, record=args.trace)
     elif code == "GS":
-        if not profile.two_sided:
-            _fail("GS needs an @items section in the profile file", INPUT_ERROR)
         config = None
-        result = run_gale_shapley(profile, order)
+        result = run_gale_shapley(profile, order, record=args.trace)
     else:
         mech, randomized = resolve(args.mechanism)
         if randomized:
             _fail("R- codes are lotteries; use the lottery subcommand", USAGE_ERROR)
         if mech.kind != "matching":
             _fail(f"{mech.code} has fractional output; use the lottery subcommand", USAGE_ERROR)
-        if mech.needs_item_prefs and not profile.two_sided:
-            _fail(f"{mech.code} needs an @items section in the profile file", INPUT_ERROR)
+        if args.trace:
+            _fail(f"{mech.code} has no proposal trace; drop --trace", USAGE_ERROR)
         matching = mech.run(profile, order)
         print(format_matching(matching))
         return 0
@@ -101,8 +98,6 @@ def cmd_run(args) -> int:
 def cmd_lottery(args) -> int:
     profile = _read_profile(args.profile)
     mech, _randomized = resolve(args.mechanism)
-    if mech.needs_item_prefs and not profile.two_sided:
-        _fail(f"{mech.code} needs an @items section in the profile file", INPUT_ERROR)
     if mech.kind == "fractional":
         if args.samples:
             _fail(f"{mech.code} has an exact fractional outcome; drop --samples", USAGE_ERROR)
@@ -116,19 +111,6 @@ def cmd_lottery(args) -> int:
         out = format_matrix(exact_lottery(mech.run, profile).assignment)
     sys.stdout.write(out)
     return 0
-
-
-def _axiom_profiles(n: int, exhaustive: bool, samples: int, seed: int):
-    if exhaustive:
-        if n > EXHAUSTIVE_PROFILE_LIMIT:
-            _fail(
-                f"exhaustive axiom sweeps are limited to n <= {EXHAUSTIVE_PROFILE_LIMIT}"
-                " (use --samples)",
-                LIMIT_ERROR,
-            )
-        return all_profiles(n)
-    sampler = ProfileSampler(n, seed)
-    return sampler.stream(samples)
 
 
 AXIOMS = ("expost", "ordinal", "sp", "topk")
@@ -149,10 +131,15 @@ def cmd_axioms(args) -> int:
             if mech.kind == "fractional" and axiom in MATCHING_AXIOMS:
                 _fail(f"the {axiom} axiom needs a matching mechanism; {mech.code} is fractional",
                       INPUT_ERROR)
-    total = math.factorial(n) ** n if args.exhaustive else args.samples
+    source = "all" if args.exhaustive else args.samples
+    profile_stream(n, source, args.seed)  # refuses a bad n, count or size on the call
+    if any(mech.kind == "matching" for _code, mech in mechs):
+        order_stream(n)  # every matching axiom enumerates the orders
+    if "topk" in axioms and not 1 <= args.k <= n:
+        _fail(f"need 1 <= k <= n for the topk axiom, got k={args.k}", INPUT_ERROR)
     for code, mech in mechs:
         for axiom in axioms:
-            verdict, witness = _run_axiom_sweep(axiom, mech, n, args, total)
+            verdict, witness = _run_axiom_sweep(axiom, mech, n, args, source)
             print(
                 textio.format_axiom_report_line(
                     axiom if axiom != "topk" else f"topk{args.k}",
@@ -167,13 +154,13 @@ def cmd_axioms(args) -> int:
     return 0
 
 
-def _run_axiom_sweep(axiom, mech, n, args, total):
-    none = (None, None, None)
+def _run_axiom_sweep(axiom, mech, n, args, source):
+    total = math.factorial(n) ** n if source == "all" else source
     progress = max(total // 10, 1)
     count = 0
-    for profile in _axiom_profiles(n, args.exhaustive, args.samples, args.seed):
+    for profile in profile_stream(n, source, args.seed):
         count += 1
-        if args.exhaustive and total >= 10000 and count % progress == 0:
+        if source == "all" and total >= 10000 and count % progress == 0:
             sys.stderr.write(f"  ...{count}/{total} profiles\n")
         if axiom == "expost":
             for order in order_stream(n):
@@ -193,7 +180,7 @@ def _run_axiom_sweep(axiom, mech, n, args, total):
                     return "FAIL", (profile, None, report.best_deviation())
         elif not satisfies_conditional_bound(mech.run, profile, args.k):  # topk
             return "FAIL", (profile, None, None)
-    return "PASS", none
+    return "PASS", (None, None, None)
 
 
 def cmd_experiment(args) -> int:
@@ -210,16 +197,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.n < 1:
-        _fail("need n >= 1", INPUT_ERROR)
+    profiles = list(profile_stream(args.n, "all" if args.exhaustive else args.count, args.seed))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.exhaustive:
-        if args.n > EXHAUSTIVE_PROFILE_LIMIT:
-            _fail(f"exhaustive generation is limited to n <= {EXHAUSTIVE_PROFILE_LIMIT}", LIMIT_ERROR)
-        profiles = list(all_profiles(args.n))
-    else:
-        profiles = list(ProfileSampler(args.n, args.seed).stream(args.count))
     width = max(3, len(str(len(profiles) - 1)))
     for i, profile in enumerate(profiles):
         (outdir / f"profile_{i:0{width}d}.txt").write_text(format_profile(profile))
@@ -230,12 +210,7 @@ def cmd_generate(args) -> int:
 def cmd_compare(args) -> int:
     mech_a, rand_a = resolve(args.mechanism_a)
     mech_b, rand_b = resolve(args.mechanism_b)
-    n = args.n
-    if args.exhaustive and n > EXHAUSTIVE_PROFILE_LIMIT:
-        _fail(f"exhaustive comparison is limited to n <= {EXHAUSTIVE_PROFILE_LIMIT}", LIMIT_ERROR)
-    profiles = (
-        all_profiles(n) if args.exhaustive else ProfileSampler(n, args.seed).stream(args.samples)
-    )
+    profiles = profile_stream(args.n, "all" if args.exhaustive else args.samples, args.seed)
     if rand_a or rand_b:
         verdict = randomized_equivalent_on(mech_a.run, mech_b.run, profiles)
     else:

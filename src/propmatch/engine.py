@@ -133,16 +133,16 @@ def run_engine(
 _GALE_SHAPLEY = EngineConfig(Memory.PERMANENT, Acceptance.ACCEPT_FIRST, Discipline.QUEUE)
 
 
-def run_gale_shapley(profile: Profile, order: AgentOrder) -> EngineResult:
+def run_gale_shapley(profile: Profile, order: AgentOrder, record: bool = True) -> EngineResult:
     """Agent-proposing deferred acceptance with the profile's item preferences.
 
     The output matching is stable and does not depend on ``order``; the trace
-    and proposal count do.
+    and proposal count do.  With ``record=False`` no trace is kept.
     """
     if profile.item_prefs is None:
-        raise ModeError("Gale-Shapley needs item-side preferences")
+        raise ModeError("Gale-Shapley needs item-side preferences (an @items section)")
     memory = [list(prefs) for prefs in profile.item_prefs]
-    return _propose(profile, order, _GALE_SHAPLEY, memory, record=True)
+    return _propose(profile, order, _GALE_SHAPLEY, memory, record)
 
 
 def _propose(
@@ -245,7 +245,7 @@ def run_boston_two_sided(profile: Profile, order: AgentOrder, mode: BostonMode) 
     permanently rejects the rest.
     """
     if profile.item_prefs is None:
-        raise ModeError("two-sided Boston needs item-side preferences")
+        raise ModeError("two-sided Boston needs item-side preferences (an @items section)")
     if mode is BostonMode.SEQUENTIAL:
         return serial_dictatorship(profile, order)
     priority = []

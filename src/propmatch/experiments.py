@@ -43,7 +43,7 @@ class ExperimentConfig:
     order_mode: str  # "exact" or "sampled:K"
     seed: int
 
-    def order_samples(self, n: int) -> int:
+    def order_samples(self) -> int:
         """Orders per profile; 0 encodes exact enumeration."""
         if self.order_mode == "exact":
             return 0
@@ -123,7 +123,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[Tuple]:
                     stats = order_bias(mech, n, sample_cfg)
                     mode = "fixed"
                 else:
-                    k = cfg.order_samples(n)
+                    k = cfg.order_samples()
                     if metric == "util_loss":
                         stats = utilitarian_loss(mech, n, sample_cfg, order_samples=k)
                     elif metric == "egal":

@@ -52,7 +52,8 @@ def order_stream(
 
     ``orders`` is ``"all"`` (every permutation, lexicographic; refused beyond
     ``ENUMERATION_LIMIT`` agents) or a count k of uniform draws from ``rng``.
-    The limit is checked on the call, before any order is produced.
+    The limit and the count are checked on the call, before any order is
+    produced.
     """
     if orders == "all":
         if n > ENUMERATION_LIMIT:
@@ -60,6 +61,8 @@ def order_stream(
                 f"n={n} exceeds the order-enumeration limit {ENUMERATION_LIMIT}; sample orders"
             )
         return map(AgentOrder, itertools.permutations(range(n)))
+    if orders < 1:
+        raise ValueError(f"need an order count >= 1, got {orders}")
 
     def draw() -> AgentOrder:
         perm = list(range(n))

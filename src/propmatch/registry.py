@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .engine import BostonMode, EngineConfig, run_boston_two_sided, run_engine, run_gale_shapley
+from .engine import (
+    ALL_ENGINE_CODES,
+    BostonMode,
+    EngineConfig,
+    run_boston_two_sided,
+    run_engine,
+    run_gale_shapley,
+)
 from .mechanisms import (
     compose_ttc,
     naive_boston_one_sided,
@@ -26,10 +33,6 @@ from .mechanisms import (
     serial_dictatorship,
 )
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
-
-ENGINE_CODES = ("PFS", "PFQ", "PLS", "PLQ", "TFS", "TFQ", "TLS", "TLQ")
-ACCEPT_LAST_CODES = ("PLS", "PLQ", "TLS", "TLQ")
-ACCEPT_FIRST_CODES = ("PFS", "PFQ", "TFS", "TFQ")
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,12 @@ def _engine_mech(code: str) -> Mechanism:
     )
 
 
-_BASE = {code: _engine_mech(code) for code in ENGINE_CODES}
+_BASE = {code: _engine_mech(code) for code in ALL_ENGINE_CODES}
 _BASE["SD"] = Mechanism("SD", "matching", True, False, _run=serial_dictatorship)
 _BASE["NB"] = Mechanism("NB", "matching", True, False, _run=naive_boston_one_sided)
 _BASE["PS"] = Mechanism("PS", "fractional", False, False, _assignment=probabilistic_serial)
 _BASE["GS"] = Mechanism(
-    "GS", "matching", False, True, _run=lambda p, o: run_gale_shapley(p, o).matching
+    "GS", "matching", False, True, _run=lambda p, o: run_gale_shapley(p, o, record=False).matching
 )
 _BASE["BOS-SEQ"] = Mechanism(
     "BOS-SEQ", "matching", True, True,
@@ -80,10 +83,6 @@ _BASE["BOS-SIM"] = Mechanism(
     "BOS-SIM", "matching", False, True,
     _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SIMULTANEOUS),
 )
-
-
-def available_codes() -> Tuple[str, ...]:
-    return tuple(_BASE)
 
 
 def resolve(code: str) -> Tuple[Mechanism, bool]:

@@ -10,7 +10,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from .lottery import EnumerationLimitError
 from .model import AgentOrder, Profile
+
+EXHAUSTIVE_PROFILE_LIMIT = 4  # 4!^4 = 331776 profiles
 
 
 @dataclass
@@ -53,3 +56,25 @@ def all_profiles(n: int) -> Iterator[Profile]:
 
 def all_orders(n: int) -> List[AgentOrder]:
     return [AgentOrder(p) for p in itertools.permutations(range(n))]
+
+
+def profile_stream(n: int, profiles: str | int = "all", seed: int = 0) -> Iterator[Profile]:
+    """The profiles an axiom sweep, comparison or campaign runs over.
+
+    ``profiles`` is ``"all"`` (every profile, lexicographic; refused beyond
+    ``EXHAUSTIVE_PROFILE_LIMIT`` agents) or a count k of uniform profiles drawn
+    by ``ProfileSampler(n, seed)``.  Every check runs on the call, before any
+    profile is produced.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if profiles == "all":
+        if n > EXHAUSTIVE_PROFILE_LIMIT:
+            raise EnumerationLimitError(
+                f"n={n} exceeds the exhaustive profile limit {EXHAUSTIVE_PROFILE_LIMIT};"
+                " sample profiles"
+            )
+        return all_profiles(n)
+    if profiles < 1:
+        raise ValueError(f"need a profile count >= 1, got {profiles}")
+    return ProfileSampler(n, seed).stream(profiles)

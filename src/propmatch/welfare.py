@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple, Union
 
 from .lottery import SampleConfig, order_stream, outcome_counts
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
-from .sampling import ProfileSampler
+from .sampling import profile_stream
 
 
 def borda_utilities(profile: Profile) -> Tuple[Tuple[int, ...], ...]:
@@ -174,10 +174,9 @@ def utilitarian_loss(
     welfare over initial orders (exact when ``order_samples`` is 0, otherwise
     estimated from that many sampled orders).
     """
-    sampler = ProfileSampler(n, cfg.seed)
     rng = random.Random(cfg.seed ^ 0x9E3779B97F4A7C15)
     losses: List[Fraction] = []
-    for profile in sampler.stream(cfg.sample_count):
+    for profile in profile_stream(n, cfg.sample_count, cfg.seed):
         opt, _ = optimal_utilitarian(profile)
         rows, _ = _expected_utilities(mechanism, profile, order_samples, rng)
         losses.append((opt - sum(rows, Fraction(0))) / opt)
@@ -193,10 +192,9 @@ def expected_egalitarian(
     ``realized_min`` the expectation and minimum swap: the (estimated) expected
     value of the worst-off agent's realized utility.
     """
-    sampler = ProfileSampler(n, cfg.seed)
     rng = random.Random(cfg.seed ^ 0x9E3779B97F4A7C15)
     values: List[Fraction] = []
-    for profile in sampler.stream(cfg.sample_count):
+    for profile in profile_stream(n, cfg.sample_count, cfg.seed):
         rows, worst = _expected_utilities(mechanism, profile, order_samples, rng)
         values.append((worst if realized_min else min(rows)) / n)
     return _stats(values, cfg.seed)
@@ -212,11 +210,10 @@ def order_bias(mechanism, n: int, cfg: SampleConfig) -> WelfareStats:
     """
     if not mechanism.uses_order:
         return WelfareStats(Fraction(0), 0.0, cfg.sample_count, cfg.seed)
-    sampler = ProfileSampler(n, cfg.seed)
     order = AgentOrder.identity(n)
     sums = [Fraction(0)] * n
     sumsq = [0.0] * n
-    for profile in sampler.stream(cfg.sample_count):
+    for profile in profile_stream(n, cfg.sample_count, cfg.seed):
         m = mechanism.run(profile, order)
         u = borda_utilities(profile)
         for pos in range(n):  # position i holds agent i under the identity order

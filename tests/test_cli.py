@@ -135,6 +135,14 @@ class TestGenerateAndExperiment:
     def test_generate_rejects_zero(self, tmp_path):
         cli("generate", "--n", "0", "--out", str(tmp_path / "x"), expect=2)
 
+    @pytest.mark.parametrize(
+        "args, code", [(("--n", "3", "--count", "0"), 2), (("--n", "5", "--exhaustive"), 3)]
+    )
+    def test_generate_refused_before_out_dir(self, tmp_path, args, code):
+        out = tmp_path / "D"
+        assert cli("generate", *args, "--out", str(out), expect=code) == ""
+        assert not out.exists()
+
     def test_experiment_roundtrip(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text(
@@ -220,6 +228,14 @@ class TestErrorContract:
             (("axioms", "SD", "--n", "3", "--exhaustive", "--axioms", "expost,bogus"), 1),
             (("axioms", "PS", "--n", "3", "--exhaustive", "--axioms", "ordinal,sp"), 2),
             (("lottery", BENCH, "PS", "--samples", "5"), 1),
+            (("run", BENCH, "SD", "--trace"), 1),
+            (("run", BENCH, "TLS+G", "--trace"), 1),
+            (("axioms", "PS,SD", "--n", "9", "--samples", "1", "--axioms", "ordinal"), 3),
+            (("axioms", "SD,TLQ", "--n", "3", "--exhaustive", "--axioms", "expost,topk",
+              "--k", "9"), 2),
+            (("compare", "TFQ", "TLQ", "--n", "3", "--orders", "0"), 2),
+            (("compare", "TFQ", "TLQ", "--n", "3", "--samples", "0"), 2),
+            (("axioms", "PLS", "--n", "3", "--samples", "0", "--axioms", "expost"), 2),
         ],
     )
     def test_bad_input(self, args, code):

@@ -153,6 +153,12 @@ class TestEngineInvariants:
                 assert bare.trace == ()
                 assert bare.matching == recorded.matching
                 assert bare.proposal_count == recorded.proposal_count
+        for p, order in self._random_cases(count=40, seed=5, two_sided=True):
+            recorded = run_gale_shapley(p, order)
+            bare = run_gale_shapley(p, order, record=False)
+            assert bare.trace == ()
+            assert bare.matching == recorded.matching
+            assert bare.proposal_count == recorded.proposal_count
 
 
 class TestClassicEquivalences:

@@ -27,11 +27,11 @@ class TestParseAndValidate:
         cfg = parse_config(GOOD)
         assert cfg.mechanisms == ("RSD", "R-TLS+G", "PS")
         assert cfg.n_values == (3, 4)
-        assert cfg.order_samples(4) == 2
+        assert cfg.order_samples() == 2
 
     def test_exact_mode_guard(self):
         cfg = parse_config(GOOD.replace("sampled:2", "exact"))
-        assert cfg.order_samples(4) == 0
+        assert cfg.order_samples() == 0
         # Refused when parsed, before any cell of a smaller n runs.
         with pytest.raises(ConfigError, match="exact"):
             parse_config(GOOD.replace("sampled:2", "exact").replace("3, 4", "3, 9"))

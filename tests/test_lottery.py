@@ -19,7 +19,7 @@ from propmatch.lottery import (
     sampled_lottery,
 )
 from propmatch.registry import resolve
-from propmatch.sampling import ProfileSampler, all_profiles
+from propmatch.sampling import ProfileSampler, all_profiles, profile_stream
 
 F = Fraction
 
@@ -37,6 +37,11 @@ class TestOrderStream:
         with pytest.raises(EnumerationLimitError):  # even with no feasible top-1 matching
             satisfies_conditional_bound(sd.run, identical, 1)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_bad_count_refused_on_call(self, count):
+        with pytest.raises(ValueError, match="order count"):
+            order_stream(3, count, random.Random(0))
+
     def test_draws_are_seeded_shuffles(self):
         rng, ref = random.Random(4), random.Random(4)
         for order in order_stream(5, 7, rng):
@@ -51,6 +56,31 @@ class TestOrderStream:
         assert sum(counts.values()) == 24
         lot = exact_lottery(sd.run, bench4)
         assert tuple((m.item_of, w * 24) for m, w in lot.support) == tuple(sorted(counts.items()))
+
+
+class TestProfileStream:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_is_every_profile_lexicographic(self, n):
+        assert list(profile_stream(n, "all")) == list(all_profiles(n))
+
+    @pytest.mark.parametrize("n, k, seed", [(1, 3, 0), (4, 25, 9), (6, 10, 7)])
+    def test_count_is_the_seeded_sampler(self, n, k, seed):
+        assert list(profile_stream(n, k, seed)) == list(ProfileSampler(n, seed).stream(k))
+
+    @pytest.mark.parametrize(
+        "n, profiles, error",
+        [
+            (0, "all", ValueError),
+            (0, 5, ValueError),
+            (3, 0, ValueError),
+            (3, -1, ValueError),
+            (5, "all", EnumerationLimitError),
+        ],
+    )
+    def test_refused_on_call(self, n, profiles, error):
+        # A generator would raise only when first iterated.
+        with pytest.raises(error):
+            profile_stream(n, profiles)
 
 
 class TestExactLottery:
