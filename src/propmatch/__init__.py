@@ -16,7 +16,7 @@ from .engine import (
     run_engine,
     run_gale_shapley,
 )
-from .lottery import LotteryResult, SampleConfig, exact_lottery, sampled_lottery
+from .lottery import LotteryResult, exact_lottery, sampled_lottery
 from .mechanisms import (
     compose_ttc,
     naive_boston_one_sided,
@@ -50,7 +50,6 @@ __all__ = [
     "Memory",
     "Outcome",
     "Profile",
-    "SampleConfig",
     "TraceEvent",
     "compose_ttc",
     "exact_lottery",

@@ -22,7 +22,6 @@ from .engine import ALL_ENGINE_CODES, EngineConfig, format_trace_table, run_engi
 from .experiments import parse_config, rows_to_csv, run_experiment
 from .lottery import (
     EnumerationLimitError,
-    SampleConfig,
     equivalent_on,
     exact_lottery,
     order_stream,
@@ -68,6 +67,13 @@ def _parse_order(arg: str | None, profile: Profile) -> AgentOrder:
     return AgentOrder(tuple(names[tok] for tok in tokens))
 
 
+def _profile_source(args, count: int) -> str | int:
+    """``"all"`` under --exhaustive, else ``count``.  ``profile_stream``
+    checks ``count`` either way, so a bad value is refused even when unused."""
+    profile_stream(args.n, count)
+    return "all" if args.exhaustive else count
+
+
 def cmd_run(args) -> int:
     profile = _read_profile(args.profile)
     order = _parse_order(args.order, profile)
@@ -103,7 +109,7 @@ def cmd_lottery(args) -> int:
             _fail(f"{mech.code} has an exact fractional outcome; drop --samples", USAGE_ERROR)
         out = format_matrix(mech.assignment(profile))
     elif args.samples:
-        freq = sampled_lottery(mech.run, profile, SampleConfig(args.samples, args.seed))
+        freq = sampled_lottery(mech.run, profile, args.samples, args.seed)
         lines = [f"# samples: {args.samples} seed: {args.seed}"]
         lines += [" ".join(str(x) for x in row) for row in freq]
         out = "\n".join(lines) + "\n"
@@ -131,8 +137,8 @@ def cmd_axioms(args) -> int:
             if mech.kind == "fractional" and axiom in MATCHING_AXIOMS:
                 _fail(f"the {axiom} axiom needs a matching mechanism; {mech.code} is fractional",
                       INPUT_ERROR)
-    source = "all" if args.exhaustive else args.samples
-    profile_stream(n, source, args.seed)  # refuses a bad n, count or size on the call
+    source = _profile_source(args, args.samples)
+    profile_stream(n, source)  # refuses an exhaustive size beyond the limit on the call
     if any(mech.kind == "matching" for _code, mech in mechs):
         order_stream(n)  # every matching axiom enumerates the orders
     if "topk" in axioms and not 1 <= args.k <= n:
@@ -197,7 +203,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    profiles = list(profile_stream(args.n, "all" if args.exhaustive else args.count, args.seed))
+    profiles = list(profile_stream(args.n, _profile_source(args, args.count), args.seed))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     width = max(3, len(str(len(profiles) - 1)))
@@ -210,7 +216,8 @@ def cmd_generate(args) -> int:
 def cmd_compare(args) -> int:
     mech_a, rand_a = resolve(args.mechanism_a)
     mech_b, rand_b = resolve(args.mechanism_b)
-    profiles = profile_stream(args.n, "all" if args.exhaustive else args.samples, args.seed)
+    profiles = profile_stream(args.n, _profile_source(args, args.samples), args.seed)
+    order_stream(args.n, args.orders)  # refuses a bad --orders even when it goes unused
     if rand_a or rand_b:
         verdict = randomized_equivalent_on(mech_a.run, mech_b.run, profiles)
     else:

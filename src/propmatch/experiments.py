@@ -13,19 +13,22 @@ Config files are flat ``key = value`` text; recognized keys:
                      welfare; exact enumerates all n! orders, n <= 8)
     seed             64-bit integer
 
+Any other key, and a key given twice, is refused.
+
 CSV schema: ``n, mechanism, metric, mean, stderr, samples, orders_mode, seed``.
 """
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from .lottery import ENUMERATION_LIMIT, SampleConfig
+from .lottery import ENUMERATION_LIMIT
 from .registry import resolve
-from .welfare import WelfareStats, expected_egalitarian, order_bias, utilitarian_loss
+from .welfare import expected_egalitarian, order_bias, utilitarian_loss
 
+KEYS = ("mechanisms", "n_values", "metrics", "profile_samples", "order_mode", "seed")
 METRICS = ("util_loss", "egal", "egal_realized", "order_bias")
 CSV_HEADER = ("n", "mechanism", "metric", "mean", "stderr", "samples", "orders_mode", "seed")
 
@@ -42,12 +45,19 @@ class ExperimentConfig:
     profile_samples: int
     order_mode: str  # "exact" or "sampled:K"
     seed: int
+    orders: str | int = field(init=False)  # order_mode as order_stream takes it
 
-    def order_samples(self) -> int:
-        """Orders per profile; 0 encodes exact enumeration."""
-        if self.order_mode == "exact":
-            return 0
-        return int(self.order_mode.split(":", 1)[1])
+    def __post_init__(self):
+        mode, _, k = self.order_mode.partition(":")
+        try:
+            orders = "all" if self.order_mode == "exact" else int(k) if mode == "sampled" else None
+        except ValueError:
+            orders = None
+        if orders is None:
+            raise ConfigError("order_mode must be 'exact' or 'sampled:K'")
+        if orders != "all" and orders < 1:
+            raise ConfigError("sampled order count must be >= 1")
+        object.__setattr__(self, "orders", orders)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -59,7 +69,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} ({', '.join(KEYS)})")
+        if key in values:
+            raise ConfigError(f"line {lineno}: {key} given twice")
+        values[key] = val.strip()
     try:
         mechanisms = tuple(tok.strip() for tok in values.get("mechanisms", "").split(",") if tok.strip())
         n_values = tuple(int(tok) for tok in values.get("n_values", "").split(",") if tok.strip())
@@ -86,15 +101,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown metric {m!r}")
     if cfg.profile_samples < 1:
         raise ConfigError("profile_samples must be >= 1")
-    if cfg.order_mode != "exact":
-        if not cfg.order_mode.startswith("sampled:"):
-            raise ConfigError("order_mode must be 'exact' or 'sampled:K'")
-        try:
-            if int(cfg.order_mode.split(":", 1)[1]) < 1:
-                raise ConfigError("sampled order count must be >= 1")
-        except ValueError:
-            raise ConfigError("order_mode must be 'exact' or 'sampled:K'") from None
-    elif max(cfg.n_values) > ENUMERATION_LIMIT and set(cfg.metrics) != {"order_bias"}:
+    if (cfg.orders == "all" and max(cfg.n_values) > ENUMERATION_LIMIT
+            and set(cfg.metrics) != {"order_bias"}):
         raise ConfigError(
             f"order_mode=exact needs n <= {ENUMERATION_LIMIT}, got {max(cfg.n_values)}"
         )
@@ -111,45 +119,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[Tuple]:
-    """One CSV row per (n, mechanism, metric); deterministic given the config."""
+    """One CSV row per (n, mechanism, metric); deterministic given the config.
+
+    The mean is exact fraction text and the stderr ``repr(float)``: both parse
+    back losslessly.
+    """
     validate_config(cfg)
+    profiles, seed = cfg.profile_samples, cfg.seed
+    sampled_mode = "exact" if cfg.orders == "all" else "sampled"
     rows: List[Tuple] = []
     for n in cfg.n_values:
         for code in cfg.mechanisms:
             mech, _randomized = resolve(code)
-            sample_cfg = SampleConfig(cfg.profile_samples, cfg.seed)
             for metric in cfg.metrics:
                 if metric == "order_bias":
-                    stats = order_bias(mech, n, sample_cfg)
-                    mode = "fixed"
+                    stats = order_bias(mech, n, profiles, seed)
+                elif metric == "util_loss":
+                    stats = utilitarian_loss(mech, n, profiles, seed, cfg.orders)
                 else:
-                    k = cfg.order_samples()
-                    if metric == "util_loss":
-                        stats = utilitarian_loss(mech, n, sample_cfg, order_samples=k)
-                    elif metric == "egal":
-                        stats = expected_egalitarian(mech, n, sample_cfg, order_samples=k)
-                    else:
-                        stats = expected_egalitarian(
-                            mech, n, sample_cfg, order_samples=k, realized_min=True
-                        )
-                    mode = "exact" if k == 0 else "sampled"
-                rows.append(_csv_row(n, code, metric, stats, mode))
+                    stats = expected_egalitarian(
+                        mech, n, profiles, seed, cfg.orders, realized_min=metric == "egal_realized"
+                    )
+                mode = "fixed" if metric == "order_bias" else sampled_mode
+                rows.append((n, code, metric, str(stats.mean), repr(stats.stderr), profiles, mode, seed))
     return rows
-
-
-def _csv_row(n: int, code: str, metric: str, stats: WelfareStats, mode: str) -> Tuple:
-    # mean as exact fraction text and stderr as repr(float): both parse back
-    # losslessly (Fraction() / float() round-trips)
-    return (
-        n,
-        code,
-        metric,
-        str(stats.mean),
-        repr(stats.stderr),
-        stats.sample_count,
-        mode,
-        stats.seed,
-    )
 
 
 def rows_to_csv(rows: Sequence[Tuple]) -> str:

@@ -22,16 +22,6 @@ class EnumerationLimitError(ValueError):
 
 
 @dataclass(frozen=True)
-class SampleConfig:
-    sample_count: int
-    seed: int
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-
-
-@dataclass(frozen=True)
 class LotteryResult:
     """Exact uniform-order lottery: the average assignment and its support.
 
@@ -103,13 +93,13 @@ def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResu
 
 
 def sampled_lottery(
-    mechanism: MatchingMechanism, profile: Profile, cfg: SampleConfig
+    mechanism: MatchingMechanism, profile: Profile, samples: int, seed: int
 ) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Estimate the lottery by item-receipt frequencies over sampled uniform
-    orders.  Deterministic for a given seed; rows sum to exactly 1 but columns
-    generally do not, so the result is returned as raw frequency rows.
+    """Estimate the lottery by item-receipt frequencies over ``samples`` uniform
+    orders drawn with ``seed``.  Rows sum to exactly 1 but columns generally do
+    not, so the result is returned as raw frequency rows.
     """
-    orders = order_stream(profile.n, cfg.sample_count, random.Random(cfg.seed))
+    orders = order_stream(profile.n, samples, random.Random(seed))
     return _receipt_rows(outcome_counts(mechanism, profile, orders), profile.n)
 
 

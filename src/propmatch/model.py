@@ -86,9 +86,6 @@ class Matching:
     def n(self) -> int:
         return len(self.item_of)
 
-    def agent_of(self, item: int) -> int:
-        return self.item_of.index(item)
-
 
 @dataclass(frozen=True)
 class AgentOrder:

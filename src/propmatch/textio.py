@@ -116,9 +116,8 @@ def format_profile(p: Profile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_matching(m: Matching, n: int | None = None) -> str:
-    n = n or m.n
-    return " ".join(f"{agent_name(a)}:{item_name(m.item_of[a], n)}" for a in range(m.n))
+def format_matching(m: Matching) -> str:
+    return " ".join(f"{agent_name(a)}:{item_name(o, m.n)}" for a, o in enumerate(m.item_of))
 
 
 def format_matrix(assignment: FractionalAssignment, header: bool = True) -> str:

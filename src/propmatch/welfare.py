@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .lottery import SampleConfig, order_stream, outcome_counts
+from .lottery import order_stream, outcome_counts
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 from .sampling import profile_stream
 
@@ -123,36 +123,33 @@ def optimal_utilitarian(profile: Profile) -> Tuple[Fraction, Matching]:
 class WelfareStats:
     mean: Fraction
     stderr: float
-    sample_count: int
-    seed: int
 
 
-def _stats(values: List[Fraction], seed: int) -> WelfareStats:
+def _stats(values: List[Fraction]) -> WelfareStats:
     n = len(values)
     mean = sum(values, Fraction(0)) / n
     if n < 2:
-        return WelfareStats(mean, 0.0, n, seed)
+        return WelfareStats(mean, 0.0)
     var = sum((float(x - mean)) ** 2 for x in values) / (n - 1)
-    return WelfareStats(mean, math.sqrt(var / n), n, seed)
+    return WelfareStats(mean, math.sqrt(var / n))
 
 
 def _expected_utilities(
-    mechanism, profile: Profile, order_samples: int, rng: random.Random
+    mechanism, profile: Profile, orders: str | int, rng: random.Random
 ) -> Tuple[List[Fraction], Fraction]:
     """Expected Borda utility of each agent under a randomized mechanism on one
     profile, and the expected utility of the worst-off agent of each run.
 
-    Matching mechanisms run every order when ``order_samples`` is 0 and
-    otherwise that many orders drawn from ``rng``; utilities are summed as
-    integers over the outcome counts and divided once.  Fractional mechanisms
-    draw no orders, and their worst-off value is the minimum expectation.
+    Matching mechanisms run the ``orders`` of ``order_stream`` (``"all"`` or k
+    draws from ``rng``); utilities are summed as integers over the outcome
+    counts and divided once.  Fractional mechanisms draw no orders, and their
+    worst-off value is the minimum expectation.
     """
     u = borda_utilities(profile)
     if mechanism.kind == "fractional":
         rows = _utility_rows(mechanism.assignment(profile), u)
         return rows, min(rows)
-    orders = order_stream(profile.n, order_samples or "all", rng)
-    counts = outcome_counts(mechanism.run, profile, orders)
+    counts = outcome_counts(mechanism.run, profile, order_stream(profile.n, orders, rng))
     sums = [0] * profile.n
     worst = 0
     for item_of, c in counts.items():
@@ -165,62 +162,66 @@ def _expected_utilities(
 
 
 def utilitarian_loss(
-    mechanism, n: int, cfg: SampleConfig, order_samples: int = 1
+    mechanism, n: int, profiles: int, seed: int, orders: str | int = 1
 ) -> WelfareStats:
-    """Average fraction of the optimal utilitarian welfare lost over uniform
-    random profiles.
+    """Average fraction of the optimal utilitarian welfare lost over
+    ``profiles`` uniform random profiles drawn with ``seed``.
 
     Per profile the loss is (OPT - W)/OPT with W the mechanism's expected
-    welfare over initial orders (exact when ``order_samples`` is 0, otherwise
-    estimated from that many sampled orders).
+    welfare over initial orders: exact over all n! with ``orders="all"``,
+    otherwise estimated from k sampled orders.
     """
-    rng = random.Random(cfg.seed ^ 0x9E3779B97F4A7C15)
+    rng = random.Random(seed ^ 0x9E3779B97F4A7C15)
     losses: List[Fraction] = []
-    for profile in profile_stream(n, cfg.sample_count, cfg.seed):
+    for profile in profile_stream(n, profiles, seed):
         opt, _ = optimal_utilitarian(profile)
-        rows, _ = _expected_utilities(mechanism, profile, order_samples, rng)
+        rows, _ = _expected_utilities(mechanism, profile, orders, rng)
         losses.append((opt - sum(rows, Fraction(0))) / opt)
-    return _stats(losses, cfg.seed)
+    return _stats(losses)
 
 
 def expected_egalitarian(
-    mechanism, n: int, cfg: SampleConfig, order_samples: int = 1, realized_min: bool = False
+    mechanism, n: int, profiles: int, seed: int, orders: str | int = 1,
+    realized_min: bool = False,
 ) -> WelfareStats:
-    """Mean n-normalized egalitarian welfare over uniform random profiles.
+    """Mean n-normalized egalitarian welfare over ``profiles`` uniform random
+    profiles drawn with ``seed``; ``orders`` as for ``utilitarian_loss``.
 
     Default: the minimum over agents of expected Borda utility.  With
     ``realized_min`` the expectation and minimum swap: the (estimated) expected
     value of the worst-off agent's realized utility.
     """
-    rng = random.Random(cfg.seed ^ 0x9E3779B97F4A7C15)
+    rng = random.Random(seed ^ 0x9E3779B97F4A7C15)
     values: List[Fraction] = []
-    for profile in profile_stream(n, cfg.sample_count, cfg.seed):
-        rows, worst = _expected_utilities(mechanism, profile, order_samples, rng)
+    for profile in profile_stream(n, profiles, seed):
+        rows, worst = _expected_utilities(mechanism, profile, orders, rng)
         values.append((worst if realized_min else min(rows)) / n)
-    return _stats(values, cfg.seed)
+    return _stats(values)
 
 
-def order_bias(mechanism, n: int, cfg: SampleConfig) -> WelfareStats:
+def order_bias(mechanism, n: int, profiles: int, seed: int) -> WelfareStats:
     """Normalized spread of expected Borda welfare across initial positions.
 
-    The mechanism runs with the fixed order 1..n on uniform random profiles;
-    the bias is (max over positions - min over positions) of mean welfare,
-    divided by n.  Mechanisms that never read the order have zero bias by
-    definition, returned exactly.
+    The mechanism runs with the fixed order 1..n on ``profiles`` uniform random
+    profiles drawn with ``seed``; the bias is (max over positions - min over
+    positions) of mean welfare, divided by n.  Mechanisms that never read the
+    order have zero bias by definition, returned exactly (the profile count is
+    still checked).
     """
+    stream = profile_stream(n, profiles, seed)  # refuses a bad n or count on the call
     if not mechanism.uses_order:
-        return WelfareStats(Fraction(0), 0.0, cfg.sample_count, cfg.seed)
+        return WelfareStats(Fraction(0), 0.0)
     order = AgentOrder.identity(n)
     sums = [Fraction(0)] * n
     sumsq = [0.0] * n
-    for profile in profile_stream(n, cfg.sample_count, cfg.seed):
+    for profile in stream:
         m = mechanism.run(profile, order)
         u = borda_utilities(profile)
         for pos in range(n):  # position i holds agent i under the identity order
             w = u[pos][m.item_of[pos]]
             sums[pos] += w
             sumsq[pos] += float(w) * w
-    N = cfg.sample_count
+    N = profiles
     means = [s / N for s in sums]
     hi = max(range(n), key=lambda i: means[i])
     lo = min(range(n), key=lambda i: means[i])
@@ -231,4 +232,4 @@ def order_bias(mechanism, n: int, cfg: SampleConfig) -> WelfareStats:
         var = (sumsq[i] - N * float(means[i]) ** 2) / (N - 1)
         return math.sqrt(max(var, 0.0) / N)
     stderr = math.sqrt(se(hi) ** 2 + se(lo) ** 2) / n
-    return WelfareStats(bias, stderr, N, cfg.seed)
+    return WelfareStats(bias, stderr)

@@ -36,7 +36,7 @@ from propmatch.axioms import (
     sd_dominates,
 )
 from propmatch.engine import ALL_ENGINE_CODES, BostonMode, EngineConfig, Outcome
-from propmatch.lottery import SampleConfig, exact_lottery
+from propmatch.lottery import exact_lottery
 from propmatch.mechanisms import top_trading_cycles
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles
@@ -500,6 +500,7 @@ def _sig_less(a, b):
     return ma < mb and (mb - ma) > 3 * math.sqrt(sa * sa + sb * sb)
 
 
+@pytest.mark.slow
 class TestCriterion10:
     computed_loss = {}
     computed_bias = {}
@@ -507,14 +508,13 @@ class TestCriterion10:
     @classmethod
     def setup_class(cls):
         cls.t0 = time.perf_counter()
-        cfg = SampleConfig(PROFILE_SAMPLES, SEED)
         for (n, code), _pinned in LOSS.items():
             mech, _ = resolve(code)
-            s = utilitarian_loss(mech, n, cfg, order_samples=1)
+            s = utilitarian_loss(mech, n, PROFILE_SAMPLES, SEED, orders=1)
             cls.computed_loss[(n, code)] = (float(s.mean), s.stderr)
         for (n, code), _pinned in BIAS.items():
             mech, _ = resolve(code)
-            s = order_bias(mech, n, cfg)
+            s = order_bias(mech, n, PROFILE_SAMPLES, SEED)
             cls.computed_bias[(n, code)] = (float(s.mean), s.stderr)
         cls.elapsed = time.perf_counter() - cls.t0
 

@@ -136,7 +136,12 @@ class TestGenerateAndExperiment:
         cli("generate", "--n", "0", "--out", str(tmp_path / "x"), expect=2)
 
     @pytest.mark.parametrize(
-        "args, code", [(("--n", "3", "--count", "0"), 2), (("--n", "5", "--exhaustive"), 3)]
+        "args, code",
+        [
+            (("--n", "3", "--count", "0"), 2),
+            (("--n", "5", "--exhaustive"), 3),
+            (("--n", "2", "--exhaustive", "--count", "0"), 2),
+        ],
     )
     def test_generate_refused_before_out_dir(self, tmp_path, args, code):
         out = tmp_path / "D"
@@ -236,6 +241,11 @@ class TestErrorContract:
             (("compare", "TFQ", "TLQ", "--n", "3", "--orders", "0"), 2),
             (("compare", "TFQ", "TLQ", "--n", "3", "--samples", "0"), 2),
             (("axioms", "PLS", "--n", "3", "--samples", "0", "--axioms", "expost"), 2),
+            (("compare", "R-PFS", "R-SD", "--n", "3", "--samples", "5", "--orders", "0"), 2),
+            (("compare", "PFS", "SD", "--n", "3", "--exhaustive", "--orders", "0"), 2),
+            (("axioms", "SD", "--n", "3", "--exhaustive", "--samples", "0", "--axioms", "expost"), 2),
+            (("generate", "--n", "2", "--exhaustive", "--count", "0",
+              "--out", str(DATA / "never-written")), 2),
         ],
     )
     def test_bad_input(self, args, code):

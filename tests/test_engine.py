@@ -298,6 +298,31 @@ class TestRelabeling:
                 assert s.matching.item_of[agents[a]] == items[r.matching.item_of[a]]
 
 
+@st.composite
+def ordered_profiles(draw):
+    """A one-sided profile with n <= 10 and an initial order."""
+    n = draw(st.integers(1, 10))
+    perm = st.permutations(range(n))
+    return profile([draw(perm) for _ in range(n)]), AgentOrder(tuple(draw(perm)))
+
+
+class TestClassicEquivalenceProperties:
+    """PFS computes serial dictatorship and PFQ the one-sided naive Boston
+    outcome, on drawn profiles and orders up to n = 10."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(ordered_profiles())
+    def test_pfs_is_serial_dictatorship(self, case):
+        p, order = case
+        assert run(p, order, "PFS").matching == serial_dictatorship(p, order)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(ordered_profiles())
+    def test_pfq_is_naive_boston(self, case):
+        p, order = case
+        assert run(p, order, "PFQ").matching == naive_boston_one_sided(p, order)
+
+
 def seeded_case(n, seed, two_sided=False):
     rng = random.Random(seed)
     side = lambda: [rng.sample(range(n), n) for _ in range(n)]

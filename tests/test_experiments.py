@@ -27,11 +27,11 @@ class TestParseAndValidate:
         cfg = parse_config(GOOD)
         assert cfg.mechanisms == ("RSD", "R-TLS+G", "PS")
         assert cfg.n_values == (3, 4)
-        assert cfg.order_samples() == 2
+        assert cfg.orders == 2
 
     def test_exact_mode_guard(self):
         cfg = parse_config(GOOD.replace("sampled:2", "exact"))
-        assert cfg.order_samples() == 0
+        assert cfg.orders == "all"
         # Refused when parsed, before any cell of a smaller n runs.
         with pytest.raises(ConfigError, match="exact"):
             parse_config(GOOD.replace("sampled:2", "exact").replace("3, 4", "3, 9"))
@@ -49,6 +49,10 @@ class TestParseAndValidate:
             (("RSD, R-TLS+G, PS", "RSD, TLS"), "randomized version"),
             (("sampled:2", "sampled:0"), "order"),
             (("n_values        = 3, 4", "n_values        = 0"), "positive"),
+            (("profile_samples = 20", "profile_sample = 5"), "line 6: unknown key 'profile_sample'"),
+            (("seed            = 123", "seed = 123\nseeds = 4"), "line 9: unknown key 'seeds'"),
+            (("order_mode      = sampled:2", "order_mode = sampled:2\norder_mode = exact"),
+             "line 8: order_mode given twice"),
         ],
     )
     def test_rejected_configs(self, mutation, match):

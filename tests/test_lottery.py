@@ -10,7 +10,6 @@ from propmatch import matching_to_assignment, profile, serial_dictatorship
 from propmatch.axioms import satisfies_conditional_bound
 from propmatch.lottery import (
     EnumerationLimitError,
-    SampleConfig,
     equivalent_on,
     exact_lottery,
     order_stream,
@@ -136,24 +135,29 @@ class TestExactLottery:
 class TestSampledLottery:
     def test_deterministic_given_seed(self, bench4):
         sd, _ = resolve("SD")
-        cfg = SampleConfig(sample_count=100, seed=42)
-        assert sampled_lottery(sd.run, bench4, cfg) == sampled_lottery(sd.run, bench4, cfg)
+        assert sampled_lottery(sd.run, bench4, 100, 42) == sampled_lottery(sd.run, bench4, 100, 42)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_count_below_one_refused(self, bench4, samples):
+        sd, _ = resolve("SD")
+        with pytest.raises(ValueError, match="order count"):
+            sampled_lottery(sd.run, bench4, samples, 0)
 
     def test_single_agent(self):
         sd, _ = resolve("SD")
-        freq = sampled_lottery(sd.run, profile([[0]]), SampleConfig(5, 1))
+        freq = sampled_lottery(sd.run, profile([[0]]), 5, 1)
         assert freq == ((F(1),),)
 
     def test_rows_sum_to_one(self, bench4):
         sd, _ = resolve("SD")
-        freq = sampled_lottery(sd.run, bench4, SampleConfig(200, 3))
+        freq = sampled_lottery(sd.run, bench4, 200, 3)
         for row in freq:
             assert sum(row) == 1
 
     def test_consistent_with_exact_within_3_sigma(self, bench4):
         sd, _ = resolve("SD")
         N = 24 * 200
-        freq = sampled_lottery(sd.run, bench4, SampleConfig(N, 7))
+        freq = sampled_lottery(sd.run, bench4, N, 7)
         exact = exact_lottery(sd.run, bench4).assignment
         for a in range(4):
             for o in range(4):
@@ -170,7 +174,7 @@ class TestSampledLottery:
     )
     def test_pinned_rows_tlq_g(self, bench4, samples, seed, rows):
         mech, _ = resolve("TLQ+G")
-        freq = sampled_lottery(mech.run, bench4, SampleConfig(samples, seed))
+        freq = sampled_lottery(mech.run, bench4, samples, seed)
         assert tuple(" ".join(str(x) for x in row) for row in freq) == rows
 
 

@@ -4,6 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from propmatch import (
     AgentOrder,
     Matching,
@@ -134,6 +137,39 @@ class TestTopTradingCycles:
             out = top_trading_cycles(p, Matching(tuple(endow)))
             for a in range(n):
                 assert p.rank(a, out.item_of[a]) <= p.rank(a, endow[a])
+
+
+@st.composite
+def endowed_profiles(draw, max_n):
+    """A one-sided profile with n <= ``max_n`` and an endowment matching."""
+    n = draw(st.integers(1, max_n))
+    perm = st.permutations(range(n))
+    return profile([draw(perm) for _ in range(n)]), Matching(tuple(draw(perm)))
+
+
+class TestTopTradingCyclesProperties:
+    """Shapley-Scarf: TTC's output is individually rational against the
+    endowment, and no matching Pareto-dominates it."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(endowed_profiles(10))
+    def test_individually_rational(self, case):
+        p, endowment = case
+        out = top_trading_cycles(p, endowment)
+        for a in range(p.n):
+            assert p.rank(a, out.item_of[a]) <= p.rank(a, endowment.item_of[a])
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(endowed_profiles(6))
+    def test_no_matching_pareto_dominates(self, case):
+        # Brute force over all n! matchings, independent of is_pareto_efficient
+        # (itself a TTC fixed-point test).
+        p, endowment = case
+        out = top_trading_cycles(p, endowment)
+        ranks = [p.rank(a, o) for a, o in enumerate(out.item_of)]
+        for other in itertools.permutations(range(p.n)):
+            others = [p.rank(a, o) for a, o in enumerate(other)]
+            assert not (others != ranks and all(x <= y for x, y in zip(others, ranks))), other
 
 
 class TestComposeTTC:

@@ -14,7 +14,6 @@ from propmatch import (
 )
 from propmatch.axioms import is_pareto_efficient
 from propmatch.experiments import ExperimentConfig, run_experiment
-from propmatch.lottery import SampleConfig
 from propmatch.registry import resolve
 from propmatch.welfare import (
     borda_utilities,
@@ -135,50 +134,77 @@ class _OptimalMechanism:
 
 class TestCampaigns:
     def test_optimal_mechanism_has_zero_loss(self):
-        stats = utilitarian_loss(_OptimalMechanism(), 4, SampleConfig(50, 9), order_samples=1)
+        stats = utilitarian_loss(_OptimalMechanism(), 4, 50, 9, orders=1)
         assert stats.mean == 0
 
     def test_loss_within_range_and_reproducible(self):
         mech, _ = resolve("R-TLS")
-        a = utilitarian_loss(mech, 4, SampleConfig(60, 11), order_samples=1)
-        b = utilitarian_loss(mech, 4, SampleConfig(60, 11), order_samples=1)
+        a = utilitarian_loss(mech, 4, 60, 11, orders=1)
+        b = utilitarian_loss(mech, 4, 60, 11, orders=1)
         assert a == b
         assert 0 <= a.mean <= 1
 
     def test_exact_orders_match_large_sample_direction(self):
         rsd, _ = resolve("RSD")
         pfq, _ = resolve("R-PFQ")
-        cfg = SampleConfig(300, 13)
-        loss_rsd = utilitarian_loss(rsd, 4, cfg, order_samples=0)
-        loss_pfq = utilitarian_loss(pfq, 4, cfg, order_samples=0)
+        loss_rsd = utilitarian_loss(rsd, 4, 300, 13, orders="all")
+        loss_pfq = utilitarian_loss(pfq, 4, 300, 13, orders="all")
         assert loss_pfq.mean < loss_rsd.mean
 
     def test_egalitarian_campaign_ranges(self):
         mech, _ = resolve("RSD")
-        stats = expected_egalitarian(mech, 4, SampleConfig(60, 15), order_samples=0)
+        stats = expected_egalitarian(mech, 4, 60, 15, orders="all")
         assert 0 <= stats.mean <= F(3, 4)
         realized = expected_egalitarian(
-            mech, 4, SampleConfig(60, 15), order_samples=0, realized_min=True
+            mech, 4, 60, 15, orders="all", realized_min=True
         )
         assert realized.mean <= stats.mean  # E[min] <= min of expectations
 
     def test_order_bias_zero_for_orderless(self):
         ps, _ = resolve("PS")
-        stats = order_bias(ps, 4, SampleConfig(100, 17))
+        stats = order_bias(ps, 4, 100, 17)
         assert stats.mean == 0
 
     def test_order_bias_single_agent(self):
         sd, _ = resolve("SD")
-        assert order_bias(sd, 1, SampleConfig(30, 19)).mean == 0
+        assert order_bias(sd, 1, 30, 19).mean == 0
 
     def test_order_bias_in_range_and_dictator_biased(self):
         sd, _ = resolve("SD")
         tlq_g, _ = resolve("TLQ+G")
-        cfg = SampleConfig(400, 23)
-        bias_sd = order_bias(sd, 4, cfg)
-        bias_tlq_g = order_bias(tlq_g, 4, cfg)
+        bias_sd = order_bias(sd, 4, 400, 23)
+        bias_tlq_g = order_bias(tlq_g, 4, 400, 23)
         assert 0 <= bias_tlq_g.mean <= bias_sd.mean <= F(3, 4)
         assert bias_sd.mean > 0
+
+
+class TestCountsRefused:
+    """A profile or order count below 1 raises on the call, also where the
+    mechanism never reads it (order_bias on PS draws no profile)."""
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize(
+        "campaign, code",
+        [
+            (utilitarian_loss, "RSD"),
+            (utilitarian_loss, "PS"),
+            (expected_egalitarian, "R-TLQ"),
+            (expected_egalitarian, "PS"),
+            (order_bias, "SD"),
+            (order_bias, "PS"),
+        ],
+    )
+    def test_profile_count(self, campaign, code, count):
+        mech, _ = resolve(code)
+        with pytest.raises(ValueError, match="profile count"):
+            campaign(mech, 4, count, 0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("campaign", [utilitarian_loss, expected_egalitarian])
+    def test_order_count(self, campaign, count):
+        mech, _ = resolve("RSD")
+        with pytest.raises(ValueError, match="order count"):
+            campaign(mech, 4, 5, 0, orders=count)
 
 
 class TestPinnedSampledEstimates:
@@ -197,7 +223,7 @@ class TestPinnedSampledEstimates:
     def test_realized_min_two_orders(self, code, mean, stderr):
         mech, _ = resolve(code)
         stats = expected_egalitarian(
-            mech, 4, SampleConfig(60, 15), order_samples=2, realized_min=True
+            mech, 4, 60, 15, orders=2, realized_min=True
         )
         assert (str(stats.mean), repr(stats.stderr)) == (mean, stderr)
 
