@@ -7,6 +7,7 @@ floating point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
@@ -113,19 +114,26 @@ class FractionalAssignment:
 
     def __post_init__(self):
         n = len(self.p)
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.p)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.p)
         object.__setattr__(self, "p", rows)
+        # The sums are checked exactly, as integer numerators over one common denominator.
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        nums = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise InvalidInstanceError(f"row {i} has length {len(row)}, expected {n}")
-            if any(x < 0 or x > 1 for x in row):
+            if any(x.numerator < 0 or x.numerator > x.denominator for x in row):
                 raise InvalidInstanceError(f"row {i} has an entry outside [0, 1]")
-            if sum(row) != 1:
-                raise InvalidInstanceError(f"row {i} sums to {sum(row)}, expected exactly 1")
-        for j in range(n):
-            col = sum(row[j] for row in rows)
-            if col != 1:
-                raise InvalidInstanceError(f"column {j} sums to {col}, expected exactly 1")
+            nums.append([x.numerator * (scale // x.denominator) for x in row])
+            if sum(nums[i]) != scale:
+                raise InvalidInstanceError(
+                    f"row {i} sums to {Fraction(sum(nums[i]), scale)}, expected exactly 1"
+                )
+        for j, col in enumerate(zip(*nums)):
+            if sum(col) != scale:
+                raise InvalidInstanceError(
+                    f"column {j} sums to {Fraction(sum(col), scale)}, expected exactly 1"
+                )
 
     @property
     def n(self) -> int:

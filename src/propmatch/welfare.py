@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .lottery import order_stream, outcome_counts
+from .lottery import exact_counts, order_stream, outcome_counts
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 from .sampling import profile_stream
 
@@ -140,16 +140,19 @@ def _expected_utilities(
     """Expected Borda utility of each agent under a randomized mechanism on one
     profile, and the expected utility of the worst-off agent of each run.
 
-    Matching mechanisms run the ``orders`` of ``order_stream`` (``"all"`` or k
-    draws from ``rng``); utilities are summed as integers over the outcome
-    counts and divided once.  Fractional mechanisms draw no orders, and their
-    worst-off value is the minimum expectation.
+    Matching mechanisms count outcomes over every order (``"all"``, by
+    ``exact_counts``) or over k draws from ``rng``; utilities are summed as
+    integers over the outcome counts and divided once.  Fractional mechanisms
+    draw no orders, and their worst-off value is the minimum expectation.
     """
     u = borda_utilities(profile)
     if mechanism.kind == "fractional":
         rows = _utility_rows(mechanism.assignment(profile), u)
         return rows, min(rows)
-    counts = outcome_counts(mechanism.run, profile, order_stream(profile.n, orders, rng))
+    if orders == "all":
+        counts = exact_counts(mechanism.run, profile)
+    else:
+        counts = outcome_counts(mechanism.run, profile, order_stream(profile.n, orders, rng))
     sums = [0] * profile.n
     worst = 0
     for item_of, c in counts.items():
@@ -199,14 +202,14 @@ def expected_egalitarian(
     return _stats(values)
 
 
-def order_bias(mechanism, n: int, profiles: int, seed: int) -> WelfareStats:
+def order_bias(mechanism, n: int, profiles: str | int, seed: int) -> WelfareStats:
     """Normalized spread of expected Borda welfare across initial positions.
 
     The mechanism runs with the fixed order 1..n on ``profiles`` uniform random
-    profiles drawn with ``seed``; the bias is (max over positions - min over
-    positions) of mean welfare, divided by n.  Mechanisms that never read the
-    order have zero bias by definition, returned exactly (the profile count is
-    still checked).
+    profiles drawn with ``seed`` (or on every profile, with ``"all"``); the bias
+    is (max over positions - min over positions) of mean welfare, divided by n.
+    Mechanisms that never read the order have zero bias by definition, returned
+    exactly (the profile count is still checked).
     """
     stream = profile_stream(n, profiles, seed)  # refuses a bad n or count on the call
     if not mechanism.uses_order:
@@ -214,14 +217,15 @@ def order_bias(mechanism, n: int, profiles: int, seed: int) -> WelfareStats:
     order = AgentOrder.identity(n)
     sums = [Fraction(0)] * n
     sumsq = [0.0] * n
+    N = 0  # profiles seen: ``profiles`` may be "all"
     for profile in stream:
+        N += 1
         m = mechanism.run(profile, order)
         u = borda_utilities(profile)
         for pos in range(n):  # position i holds agent i under the identity order
             w = u[pos][m.item_of[pos]]
             sums[pos] += w
             sumsq[pos] += float(w) * w
-    N = profiles
     means = [s / N for s in sums]
     hi = max(range(n), key=lambda i: means[i])
     lo = min(range(n), key=lambda i: means[i])

@@ -5,9 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from propmatch import matching_to_assignment, profile, serial_dictatorship
+from propmatch import (
+    FractionalAssignment,
+    LotteryResult,
+    Matching,
+    matching_to_assignment,
+    profile,
+    serial_dictatorship,
+)
 from propmatch.axioms import satisfies_conditional_bound
+from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.lottery import (
     EnumerationLimitError,
     equivalent_on,
@@ -130,6 +140,76 @@ class TestExactLottery:
                     plot = exact_lottery(mech.run, permuted).assignment
                     for i in range(3):
                         assert plot.row(i) == lot.row(sigma[i])
+
+
+def brute_force_lottery(run, p):
+    """The lottery from running every one of the n! orders."""
+    counts = outcome_counts(run, p, order_stream(p.n))
+    total = sum(counts.values())
+    rows = [[F(0)] * p.n for _ in range(p.n)]
+    for item_of, c in counts.items():
+        for a, o in enumerate(item_of):
+            rows[a][o] += F(c, total)
+    support = tuple((Matching(item_of), F(c, total)) for item_of, c in sorted(counts.items()))
+    return LotteryResult(FractionalAssignment(tuple(map(tuple, rows))), support, total)
+
+
+@st.composite
+def class_profiles(draw):
+    """A one-sided profile, n <= 6, whose agents hold 1 to n distinct lists,
+    the classes interleaved in index order."""
+    n = draw(st.integers(1, 6))
+    distinct = draw(st.integers(1, n))
+    lists = draw(
+        st.lists(st.permutations(range(n)), min_size=distinct, max_size=distinct, unique_by=tuple)
+    )
+    extra = draw(st.lists(st.integers(0, distinct - 1), min_size=n - distinct, max_size=n - distinct))
+    labels = draw(st.permutations(list(range(distinct)) + extra))
+    return profile([lists[c] for c in labels])
+
+
+ONE_SIDED_CODES = ALL_ENGINE_CODES + ("SD", "NB") + tuple(
+    code + "+G" for code in ALL_ENGINE_CODES + ("SD", "NB")
+)
+
+
+class TestOrbitLottery:
+    """One run per arrangement of identical-agent classes rebuilds the lottery
+    of all n! runs."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(class_profiles())
+    def test_equals_brute_force(self, p):
+        for code in ONE_SIDED_CODES:
+            mech, _ = resolve(code)
+            assert exact_lottery(mech.run, p) == brute_force_lottery(mech.run, p), code
+
+    @pytest.mark.parametrize("code", ["GS", "BOS-SEQ", "BOS-SIM"])
+    def test_two_sided_runs_every_order(self, code):
+        # Agents 0 and 1 share a list, but items 0 and 1 rank them oppositely,
+        # so the two are not interchangeable.
+        p = profile([[0, 1, 2], [0, 1, 2], [2, 0, 1]], [[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+        mech, _ = resolve(code)
+        lot = exact_lottery(mech.run, p)
+        assert lot == brute_force_lottery(mech.run, p)
+        # BOS-SEQ is serial dictatorship: it never reads the item side.
+        assert (lot.assignment.row(0) == lot.assignment.row(1)) == (code == "BOS-SEQ")
+
+    def test_runs_one_order_per_class_arrangement(self):
+        p = profile([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 2, 3], [1, 0, 2, 3]])
+        orders = []
+
+        def sd(pr, order):
+            orders.append(order.order)
+            return serial_dictatorship(pr, order)
+
+        lot = exact_lottery(sd, p)
+        # Classes {0, 2} and {1, 3}: the 4!/(2! 2!) label sequences AABB ... BBAA.
+        assert sorted(orders) == [
+            (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3), (1, 0, 3, 2), (1, 3, 0, 2)
+        ]
+        assert lot.order_count == 24
+        assert lot == brute_force_lottery(serial_dictatorship, p)
 
 
 class TestSampledLottery:

@@ -17,6 +17,8 @@ from propmatch import (
 )
 from propmatch.textio import ProfileParseError, format_matrix, parse_matrix
 
+F = Fraction
+
 
 class TestProportional:
     def test_single_agent(self):
@@ -80,6 +82,31 @@ class TestInvariants:
     def test_columns_must_sum_to_one(self):
         with pytest.raises(InvalidInstanceError):
             FractionalAssignment(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))))
+
+    # The messages, and which check fires first, as the Fraction-sum validation gave them.
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((1, 0), (0,)), "row 1 has length 1, expected 2"),
+            (((1, 0, 0), (0, 1)), "row 0 has length 3, expected 2"),
+            (((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2))), "row 0 has an entry outside [0, 1]"),
+            (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3))), "row 1 sums to 5/6, expected exactly 1"),
+            (
+                ((F(1, 2), F(1, 2), 0), (F(1, 2), 1, 0), (0,)),
+                "row 1 sums to 3/2, expected exactly 1",
+            ),
+            (((1, 0), (1, 0)), "column 0 sums to 2, expected exactly 1"),
+            (
+                ((F(1, 2), F(1, 2), 0), (F(1, 2), F(1, 4), F(1, 4)), (F(1, 3), F(1, 3), F(1, 3))),
+                "column 0 sums to 4/3, expected exactly 1",
+            ),
+            (((0, 1), (1, 0), (0, 1)), "row 0 has length 2, expected 3"),
+        ],
+    )
+    def test_rejection_messages(self, rows, message):
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            FractionalAssignment(rows)
+        assert str(excinfo.value) == message
 
 
 class TestProfileText:

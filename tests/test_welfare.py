@@ -1,5 +1,6 @@
 """Borda welfare metrics, the assignment optimum, and the sampling campaigns."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -176,6 +177,15 @@ class TestCampaigns:
         bias_tlq_g = order_bias(tlq_g, 4, 400, 23)
         assert 0 <= bias_tlq_g.mean <= bias_sd.mean <= F(3, 4)
         assert bias_sd.mean > 0
+
+    def test_order_bias_over_all_profiles(self):
+        # n = 2, order (0, 1): agent 0 always gets its top (Borda 1); agent 1
+        # gets its top only when the two tops differ, in 2 of the 4 profiles.
+        sd, _ = resolve("SD")
+        stats = order_bias(sd, 2, "all", 0)
+        assert stats.mean == (F(1) - F(1, 2)) / 2
+        # position 0 never varies; position 1 has sample variance 1/3 over 4 profiles
+        assert stats.stderr == pytest.approx(math.sqrt(F(1, 3) / 4) / 2)
 
 
 class TestCountsRefused:
