@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lottery import MatchingMechanism, exact_lottery, order_stream
 from .mechanisms import top_trading_cycles
@@ -22,17 +23,19 @@ class Dominance(enum.Enum):
 
 
 def sd_dominates(
-    p: Sequence[Fraction], q: Sequence[Fraction], pref: Sequence[int]
+    p: Sequence[Fraction | int], q: Sequence[Fraction | int], pref: Sequence[int]
 ) -> Dominance:
     """First-order stochastic dominance of row ``p`` over ``q`` under ``pref``.
 
     ``p`` weakly dominates ``q`` iff every preference-prefix cumulative
     probability of ``p`` is at least that of ``q``; strictly iff some prefix is
-    strictly greater.
+    strictly greater.  The rows are ``Fraction`` probabilities, or integer
+    counts over one common denominator (as ``check_strategyproofness`` passes
+    with a memo), which compare without any ``Fraction`` arithmetic.
     """
     if len(p) != len(q) or len(p) != len(pref):
         raise ValueError("row/preference length mismatch")
-    cp = cq = Fraction(0)
+    cp = cq = 0
     ge = le = True
     for o in pref:
         cp += p[o]
@@ -95,11 +98,13 @@ class SPVerdict(enum.Enum):
 @dataclass(frozen=True)
 class SPReport:
     """Deviation analysis for one agent: the truthful exact-lottery row against
-    the row under every possible misreport, others held truthful."""
+    the row under every possible misreport, others held truthful.  Rows are
+    ``Fraction`` probabilities, or receipt counts over n! when
+    ``check_strategyproofness`` was given a memo."""
 
     agent: int
-    truthful_row: Tuple[Fraction, ...]
-    misreports: Tuple[Tuple[Tuple[int, ...], Tuple[Fraction, ...], Dominance], ...]
+    truthful_row: Tuple[Fraction | int, ...]
+    misreports: Tuple[Tuple[Tuple[int, ...], Tuple[Fraction | int, ...], Dominance], ...]
     overall: SPVerdict
 
     def best_deviation(self) -> Optional[Tuple[int, ...]]:
@@ -109,24 +114,54 @@ class SPReport:
         return None
 
 
+Prefs = Tuple[Tuple[int, ...], ...]
+LotteryMemo = Dict[Tuple[Prefs, Optional[Prefs]], Tuple[Tuple[int, ...], ...]]
+
+
+def _receipt_counts(
+    mechanism: MatchingMechanism, agent_prefs: Prefs, item_prefs: Optional[Prefs], memo: LotteryMemo
+) -> Tuple[Tuple[int, ...], ...]:
+    """Every agent's exact-lottery row as receipt counts over n!, built by
+    ``exact_lottery`` only for preferences ``memo`` does not hold yet."""
+    key = (agent_prefs, item_prefs)
+    rows = memo.get(key)
+    if rows is None:
+        lottery = exact_lottery(mechanism, Profile(agent_prefs, item_prefs))
+        total = lottery.order_count
+        rows = memo[key] = tuple(
+            tuple(x.numerator * (total // x.denominator) for x in row) for row in lottery.assignment.p
+        )
+    return rows
+
+
 def check_strategyproofness(
-    mechanism: MatchingMechanism, profile: Profile, agent: int
+    mechanism: MatchingMechanism, profile: Profile, agent: int, memo: Optional[LotteryMemo] = None
 ) -> SPReport:
     """Compare the agent's exact randomized outcome under truth against every
-    misreport.  Dominance verdicts are relative to the *true* preferences.
+    misreport, the other agents' preferences and any item preferences held
+    fixed.  Dominance verdicts are relative to the *true* preferences.
+
+    Without ``memo`` the rows are ``Fraction`` probabilities.  ``memo`` maps
+    the preferences of a profile, ``(agent_prefs, item_prefs)``, to every
+    agent's receipt counts over n! under ``mechanism``; pass one dict only
+    with one mechanism.  The rows are then those integer counts, and a
+    profile's lottery is built once however often it comes up.  An exhaustive
+    sweep that keeps one memo throughout builds each profile's lottery once,
+    since every misreport profile is itself swept; a sampled sweep keeps a
+    memo for one profile, so its agents share the truthful lottery.
     """
     n = profile.n
     truth = profile.agent_prefs[agent]
-    truthful_row = exact_lottery(mechanism, profile).assignment.row(agent)
+    rows_of = {} if memo is None else memo
+    truthful_row = _receipt_counts(mechanism, profile.agent_prefs, profile.item_prefs, rows_of)[agent]
+    before, after = profile.agent_prefs[:agent], profile.agent_prefs[agent + 1:]
     rows = []
     strict_gain = False
     all_weakly_dominated = True
     for report in itertools.permutations(range(n)):
         if report == truth:
             continue
-        prefs = list(profile.agent_prefs)
-        prefs[agent] = report
-        row = exact_lottery(mechanism, Profile(tuple(prefs))).assignment.row(agent)
+        row = _receipt_counts(mechanism, before + (report,) + after, profile.item_prefs, rows_of)[agent]
         verdict = sd_dominates(row, truthful_row, truth)
         rows.append((report, row, verdict))
         if verdict is Dominance.STRICTLY_DOMINATES:
@@ -139,6 +174,10 @@ def check_strategyproofness(
         overall = SPVerdict.STRATEGYPROOF
     else:
         overall = SPVerdict.WEAKLY_SP_ONLY
+    if memo is None:
+        total = math.factorial(n)
+        truthful_row = tuple(Fraction(c, total) for c in truthful_row)
+        rows = [(report, tuple(Fraction(c, total) for c in row), verdict) for report, row, verdict in rows]
     return SPReport(agent, truthful_row, tuple(rows), overall)
 
 

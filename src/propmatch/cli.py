@@ -164,6 +164,9 @@ def _run_axiom_sweep(axiom, mech, n, args, source):
     total = math.factorial(n) ** n if source == "all" else source
     progress = max(total // 10, 1)
     count = 0
+    # sp: each profile's lottery rows; an exhaustive sweep later sweeps every
+    # misreport profile, a sampled one almost never does
+    lotteries = {}
     for profile in profile_stream(n, source, args.seed):
         count += 1
         if source == "all" and total >= 10000 and count % progress == 0:
@@ -180,8 +183,10 @@ def _run_axiom_sweep(axiom, mech, n, args, source):
             if not is_ordinally_efficient(assignment, profile):
                 return "FAIL", (profile, None, None)
         elif axiom == "sp":
+            if source != "all":
+                lotteries.clear()
             for agent in range(n):
-                report = check_strategyproofness(mech.run, profile, agent)
+                report = check_strategyproofness(mech.run, profile, agent, lotteries)
                 if report.overall is SPVerdict.NOT_WEAKLY_SP:
                     return "FAIL", (profile, None, report.best_deviation())
         elif not satisfies_conditional_bound(mech.run, profile, args.k):  # topk

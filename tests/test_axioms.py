@@ -1,6 +1,7 @@
 """Dominance, efficiency, strategyproofness, and worst-off-guarantee checkers,
 each validated against an independent brute-force oracle where one exists."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -55,10 +56,14 @@ class TestSDDominance:
         rng = random.Random(31)
         pref = (0, 1, 2, 3)
         rows = [random_rational_row(rng, 4) for _ in range(40)]
+        # the same rows as integer counts over one common denominator
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        counts = {row: tuple(int(x * scale) for x in row) for row in rows}
         for p in rows:
             assert sd_dominates(p, p, pref) is Dominance.EQUAL  # reflexive (weak)
         for p, q in itertools.combinations(rows, 2):
             v, w = sd_dominates(p, q, pref), sd_dominates(q, p, pref)
+            assert sd_dominates(counts[p], counts[q], pref) is v
             flip = {
                 Dominance.STRICTLY_DOMINATES: Dominance.DOMINATED_BY,
                 Dominance.DOMINATED_BY: Dominance.STRICTLY_DOMINATES,
@@ -201,6 +206,41 @@ class TestStrategyproofness:
         p = profile([[0, 1, 2, 3], [0, 1, 2, 3], [2, 0, 1, 3], [0, 2, 1, 3]])
         report = check_strategyproofness(nb.run, p, 3)
         assert report.overall is SPVerdict.NOT_WEAKLY_SP
+
+    def test_gale_shapley_strategyproof_for_proposers(self):
+        """Misreports keep the item side, and agent-proposing deferred
+        acceptance is strategyproof for the agents."""
+        gs, _ = resolve("GS")
+        rng = random.Random(17)
+        for n in [3] * 10 + [4] * 10:
+            p = profile(
+                [rng.sample(range(n), n) for _ in range(n)],
+                [rng.sample(range(n), n) for _ in range(n)],
+            )
+            for agent in range(n):
+                assert check_strategyproofness(gs.run, p, agent).overall is SPVerdict.STRATEGYPROOF
+
+    @pytest.mark.parametrize("code", ["SD", "TLS", "NB", "PLQ+G"])
+    def test_rows_match_exact_lotteries(self, code, lottery4):
+        """Without a memo the rows are the exact lotteries' Fraction rows; with
+        one they are the same rows as counts over n!, with the same verdicts."""
+        mech, _ = resolve(code)
+        for p in (lottery4, profile([[0, 1, 2], [1, 0, 2], [0, 2, 1]])):
+            total = math.factorial(p.n)
+            memo = {}
+            for agent in range(p.n):
+                report = check_strategyproofness(mech.run, p, agent)
+                assert report.truthful_row == exact_lottery(mech.run, p).assignment.row(agent)
+                for misreport, row, _ in report.misreports:
+                    prefs = list(p.agent_prefs)
+                    prefs[agent] = misreport
+                    assert row == exact_lottery(mech.run, profile(prefs)).assignment.row(agent)
+                counted = check_strategyproofness(mech.run, p, agent, memo)
+                assert counted.overall is report.overall
+                assert tuple(F(c, total) for c in counted.truthful_row) == report.truthful_row
+                assert [(m, tuple(F(c, total) for c in row), v) for m, row, v in counted.misreports] == [
+                    (m, row, v) for m, row, v in report.misreports
+                ]
 
 
 class TestFeasibleTopK:

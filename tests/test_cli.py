@@ -6,6 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from propmatch import axioms
+from propmatch.cli import main
+from propmatch.lottery import exact_lottery
+
 DATA = Path(__file__).parent / "data"
 BENCH = str(DATA / "bench4.txt")
 TWO_SIDED = str(DATA / "two_sided4.txt")
@@ -113,6 +117,40 @@ class TestAxioms:
 
     def test_exhaustive_limit(self):
         cli("axioms", "PFS", "--n", "5", "--exhaustive", expect=3)
+
+    def test_sp_fail_witnesses(self):
+        out = cli("axioms", "TLS,TFQ,TLS+G", "--n", "3", "--exhaustive", "--axioms", "sp")
+        assert out.splitlines() == [
+            "sp, TLS, 3, FAIL, a,b,c;a,b,c;a,b,c, -, b,a,c",
+            "sp, TFQ, 3, FAIL, a,b,c;a,b,c;b,a,c, -, a,b,c",
+            "sp, TLS+G, 3, FAIL, a,b,c;a,b,c;b,c,a, -, b,a,c",
+        ]
+        out = cli("axioms", "TLS,NB", "--n", "4", "--samples", "20", "--seed", "3", "--axioms", "sp")
+        assert out.splitlines() == [
+            "sp, TLS, 4, FAIL, c,a,d,b;c,b,d,a;a,c,d,b;a,d,b,c, -, a,c,b,d",
+            "sp, NB, 4, FAIL, c,a,d,b;c,b,d,a;a,c,d,b;a,d,b,c, -, c,d,a,b",
+        ]
+
+    @pytest.mark.parametrize(
+        "args, built",
+        [
+            # every misreport profile is itself swept: one lottery per profile
+            (("--n", "3", "--exhaustive"), 216),
+            # k profiles: the truthful lottery once, then n (n! - 1) misreports
+            (("--n", "4", "--samples", "5"), 5 * (4 * 23 + 1)),
+        ],
+    )
+    def test_sp_sweep_builds_each_lottery_once(self, monkeypatch, capsys, args, built):
+        calls = []
+
+        def counted(mechanism, profile):
+            calls.append(profile)
+            return exact_lottery(mechanism, profile)
+
+        monkeypatch.setattr(axioms, "exact_lottery", counted)
+        assert main(["axioms", "SD", *args, "--axioms", "sp"]) == 0
+        assert capsys.readouterr().out.startswith(f"sp, SD, {args[1]}, PASS")
+        assert len(calls) == built
 
 
 class TestGenerateAndExperiment:
