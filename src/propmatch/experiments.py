@@ -26,10 +26,9 @@ from typing import List, Sequence, Tuple
 
 from .lottery import ENUMERATION_LIMIT
 from .registry import resolve
-from .welfare import expected_egalitarian, order_bias, utilitarian_loss
+from .welfare import METRICS, campaign
 
 KEYS = ("mechanisms", "n_values", "metrics", "profile_samples", "order_mode", "seed")
-METRICS = ("util_loss", "egal", "egal_realized", "order_bias")
 CSV_HEADER = ("n", "mechanism", "metric", "mean", "stderr", "samples", "orders_mode", "seed")
 
 
@@ -121,27 +120,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
 def run_experiment(cfg: ExperimentConfig) -> List[Tuple]:
     """One CSV row per (n, mechanism, metric); deterministic given the config.
 
+    Each n is one ``welfare.campaign`` pass over its profiles for every cell.
     The mean is exact fraction text and the stderr ``repr(float)``: both parse
     back losslessly.
     """
     validate_config(cfg)
     profiles, seed = cfg.profile_samples, cfg.seed
     sampled_mode = "exact" if cfg.orders == "all" else "sampled"
+    keys = [(code, metric) for code in cfg.mechanisms for metric in cfg.metrics]
+    mechs = {code: resolve(code)[0] for code in cfg.mechanisms}
     rows: List[Tuple] = []
     for n in cfg.n_values:
-        for code in cfg.mechanisms:
-            mech, _randomized = resolve(code)
-            for metric in cfg.metrics:
-                if metric == "order_bias":
-                    stats = order_bias(mech, n, profiles, seed)
-                elif metric == "util_loss":
-                    stats = utilitarian_loss(mech, n, profiles, seed, cfg.orders)
-                else:
-                    stats = expected_egalitarian(
-                        mech, n, profiles, seed, cfg.orders, realized_min=metric == "egal_realized"
-                    )
-                mode = "fixed" if metric == "order_bias" else sampled_mode
-                rows.append((n, code, metric, str(stats.mean), repr(stats.stderr), profiles, mode, seed))
+        cells = [(mechs[code], metric) for code, metric in keys]
+        for (code, metric), stats in zip(keys, campaign(cells, n, profiles, seed, cfg.orders)):
+            mode = "fixed" if metric == "order_bias" else sampled_mode
+            rows.append((n, code, metric, str(stats.mean), repr(stats.stderr), profiles, mode, seed))
     return rows
 
 

@@ -59,26 +59,42 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
     """Simultaneous eating at unit speed, computed with exact rationals.
 
     Repeatedly find the earliest moment some item is exhausted (remaining
-    supply divided by its current number of eaters), advance every agent's
-    shares over that interval, and reassign eaters, until time 1.
+    supply divided by its current number of eaters), advance the clock and the
+    supplies to it, and move the eaters of exhausted items on, until time 1.
+    An agent's share of an item is the time it stopped eating it minus the
+    time it started: an item it leaves is gone, so it never comes back.
     """
     n = profile.n
+    prefs = profile.agent_prefs
+    zero = Fraction(0)
     remaining = [Fraction(1)] * n
-    shares = [[Fraction(0)] * n for _ in range(n)]
-    t = Fraction(0)
-    while t < 1:
-        eating = [next(x for x in profile.agent_prefs[j] if remaining[x] > 0) for j in range(n)]
-        eaters: dict[int, List[int]] = {}
-        for j, o in enumerate(eating):
-            eaters.setdefault(o, []).append(j)
-        dt = min(
-            [remaining[o] / len(js) for o, js in eaters.items()] + [Fraction(1) - t]
-        )
-        for o, js in eaters.items():
-            for j in js:
-                shares[j][o] += dt
-            remaining[o] -= dt * len(js)
+    exhausted = [False] * n
+    shares = [[zero] * n for _ in range(n)]
+    eating = [row[0] for row in prefs]
+    since = [zero] * n  # when each agent started on its current item
+    eaters = [0] * n
+    for o in eating:
+        eaters[o] += 1
+    t = zero
+    while True:
+        dt = min([remaining[o] / k for o, k in enumerate(eaters) if k] + [1 - t])
         t += dt
+        for o, k in enumerate(eaters):
+            if k:
+                remaining[o] -= dt * k
+                exhausted[o] = remaining[o] == 0
+        if t == 1:
+            break
+        for j, o in enumerate(eating):
+            if exhausted[o]:
+                shares[j][o] = t - since[j]
+                since[j] = t
+                nxt = next(x for x in prefs[j] if not exhausted[x])
+                eating[j] = nxt
+                eaters[o] -= 1
+                eaters[nxt] += 1
+    for j, o in enumerate(eating):
+        shares[j][o] = 1 - since[j]
     return FractionalAssignment(tuple(tuple(row) for row in shares))
 
 

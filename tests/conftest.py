@@ -1,7 +1,8 @@
-"""Shared fixtures: small benchmark instances used throughout the suite."""
+"""Shared fixtures: small benchmark instances used throughout the suite, and
+the seeded random profiles and orders the sampled tests draw."""
 import pytest
 
-from propmatch import profile
+from propmatch import AgentOrder, profile
 
 # Four agents; the first three rank a>b>c>d, the fourth b>a>c>d.  All eight
 # engine configurations give distinguishable behaviour on this instance.
@@ -41,3 +42,29 @@ def two_sided4():
 @pytest.fixture
 def trio():
     return TRIO
+
+
+# Seeded tests pin cases drawn with these helpers, so they must keep making
+# exactly these ``rng`` calls: one ``shuffle`` per preference list or order.
+
+
+def random_permutation(rng, n):
+    """``list(range(n))`` shuffled by ``rng``."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def random_prefs(rng, n):
+    """n uniform preference lists over n items, drawn in turn."""
+    return [random_permutation(rng, n) for _ in range(n)]
+
+
+def random_profile(rng, n):
+    """A uniform one-sided profile on n agents."""
+    return profile(random_prefs(rng, n))
+
+
+def random_order(rng, n):
+    """A uniform initial order of n agents."""
+    return AgentOrder(tuple(random_permutation(rng, n)))

@@ -40,7 +40,7 @@ from propmatch.lottery import exact_lottery
 from propmatch.mechanisms import top_trading_cycles
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles
-from propmatch.welfare import optimal_utilitarian, order_bias, utilitarian_loss, utilitarian_welfare
+from propmatch.welfare import campaign, optimal_utilitarian, utilitarian_welfare
 
 from reference_tables import (
     OMITTED_FUTILE_ROWS,
@@ -50,7 +50,7 @@ from reference_tables import (
     TFQ_DIVERGENT_ROW,
 )
 from welfare_fixtures import BIAS, LOSS, PROFILE_SAMPLES, SEED
-from conftest import BENCH4, LOTTERY4, TRIO, TWO_SIDED4
+from conftest import BENCH4, LOTTERY4, TRIO, TWO_SIDED4, random_order, random_profile
 
 F = Fraction
 IDENT4 = AgentOrder.identity(4)
@@ -352,14 +352,7 @@ class TestCriterion5:
     def test_random_pairs(self, n):
         rng = random.Random(5550 + n)
         for _ in range(1000):
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            order_seq = list(range(n))
-            rng.shuffle(order_seq)
-            p, order = profile(prefs), AgentOrder(tuple(order_seq))
+            p, order = random_profile(rng, n), random_order(rng, n)
             assert run_code(p, order, "PFS").matching == serial_dictatorship(p, order)
             assert run_code(p, order, "PFQ").matching == naive_boston_one_sided(p, order)
 
@@ -386,15 +379,7 @@ class TestCriterion6:
         runs = 0
         while runs < 100_000:
             n = rng.randint(2, 8)
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            p = profile(prefs)
-            order_seq = list(range(n))
-            rng.shuffle(order_seq)
-            order = AgentOrder(tuple(order_seq))
+            p, order = random_profile(rng, n), random_order(rng, n)
             for code in AF_CODES:
                 m = run_code(p, order, code).matching
                 assert top_trading_cycles(p, m) == m
@@ -428,12 +413,7 @@ class TestCriterion7:
         rng = random.Random(770)
         for _ in range(1000):
             n = rng.randint(1, 5)
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            p = profile(prefs)
+            p = random_profile(rng, n)
             assert is_ordinally_efficient(probabilistic_serial(p), p)
 
     def test_split_pair_pool_breaks_accept_first_lotteries(self):
@@ -508,14 +488,12 @@ class TestCriterion10:
     @classmethod
     def setup_class(cls):
         cls.t0 = time.perf_counter()
-        for (n, code), _pinned in LOSS.items():
-            mech, _ = resolve(code)
-            s = utilitarian_loss(mech, n, PROFILE_SAMPLES, SEED, orders=1)
-            cls.computed_loss[(n, code)] = (float(s.mean), s.stderr)
-        for (n, code), _pinned in BIAS.items():
-            mech, _ = resolve(code)
-            s = order_bias(mech, n, PROFILE_SAMPLES, SEED)
-            cls.computed_bias[(n, code)] = (float(s.mean), s.stderr)
+        for n in sorted({n for n, _ in LOSS} | {n for n, _ in BIAS}):
+            keys = [(cls.computed_loss, code, "util_loss") for m, code in LOSS if m == n]
+            keys += [(cls.computed_bias, code, "order_bias") for m, code in BIAS if m == n]
+            cells = [(resolve(code)[0], metric) for _, code, metric in keys]
+            for (computed, code, _), s in zip(keys, campaign(cells, n, PROFILE_SAMPLES, SEED, orders=1)):
+                computed[(n, code)] = (float(s.mean), s.stderr)
         cls.elapsed = time.perf_counter() - cls.t0
 
     def test_reproduces_pinned_fixtures(self):
@@ -593,12 +571,7 @@ class TestCriterion11:
         rng = random.Random(111)
         for _ in range(20):
             n = rng.randint(1, 5)
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            p = profile(prefs)
+            p = random_profile(rng, n)
             for a in (probabilistic_serial(p), exact_lottery(serial_dictatorship, p).assignment):
                 for i in range(n):
                     assert sum(a.row(i)) == 1
@@ -608,15 +581,7 @@ class TestCriterion11:
         rng = random.Random(112)
         for _ in range(150):
             n = rng.randint(1, 8)
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            p = profile(prefs)
-            order_seq = list(range(n))
-            rng.shuffle(order_seq)
-            order = AgentOrder(tuple(order_seq))
+            p, order = random_profile(rng, n), random_order(rng, n)
             for code in ALL_ENGINE_CODES:
                 r = run_code(p, order, code)
                 assert r.proposal_count <= (n**2 if code[0] == "P" else n**3)
@@ -664,12 +629,7 @@ class TestCriterion11:
         rng = random.Random(114)
         for n in range(2, 7):
             for _ in range(8):
-                prefs = []
-                for _ in range(n):
-                    pr = list(range(n))
-                    rng.shuffle(pr)
-                    prefs.append(pr)
-                p = profile(prefs)
+                p = random_profile(rng, n)
                 value, witness = optimal_utilitarian(p)
                 brute = max(
                     utilitarian_welfare(Matching(perm), p)

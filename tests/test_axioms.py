@@ -22,6 +22,8 @@ from propmatch.lottery import exact_lottery
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles
 
+from conftest import random_permutation, random_profile
+
 F = Fraction
 
 
@@ -114,15 +116,8 @@ class TestParetoEfficiency:
     def test_agrees_with_brute_force_sampled(self, n):
         rng = random.Random(300 + n)
         for _ in range(20):
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            p = profile(prefs)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            m = Matching(tuple(perm))
+            p = random_profile(rng, n)
+            m = Matching(tuple(random_permutation(rng, n)))
             assert is_pareto_efficient(m, p) == brute_force_pareto(m, p)
 
 
@@ -162,12 +157,7 @@ class TestOrdinalEfficiency:
         rng = random.Random(41)
         for _ in range(40):
             n = rng.randint(1, 5)
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            p = profile(prefs)
+            p = random_profile(rng, n)
             assert is_ordinally_efficient(probabilistic_serial(p), p)
 
     def test_efficient_permutation_matrix(self, trio):
@@ -257,12 +247,7 @@ class TestFeasibleTopK:
         rng = random.Random(55)
         for _ in range(40):
             n = rng.randint(1, 5)
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            p = profile(prefs)
+            p = random_profile(rng, n)
             for k in range(1, n + 1):
                 oracle = any(
                     all(p.rank(a, perm[a]) < k for a in range(n))

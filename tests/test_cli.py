@@ -231,6 +231,11 @@ class TestGenerateAndExperiment:
         )
         assert cli("experiment", str(config), expect=2) == ""
 
+    def test_experiment_loss_on_one_agent_refused(self, tmp_path):
+        config = tmp_path / "one.cfg"
+        config.write_text("mechanisms = RSD\nn_values = 1\nmetrics = util_loss\n")
+        assert cli("experiment", str(config), expect=2) == ""
+
 
 class TestCompare:
     def test_equal_pair(self):

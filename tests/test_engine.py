@@ -31,6 +31,8 @@ from propmatch.engine import (
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles
 
+from conftest import random_order, random_prefs, random_profile
+
 IDENT4 = AgentOrder.identity(4)
 
 
@@ -100,15 +102,9 @@ class TestEngineInvariants:
         rng = random.Random(seed)
         for _ in range(count):
             n = rng.randint(1, 7)
-            prefs = []
-            for _ in range(n):
-                p = list(range(n))
-                rng.shuffle(p)
-                prefs.append(p)
+            prefs = random_prefs(rng, n)
             items = [rng.sample(range(n), n) for _ in range(n)] if two_sided else None
-            order = list(range(n))
-            rng.shuffle(order)
-            yield profile(prefs, items), AgentOrder(tuple(order))
+            yield profile(prefs, items), random_order(rng, n)
 
     def test_proposal_bounds(self):
         for p, order in self._random_cases():
@@ -179,14 +175,7 @@ class TestClassicEquivalences:
     def test_equivalences_random(self, n):
         rng = random.Random(1000 + n)
         for _ in range(200):
-            prefs = []
-            for _ in range(n):
-                pr = list(range(n))
-                rng.shuffle(pr)
-                prefs.append(pr)
-            order_seq = list(range(n))
-            rng.shuffle(order_seq)
-            p, order = profile(prefs), AgentOrder(tuple(order_seq))
+            p, order = random_profile(rng, n), random_order(rng, n)
             assert run(p, order, "PFS").matching == serial_dictatorship(p, order)
             assert run(p, order, "PFQ").matching == naive_boston_one_sided(p, order)
 

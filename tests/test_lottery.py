@@ -30,6 +30,8 @@ from propmatch.lottery import (
 from propmatch.registry import resolve
 from propmatch.sampling import ProfileSampler, all_profiles, profile_stream
 
+from conftest import random_permutation
+
 F = Fraction
 
 
@@ -54,9 +56,7 @@ class TestOrderStream:
     def test_draws_are_seeded_shuffles(self):
         rng, ref = random.Random(4), random.Random(4)
         for order in order_stream(5, 7, rng):
-            perm = list(range(5))
-            ref.shuffle(perm)
-            assert order.order == tuple(perm)
+            assert order.order == tuple(random_permutation(ref, 5))
         assert rng.random() == ref.random()
 
     def test_counts_cover_every_order(self, bench4):
@@ -121,8 +121,7 @@ class TestExactLottery:
         sd, _ = resolve("SD")
         for _ in range(20):
             n = rng.randint(2, 4)
-            base = list(range(n))
-            rng.shuffle(base)
+            base = random_permutation(rng, n)
             prefs = [base[:] for _ in range(n)]
             for i in range(2, n):  # at least two identical agents remain
                 rng.shuffle(prefs[i])

@@ -22,17 +22,10 @@ from propmatch.axioms import is_pareto_efficient
 from propmatch.lottery import exact_lottery
 from propmatch.sampling import all_profiles
 
+from conftest import random_permutation, random_profile
+
 IDENT = AgentOrder.identity
 F = Fraction
-
-
-def random_profile(rng, n):
-    prefs = []
-    for _ in range(n):
-        p = list(range(n))
-        rng.shuffle(p)
-        prefs.append(p)
-    return profile(prefs)
 
 
 class TestSerialDictatorship:
@@ -122,8 +115,7 @@ class TestTopTradingCycles:
         for _ in range(60):
             n = rng.randint(1, 8)
             p = random_profile(rng, n)
-            endow = list(range(n))
-            rng.shuffle(endow)
+            endow = random_permutation(rng, n)
             out = top_trading_cycles(p, Matching(tuple(endow)))
             assert top_trading_cycles(p, out) == out
 
@@ -132,8 +124,7 @@ class TestTopTradingCycles:
         for _ in range(60):
             n = rng.randint(1, 8)
             p = random_profile(rng, n)
-            endow = list(range(n))
-            rng.shuffle(endow)
+            endow = random_permutation(rng, n)
             out = top_trading_cycles(p, Matching(tuple(endow)))
             for a in range(n):
                 assert p.rank(a, out.item_of[a]) <= p.rank(a, endow[a])
@@ -170,6 +161,43 @@ class TestTopTradingCyclesProperties:
         for other in itertools.permutations(range(p.n)):
             others = [p.rank(a, o) for a, o in enumerate(other)]
             assert not (others != ranks and all(x <= y for x, y in zip(others, ranks))), other
+
+
+def per_step_eating(p):
+    """Probabilistic serial as first written: every eater's share grows by
+    each step's length; the reference for the one-write kernel."""
+    n = p.n
+    remaining = [F(1)] * n
+    shares = [[F(0)] * n for _ in range(n)]
+    t = F(0)
+    while t < 1:
+        eating = [next(x for x in p.agent_prefs[j] if remaining[x] > 0) for j in range(n)]
+        eaters = {}
+        for j, o in enumerate(eating):
+            eaters.setdefault(o, []).append(j)
+        dt = min([remaining[o] / len(js) for o, js in eaters.items()] + [F(1) - t])
+        for o, js in eaters.items():
+            for j in js:
+                shares[j][o] += dt
+            remaining[o] -= dt * len(js)
+        t += dt
+    return tuple(tuple(row) for row in shares)
+
+
+@st.composite
+def class_profiles(draw, max_n):
+    """A one-sided profile with n <= ``max_n`` whose agents share a few
+    preference lists, so classes of identical agents are common."""
+    n = draw(st.integers(1, max_n))
+    lists = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=n))
+    return profile([draw(st.sampled_from(lists)) for _ in range(n)])
+
+
+class TestProbabilisticSerialProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.one_of(class_profiles(10), endowed_profiles(10).map(lambda case: case[0])))
+    def test_equals_per_step_eating(self, p):
+        assert probabilistic_serial(p).p == per_step_eating(p)
 
 
 class TestComposeTTC:

@@ -17,6 +17,8 @@ from propmatch import (
 )
 from propmatch.textio import ProfileParseError, format_matrix, parse_matrix
 
+from conftest import random_permutation, random_prefs
+
 F = Fraction
 
 
@@ -55,9 +57,7 @@ class TestMatchingToAssignment:
         rng = random.Random(7)
         for _ in range(50):
             n = rng.randint(1, 8)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            a = matching_to_assignment(Matching(tuple(perm)))
+            a = matching_to_assignment(Matching(tuple(random_permutation(rng, n))))
             assert all(x in (0, 1) for row in a.p for x in row)
 
 
@@ -143,18 +143,8 @@ class TestProfileText:
         rng = random.Random(20240817)
         for _ in range(100):
             n = rng.randint(1, 8)
-            prefs = []
-            for _ in range(n):
-                p = list(range(n))
-                rng.shuffle(p)
-                prefs.append(p)
-            item_prefs = None
-            if rng.random() < 0.5:
-                item_prefs = []
-                for _ in range(n):
-                    p = list(range(n))
-                    rng.shuffle(p)
-                    item_prefs.append(p)
+            prefs = random_prefs(rng, n)
+            item_prefs = random_prefs(rng, n) if rng.random() < 0.5 else None
             p = profile(prefs, item_prefs)
             assert parse_profile(format_profile(p)) == p
 

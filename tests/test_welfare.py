@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propmatch import (
     AgentOrder,
@@ -15,9 +17,14 @@ from propmatch import (
 )
 from propmatch.axioms import is_pareto_efficient
 from propmatch.experiments import ExperimentConfig, run_experiment
+from propmatch import welfare
 from propmatch.registry import resolve
+from propmatch.sampling import ProfileSampler
 from propmatch.welfare import (
+    _bias_stats,
+    _ratio_stats,
     borda_utilities,
+    campaign,
     egalitarian_welfare,
     expected_egalitarian,
     optimal_utilitarian,
@@ -25,6 +32,10 @@ from propmatch.welfare import (
     utilitarian_loss,
     utilitarian_welfare,
 )
+
+from conftest import random_profile
+from optimum_witnesses import COUNT, WITNESSES
+from welfare_fixtures import BIAS, LOSS
 
 F = Fraction
 
@@ -35,15 +46,6 @@ def brute_force_optimum(p):
     for perm in itertools.permutations(range(n)):
         best = max(best, int(utilitarian_welfare(Matching(perm), p)))
     return best
-
-
-def random_profile(rng, n):
-    prefs = []
-    for _ in range(n):
-        pr = list(range(n))
-        rng.shuffle(pr)
-        prefs.append(pr)
-    return profile(prefs)
 
 
 class TestBordaValues:
@@ -104,6 +106,18 @@ class TestOptimalUtilitarian:
         value, _ = optimal_utilitarian(bench4)
         for perm in itertools.permutations(range(4)):
             assert utilitarian_welfare(Matching(perm), bench4) <= value
+
+
+class TestOptimumWitnesses:
+    """Pinned witnesses: optimal matchings often tie, so these lock the
+    Hungarian search's tie-breaking as well as its value."""
+
+    @pytest.mark.parametrize("n", sorted(WITNESSES))
+    def test_pinned(self, n):
+        sampler = ProfileSampler(n, 800 + n)
+        got = ["".join(map(str, optimal_utilitarian(sampler.sample())[1].item_of))
+               for _ in range(COUNT)]
+        assert got == WITNESSES[n].split()
 
 
 class TestEgalitarian:
@@ -249,3 +263,128 @@ class TestPinnedSampledEstimates:
         cfg = ExperimentConfig((code,), (4,), ("egal_realized",), 40, "sampled:2", 3)
         (row,) = run_experiment(cfg)
         assert row == (4, code, "egal_realized", mean, stderr, 40, "sampled", 3)
+
+
+def _exact(stats):
+    return str(stats.mean), repr(stats.stderr)
+
+
+class TestCampaignPass:
+    """One ``campaign`` pass gives every cell what its one-cell call gives."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_c10_cells(self, n):
+        loss = [code for m, code in LOSS if m == n]
+        bias = [code for m, code in BIAS if m == n]
+        cells = [(resolve(code)[0], "util_loss") for code in loss]
+        cells += [(resolve(code)[0], "order_bias") for code in bias]
+        want = [utilitarian_loss(resolve(code)[0], n, 200, 7, orders=1) for code in loss]
+        want += [order_bias(resolve(code)[0], n, 200, 7) for code in bias]
+        assert list(map(_exact, campaign(cells, n, 200, 7, 1))) == list(map(_exact, want))
+
+    @pytest.mark.parametrize("orders", ["all", 3])
+    def test_welfare_metrics(self, orders):
+        one_cell = {
+            "util_loss": lambda mech: utilitarian_loss(mech, 3, 80, 7, orders),
+            "egal": lambda mech: expected_egalitarian(mech, 3, 80, 7, orders),
+            "egal_realized": lambda mech: expected_egalitarian(
+                mech, 3, 80, 7, orders, realized_min=True
+            ),
+        }
+        mechs = [resolve(code)[0] for code in ("RSD", "R-TLQ+G", "PS")]
+        cells = [(mech, metric) for mech in mechs for metric in one_cell]
+        want = [one_cell[metric](mech) for mech, metric in cells]
+        assert list(map(_exact, campaign(cells, 3, 80, 7, orders))) == list(map(_exact, want))
+
+    def test_optimum_once_per_profile_and_only_for_loss(self, monkeypatch):
+        calls = []
+        real = welfare.optimal_utilitarian
+
+        def counted(p, utilities=None):
+            calls.append(p)
+            return real(p, utilities)
+
+        monkeypatch.setattr(welfare, "optimal_utilitarian", counted)
+        rsd, sd, ps = (resolve(code)[0] for code in ("RSD", "SD", "PS"))
+        campaign([(rsd, "egal"), (sd, "order_bias"), (ps, "egal_realized")], 4, 30, 1)
+        assert calls == []
+        campaign([(rsd, "util_loss"), (ps, "util_loss"), (rsd, "egal")], 4, 30, 1)
+        assert len(calls) == 30
+
+    def test_loss_on_one_agent_refused(self):
+        # the optimum of a one-agent profile is 0, so no loss fraction exists
+        with pytest.raises(ValueError, match="n >= 2"):
+            utilitarian_loss(resolve("RSD")[0], 1, 5, 0)
+        assert expected_egalitarian(resolve("RSD")[0], 1, 5, 0).mean == 0
+
+    def test_unknown_metric_refused(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            campaign([(resolve("RSD")[0], "nash")], 4, 5, 0)
+
+
+def fraction_stats(values):
+    """Mean and standard error with ``Fraction`` sums: the accounting the
+    integer statistics replaced, kept as their reference."""
+    n = len(values)
+    mean = sum(values, Fraction(0)) / n
+    if n < 2:
+        return mean, 0.0
+    var = sum((float(x - mean)) ** 2 for x in values) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def fraction_bias(utilities):
+    """Order bias and its standard error with ``Fraction`` means, from each
+    profile's row of Borda utilities by position; the reference for
+    ``_bias_stats``."""
+    count, n = len(utilities), len(utilities[0])
+    sums, sumsq = [Fraction(0)] * n, [0.0] * n
+    for row in utilities:
+        for pos, w in enumerate(row):
+            sums[pos] += w
+            sumsq[pos] += float(w) * w
+    means = [s / count for s in sums]
+    hi = max(range(n), key=lambda i: means[i])
+    lo = min(range(n), key=lambda i: means[i])
+
+    def se(i):
+        if count < 2:
+            return 0.0
+        var = (sumsq[i] - count * float(means[i]) ** 2) / (count - 1)
+        return math.sqrt(max(var, 0.0) / count)
+
+    return (means[hi] - means[lo]) / n, math.sqrt(se(hi) ** 2 + se(lo) ** 2) / n
+
+
+_ratio = st.tuples(
+    st.one_of(st.integers(-10**6, 10**6), st.integers(-10**40, 10**40)),
+    st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
+)
+_ratio_lists = st.one_of(
+    st.lists(_ratio, min_size=1, max_size=1),
+    st.lists(_ratio, min_size=1, max_size=40),
+    # one value written over several denominators
+    st.builds(lambda r, ks: [(r[0] * k, r[1] * k) for k in ks],
+              _ratio, st.lists(st.integers(1, 10**9), min_size=1, max_size=20)),
+)
+
+
+class TestIntegerStatistics:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_ratio_lists)
+    def test_ratio_stats_equal_fraction_stats(self, pairs):
+        got = _ratio_stats([a for a, _ in pairs], [b for _, b in pairs])
+        mean, stderr = fraction_stats([F(a, b) for a, b in pairs])
+        assert type(got.mean) is Fraction and got.mean == mean
+        assert repr(got.stderr) == repr(stderr)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=1, max_size=30)))
+    def test_bias_stats_equal_fraction_bias(self, utilities):
+        n = len(utilities[0])
+        sums = [sum(row[pos] for row in utilities) for pos in range(n)]
+        squares = [sum(row[pos] ** 2 for row in utilities) for pos in range(n)]
+        got = _bias_stats(sums, squares, len(utilities))
+        bias, stderr = fraction_bias(utilities)
+        assert got.mean == bias and repr(got.stderr) == repr(stderr)
