@@ -29,11 +29,13 @@ matched item).
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .mechanisms import immediate_acceptance, serial_dictatorship
+from .lottery import Stepper
+from .mechanisms import immediate_acceptance, serial_dictatorship, serial_dictatorship_stepper
 from .model import AgentOrder, InvalidInstanceError, Matching, Profile
 from .textio import agent_name, item_name
 
@@ -68,6 +70,17 @@ class EngineConfig:
     @property
     def code(self) -> str:
         return self.memory.value + self.acceptance.value + self.discipline.value
+
+    @functools.cached_property
+    def switches(self) -> Tuple[bool, bool, bool]:
+        """(temporary, accept-last, stack).  The proposal loop reads them once
+        per call; three enum comparisons would cost more than the rest of its
+        set-up, and exact lotteries call it once per admitted agent."""
+        return (
+            self.memory is Memory.TEMPORARY,
+            self.acceptance is Acceptance.ACCEPT_LAST,
+            self.discipline is Discipline.STACK,
+        )
 
     @staticmethod
     def from_code(code: str) -> "EngineConfig":
@@ -125,7 +138,7 @@ def run_engine(
     Only the agent side of ``profile`` is used; item preferences are built
     dynamically per ``config``.  With ``record=False`` no trace is kept.
     """
-    return _propose(profile, order, config, [[] for _ in range(profile.n)], record)
+    return _run(profile, order, config, [()] * profile.n, record)
 
 
 # Gale-Shapley is permanent memory with queue discipline; every proposer is
@@ -139,41 +152,60 @@ def run_gale_shapley(profile: Profile, order: AgentOrder, record: bool = True) -
     The output matching is stable and does not depend on ``order``; the trace
     and proposal count do.  With ``record=False`` no trace is kept.
     """
+    _require_item_prefs(profile, "Gale-Shapley")
+    return _run(profile, order, _GALE_SHAPLEY, list(profile.item_prefs), record)
+
+
+def _require_item_prefs(profile: Profile, name: str) -> None:
     if profile.item_prefs is None:
-        raise ModeError("Gale-Shapley needs item-side preferences (an @items section)")
-    memory = [list(prefs) for prefs in profile.item_prefs]
-    return _propose(profile, order, _GALE_SHAPLEY, memory, record)
+        raise ModeError(f"{name} needs item-side preferences (an @items section)")
+
+
+def _run(
+    profile: Profile, order: AgentOrder, config: EngineConfig, memory: List[Tuple[int, ...]],
+    record: bool,
+) -> EngineResult:
+    """One whole run: every agent of ``order`` pending from the start."""
+    n = profile.n
+    if len(order.order) != n:
+        raise InvalidInstanceError("order length must equal agent count")
+    pending = deque(order.order)
+    item_of: List[Optional[int]] = [None] * n
+    state = ([None] * n, item_of, [0] * n, memory, pending)
+    count, trace = _propose(profile, config, state, pending, 0, record)
+    return EngineResult(Matching(tuple(item_of)), count, tuple(trace))  # complete by construction
 
 
 def _propose(
     profile: Profile,
-    order: AgentOrder,
     config: EngineConfig,
-    memory: List[List[int]],
+    state: Tuple[list, list, list, list, deque],
+    pending: deque,
+    count: int,
     record: bool,
-) -> EngineResult:
+) -> Tuple[int, List[TraceEvent]]:
     """The proposal loop behind every engine entry point.
 
-    ``memory[o]`` is item o's recorded preference, most-preferred first; it is
-    updated in place.  With ``record`` every proposal becomes a TraceEvent.
+    ``state`` is ``(holder, item_of, rank, memory, waiting)``, updated in
+    place: ``holder[o]`` is the agent holding item o, ``item_of[j]`` the item
+    agent j holds, ``rank[j]`` agent j's next position in its list (it
+    approached the items above it since the last reset), ``memory[o]`` item
+    o's recorded preference as a tuple, most-preferred first, and ``waiting``
+    the deque that queue discipline sends rejected and displaced agents to.  The loop proposes until
+    ``pending`` is empty.  A whole run passes one deque as both ``pending``
+    and ``waiting``.  An exact lottery admits one agent at a time instead:
+    ``pending`` holds just that agent, so under queue discipline it makes one
+    proposal, and the agents it sends back wait for the later admits.
+    ``count`` is the number of proposals made before; the new count is
+    returned, with the TraceEvents of the proposals when ``record`` is set.
     """
-    n = profile.n
-    if len(order.order) != n:
-        raise InvalidInstanceError("order length must equal agent count")
+    holder, item_of, rank, memory, waiting = state
     prefs = profile.agent_prefs
-    temporary = config.memory is Memory.TEMPORARY
-    accept_last = config.acceptance is Acceptance.ACCEPT_LAST
+    n = len(prefs)
+    temporary, accept_last, stack = config.switches
     bound = n**3 if temporary else n**2
-
-    pending = deque(order.order)
-    reenter = pending.appendleft if config.discipline is Discipline.STACK else pending.append
-    # Each agent's next position in its list: it approached the items above
-    # that position since the last reset.
-    rank = [0] * n
-    holder: List[Optional[int]] = [None] * n
-    item_of: List[Optional[int]] = [None] * n
+    reenter = pending.appendleft if stack else waiting.append
     trace: List[TraceEvent] = []
-    count = 0
 
     while pending:
         j = pending.popleft()
@@ -190,24 +222,24 @@ def _propose(
             if temporary:
                 # Global reset: every item loses its memory and every agent may
                 # approach items that rejected it before.
-                for m in memory:
-                    m.clear()
-                rank = [0] * n
+                memory[:] = [()] * n
+                rank[:] = [0] * n
+                mem = ()
             elif not mem:
-                mem.append(j)
+                memory[o] = mem = (j,)
             outcome = Outcome.MATCHED_UNASSIGNED
         else:
             if not mem:
                 # No recorded preference: the item prefers the proposer (both policies).
-                mem += (j, h)
+                memory[o] = mem = (j, h)
                 wins = True
             elif j in mem:
                 wins = mem.index(j) < mem.index(h)
             elif accept_last:
-                mem.insert(0, j)
+                memory[o] = mem = (j,) + mem
                 wins = True
             else:
-                mem.append(j)
+                memory[o] = mem = mem + (j,)
                 wins = False
             if wins:
                 holder[o] = j
@@ -222,11 +254,51 @@ def _propose(
             trace.append(TraceEvent(
                 j, o, outcome,
                 h if outcome is Outcome.DISPLACED_HOLDER else None,
-                temporary and h is None, tuple(pending), tuple(mem),
+                temporary and h is None, tuple(pending), mem,
             ))
+    return count, trace
 
-    matching = Matching(tuple(item_of))  # complete by construction
-    return EngineResult(matching, count, tuple(trace))
+
+def engine_stepper(config: EngineConfig) -> Stepper:
+    """The engine admitting one agent at a time, for ``lottery.exact_counts``.
+
+    A state is ``_propose``'s ``(holder, item_of, rank, memory, waiting)`` as
+    tuples; the work is the proposal count.  Under stack discipline an
+    admitted agent proposes until every agent admitted so far holds an item;
+    under queue discipline it makes one proposal, and the agents it sends
+    back wait behind the agents not yet admitted.  The last agent admitted is
+    followed by those still waiting, as in a whole run.  A whole run of an
+    order passes through the same states, so it makes the same proposals in
+    the same sequence, and the proposal bound fires on the same orders.
+    """
+    stack = config.switches[2]
+
+    def begin(profile: Profile):
+        n = profile.n
+
+        def admit(state, count, agent):
+            holder, item_of, rank, memory, waiting = state
+            holder, item_of, rank, memory = list(holder), list(item_of), list(rank), list(memory)
+            pending = deque((agent,))
+            waiting = pending if stack else deque(waiting)  # nothing waits under stack
+            count, _ = _propose(
+                profile, config, (holder, item_of, rank, memory, waiting), pending, count, False
+            )
+            return (tuple(holder), tuple(item_of), tuple(rank), tuple(memory), tuple(waiting)), count
+
+        def finish(state, count, agent):
+            holder, item_of, rank, memory, waiting = state
+            item_of = list(item_of)
+            pending = deque((agent,) + waiting)
+            _propose(
+                profile, config, (list(holder), item_of, list(rank), list(memory), pending),
+                pending, count, False,
+            )
+            return tuple(item_of)
+
+        return ((None,) * n, (None,) * n, (0,) * n, ((),) * n, ()), admit, finish
+
+    return begin
 
 
 class BostonMode(enum.Enum):
@@ -244,8 +316,7 @@ def run_boston_two_sided(profile: Profile, order: AgentOrder, mode: BostonMode) 
     a free item keeps the applicant its own preferences rank highest and
     permanently rejects the rest.
     """
-    if profile.item_prefs is None:
-        raise ModeError("two-sided Boston needs item-side preferences (an @items section)")
+    _require_item_prefs(profile, "two-sided Boston")
     if mode is BostonMode.SEQUENTIAL:
         return serial_dictatorship(profile, order)
     priority = []
@@ -255,6 +326,13 @@ def run_boston_two_sided(profile: Profile, order: AgentOrder, mode: BostonMode) 
             rank[a] = r
         priority.append(rank)
     return immediate_acceptance(profile, priority)
+
+
+def boston_sequential_stepper(profile: Profile):
+    """The stepper of sequential two-sided Boston: serial dictatorship's, on
+    profiles that have item preferences."""
+    _require_item_prefs(profile, "two-sided Boston")
+    return serial_dictatorship_stepper(profile)
 
 
 def replay_trace(profile: Profile, order: AgentOrder, trace: Tuple[TraceEvent, ...]) -> Matching:

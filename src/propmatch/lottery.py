@@ -9,13 +9,26 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 
 MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
-ENUMERATION_LIMIT = 8  # 8! = 40320 runs
+# A sequential mechanism run one admitted agent at a time.  ``stepper(profile)``
+# returns ``(start, admit, finish)``: ``admit(state, work, agent)`` returns the
+# state and work after ``agent`` joins the agents admitted so far, and
+# ``finish(state, work, agent)`` the outcome ``item_of`` once ``agent``, the
+# last, joins.  A state must depend on nothing but the admitted agents' order,
+# and ``work`` is what the mechanism counts towards a bound it enforces by
+# raising; prefix walks that meet in one state go on from the largest work
+# among them.
+Stepper = Callable[[Profile], tuple]
+
+# The largest n whose n! orders are enumerated (8! = 40320), whether one by
+# one (``order_stream``) or as prefixes merged by state (``exact_counts``).
+# Beyond it the library raises EnumerationLimitError and the CLI exits 3.
+ENUMERATION_LIMIT = 8
 
 
 class EnumerationLimitError(ValueError):
@@ -36,6 +49,27 @@ class LotteryResult:
     order_count: int
 
 
+class Runner:
+    """A matching mechanism ``run(profile, order)`` that carries an optional
+    ``stepper``, which ``exact_counts`` uses to merge order prefixes."""
+
+    __slots__ = ("run", "stepper")
+
+    def __init__(self, run: MatchingMechanism, stepper: Optional[Stepper] = None):
+        self.run = run
+        self.stepper = stepper
+
+    def __call__(self, profile: Profile, order: AgentOrder) -> Matching:
+        return self.run(profile, order)
+
+
+def _check_limit(n: int) -> None:
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"n={n} exceeds the order-enumeration limit {ENUMERATION_LIMIT}; sample orders"
+        )
+
+
 def order_stream(
     n: int, orders: str | int = "all", rng: Optional[random.Random] = None
 ) -> Iterator[AgentOrder]:
@@ -47,10 +81,7 @@ def order_stream(
     produced.
     """
     if orders == "all":
-        if n > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"n={n} exceeds the order-enumeration limit {ENUMERATION_LIMIT}; sample orders"
-            )
+        _check_limit(n)
         return map(AgentOrder, itertools.permutations(range(n)))
     if orders < 1:
         raise ValueError(f"need an order count >= 1, got {orders}")
@@ -70,59 +101,122 @@ def outcome_counts(
     return Counter(mechanism(profile, order).item_of for order in orders)
 
 
-def _class_orders(classes: List[List[int]]) -> Iterator[AgentOrder]:
-    """One order per sequence of class labels, each class's members placed in
-    index order: n!/(k1! k2! ...) orders for classes of sizes k1, k2, ...
+def _replay(mechanism: MatchingMechanism) -> Stepper:
+    """The stepper of any matching mechanism: its state is the admitted
+    prefix itself, and ``finish`` runs the mechanism on that whole order."""
 
-    The label sequences are the distinct permutations of the sorted labels,
-    stepped through in lexicographic order."""
-    labels = [c for c, members in enumerate(classes) for _ in members]
-    while True:
-        members = [iter(m) for m in classes]
-        yield AgentOrder(tuple(next(members[c]) for c in labels))
-        i = len(labels) - 2
-        while i >= 0 and labels[i] >= labels[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(labels) - 1
-        while labels[j] <= labels[i]:
-            j -= 1
-        labels[i], labels[j] = labels[j], labels[i]
-        labels[i + 1:] = reversed(labels[i + 1:])
+    def begin(profile: Profile):
+        def admit(prefix, work, agent):
+            return prefix + (agent,), work
+
+        def finish(prefix, work, agent):
+            return mechanism(profile, AgentOrder(prefix + (agent,))).item_of
+
+        return (), admit, finish
+
+    return begin
+
+
+def order_free(mechanism: MatchingMechanism) -> Stepper:
+    """The stepper of a mechanism that never reads the order: every prefix
+    reaches the one state, and ``finish`` runs the mechanism once."""
+
+    def begin(profile: Profile):
+        def admit(state, work, agent):
+            return state, work
+
+        def finish(state, work, agent):
+            return mechanism(profile, AgentOrder.identity(profile.n)).item_of
+
+        return None, admit, finish
+
+    return begin
 
 
 def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
     """How often each outcome ``item_of`` tuple occurs over all n! initial
     orders: the ``Counter`` of ``outcome_counts`` over ``order_stream(n)``.
 
+    Orders are walked as prefixes, one admitted agent per layer, by the
+    mechanism's stepper (``Runner.stepper``; a plain callable replays every
+    order).  Layer k maps each pair (members admitted per class, state after
+    k admits) to the number of prefixes reaching it, so prefixes that reach
+    one state run on once.
+
     On a one-sided profile, agents with identical preferences form classes of
-    sizes k1, k2, ...  The mechanism runs once per sequence of class labels
-    (n!/(k1! k2! ...) runs), and each outcome is counted under its items per
-    class.  The count then goes to every permutation of those items within the
-    classes: renaming agents who have identical preferences only renames the
-    outcome, so each of those matchings occurs that often among all n! orders.
-    This needs a mechanism that treats agents anonymously, as every registry
-    code does.  Two-sided profiles, whose item preferences can tell identical
-    agents apart, and profiles with no identical agents run all n! orders.
+    sizes k1, k2, ..., and a class admits its members in index order: the
+    n!/(k1! k2! ...) sequences of class labels stand for all n! orders.  Each
+    outcome is counted under its items per class, and the count then goes to
+    every permutation of those items within the classes: renaming agents who
+    have identical preferences only renames the outcome, so each of those
+    matchings occurs that often among all n! orders.  This needs a mechanism
+    that treats agents anonymously, as every registry code does.  On a
+    two-sided profile, whose item preferences can tell identical agents
+    apart, every agent is its own class.
     """
-    orders = order_stream(profile.n)  # refuses n beyond the limit on the call
-    by_prefs: dict = {}
-    for a, prefs in enumerate(profile.agent_prefs):
-        by_prefs.setdefault(prefs, []).append(a)
-    classes = list(by_prefs.values())
-    if profile.two_sided or len(classes) == profile.n:
-        return outcome_counts(mechanism, profile, orders)
-    per_class = Counter()
-    for item_of, c in outcome_counts(mechanism, profile, _class_orders(classes)).items():
-        per_class[tuple(tuple(sorted(item_of[a] for a in members)) for members in classes)] += c
+    n = profile.n
+    _check_limit(n)
+    if profile.two_sided:
+        classes = [[a] for a in range(n)]
+    else:
+        by_prefs: dict = {}
+        for a, prefs in enumerate(profile.agent_prefs):
+            by_prefs.setdefault(prefs, []).append(a)
+        classes = list(by_prefs.values())
+    stepper = getattr(mechanism, "stepper", None) or _replay(mechanism)
+    per_class = _walk(stepper(profile), classes)
+    if len(classes) == n:
+        return per_class
+    folded = Counter()
+    for item_of, c in per_class.items():
+        folded[tuple(tuple(sorted(item_of[a] for a in members)) for members in classes)] += c
     # Items laid out class after class go back to agents in index order.
     slots = [a for members in classes for a in members]
-    unshuffle = operator.itemgetter(*sorted(range(profile.n), key=slots.__getitem__))
+    unshuffle = operator.itemgetter(*sorted(range(n), key=slots.__getitem__))
     counts = Counter()
-    for items, c in per_class.items():
+    for items, c in folded.items():
         for parts in itertools.product(*map(itertools.permutations, items)):
             counts[unshuffle(tuple(itertools.chain.from_iterable(parts)))] = c
+    return counts
+
+
+def _walk(stepped: tuple, classes) -> Counter:
+    """Outcome counts over the class-label sequences, one layer per admit.
+
+    A layer maps the members admitted per class to the states reached, and
+    each state to [prefixes, work], the work being the largest among the
+    merged prefixes."""
+    start, admit, finish = stepped
+    sizes = [len(members) for members in classes]
+    layer = {(0,) * len(classes): {start: [1, 0]}}
+    for _ in range(sum(sizes) - 1):
+        nxt = {}
+        for taken, states in layer.items():
+            for c, k in enumerate(taken):
+                if k == sizes[c]:
+                    continue
+                agent = classes[c][k]
+                key = taken[:c] + (k + 1,) + taken[c + 1:]
+                merged = nxt.get(key)
+                if merged is None:
+                    merged = nxt[key] = {}
+                for state, (prefixes, work) in states.items():
+                    after, done = admit(state, work, agent)
+                    entry = merged.get(after)
+                    if entry is None:
+                        merged[after] = [prefixes, done]
+                    else:
+                        entry[0] += prefixes
+                        if done > entry[1]:
+                            entry[1] = done
+        layer = nxt
+    counts = Counter()
+    for taken, states in layer.items():
+        # One member of one class is left to join.
+        agent = next(members[k] for members, k in zip(classes, taken) if k < len(members))
+        for state, (prefixes, work) in states.items():
+            outcome = finish(state, work, agent)
+            counts[outcome] = counts.get(outcome, 0) + prefixes
     return counts
 
 
@@ -139,12 +233,12 @@ def _receipt_rows(counts: Counter, n: int) -> Tuple[Tuple[Fraction, ...], ...]:
 def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
     """The lottery over all n! initial orders, each with weight 1/n!.
 
-    Outcomes are counted by ``exact_counts``: a one-sided profile whose agents
-    fall into classes of identical preferences, of sizes k1, k2, ..., runs
-    n!/(k1! k2! ...) orders, which relies on ``mechanism`` treating agents
-    anonymously (every registry code does).  Two-sided profiles run all n!
-    orders.  Either way ``order_count`` is n!, and n is limited to
-    ``ENUMERATION_LIMIT``.
+    Outcomes are counted by ``exact_counts``, which walks order prefixes and
+    runs on once from each mechanism state they reach (``mechanism`` may be
+    a ``Runner`` carrying a stepper, as every registry code's ``run`` is).
+    Identical agents of a one-sided profile are folded into classes, which
+    relies on ``mechanism`` treating agents anonymously.  ``order_count`` is
+    n!, and n is limited to ``ENUMERATION_LIMIT``.
     """
     counts = exact_counts(mechanism, profile)
     total = sum(counts.values())

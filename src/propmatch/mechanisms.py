@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .lottery import MatchingMechanism
+from .lottery import MatchingMechanism, Stepper
 from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile
 
 
@@ -20,6 +20,21 @@ def serial_dictatorship(profile: Profile, order: AgentOrder) -> Matching:
         taken[o] = True
         item_of[j] = o
     return Matching(tuple(item_of))
+
+
+def serial_dictatorship_stepper(profile: Profile):
+    """Serial dictatorship admitting one agent at a time: the state is the
+    partial ``item_of``, None for agents not admitted yet."""
+    prefs = profile.agent_prefs
+
+    def admit(item_of, work, j):
+        o = next(x for x in prefs[j] if x not in item_of)
+        return item_of[:j] + (o,) + item_of[j + 1:], work
+
+    def finish(item_of, work, j):
+        return admit(item_of, work, j)[0]
+
+    return (None,) * profile.n, admit, finish
 
 
 def immediate_acceptance(profile: Profile, priority: Sequence[Sequence[int]]) -> Matching:
@@ -108,15 +123,22 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
     n = profile.n
     if endowment.n != n:
         raise InvalidInstanceError("endowment size mismatch")
+    prefs = profile.agent_prefs
     owns: List[Optional[int]] = list(endowment.item_of)
-    owner = {o: a for a, o in enumerate(owns)}
+    owner = {o: a for a, o in enumerate(owns)}  # remaining items only
+    # Each agent's position of its best remaining item.  Items only ever
+    # leave, so the position only moves forward.
+    best = [0] * n
     active = set(range(n))
     item_of: List[Optional[int]] = [None] * n
     while active:
-        points = {
-            j: owner[next(x for x in profile.agent_prefs[j] if owner.get(x) in active)]
-            for j in active
-        }
+        points = {}
+        for j in active:
+            p, k = prefs[j], best[j]
+            while p[k] not in owner:
+                k += 1
+            best[j] = k
+            points[j] = owner[p[k]]
         # Functional graph on a finite set: every walk reaches a cycle.
         resolved = set()
         for start in list(active):
@@ -128,7 +150,7 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
                 seen[j] = len(seen)
                 j = points[j]
             if j in seen:  # found a fresh cycle; trade along it
-                cycle = [a for a, pos in sorted(seen.items(), key=lambda kv: kv[1])][seen[j]:]
+                cycle = list(seen)[seen[j]:]
                 for a in cycle:
                     item_of[a] = owns[points[a]]
                 resolved.update(seen)
@@ -152,3 +174,23 @@ def compose_ttc(mechanism: MatchingMechanism) -> MatchingMechanism:
         return top_trading_cycles(profile, mechanism(profile, order))
 
     return composed
+
+
+def ttc_stepper(stepper: Stepper) -> Stepper:
+    """``stepper`` followed by top trading cycles, run once per distinct
+    outcome of ``stepper``."""
+
+    def begin(profile: Profile):
+        start, admit, finish = stepper(profile)
+        traded: dict = {}
+
+        def finish_traded(state, work, agent):
+            base = finish(state, work, agent)
+            out = traded.get(base)
+            if out is None:
+                out = traded[base] = top_trading_cycles(profile, Matching(base)).item_of
+            return out
+
+        return start, admit, finish_traded
+
+    return begin

@@ -15,6 +15,7 @@ Modifiers: a trailing ``+G`` reruns the output through top trading cycles
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -22,34 +23,48 @@ from .engine import (
     ALL_ENGINE_CODES,
     BostonMode,
     EngineConfig,
+    boston_sequential_stepper,
+    engine_stepper,
     run_boston_two_sided,
     run_engine,
     run_gale_shapley,
 )
+from .lottery import MatchingMechanism, Runner, Stepper, order_free
 from .mechanisms import (
     compose_ttc,
     naive_boston_one_sided,
     probabilistic_serial,
     serial_dictatorship,
+    serial_dictatorship_stepper,
+    ttc_stepper,
 )
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A mechanism with uniform call surfaces for experiments and the CLI."""
+    """A mechanism with uniform call surfaces for experiments and the CLI.
+
+    ``_stepper`` runs a sequential code one admitted agent at a time, for
+    exact lotteries; codes that never read the order get ``order_free``.
+    """
 
     code: str
     kind: str  # "matching" or "fractional"
     uses_order: bool
     needs_item_prefs: bool
-    _run: Optional[Callable[[Profile, AgentOrder], Matching]] = None
+    _run: Optional[MatchingMechanism] = None
     _assignment: Optional[Callable[[Profile], FractionalAssignment]] = None
+    _stepper: Optional[Stepper] = None
 
-    def run(self, profile: Profile, order: AgentOrder) -> Matching:
-        if self._run is None:
-            raise ValueError(f"{self.code} does not produce discrete matchings")
-        return self._run(profile, order)
+    @functools.cached_property
+    def run(self) -> Runner:
+        """The matching mechanism, ``run(profile, order)``, carrying its stepper."""
+        run = self._run or self._no_run
+        return Runner(run, self._stepper if self.uses_order else order_free(run))
+
+    def _no_run(self, profile: Profile, order: AgentOrder) -> Matching:
+        raise ValueError(f"{self.code} does not produce discrete matchings")
 
     def assignment(self, profile: Profile) -> FractionalAssignment:
         if self._assignment is None:
@@ -65,11 +80,14 @@ def _engine_mech(code: str) -> Mechanism:
         uses_order=True,
         needs_item_prefs=False,
         _run=lambda p, o, _c=config: run_engine(p, o, _c, record=False).matching,
+        _stepper=engine_stepper(config),
     )
 
 
 _BASE = {code: _engine_mech(code) for code in ALL_ENGINE_CODES}
-_BASE["SD"] = Mechanism("SD", "matching", True, False, _run=serial_dictatorship)
+_BASE["SD"] = Mechanism(
+    "SD", "matching", True, False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper
+)
 _BASE["NB"] = Mechanism("NB", "matching", True, False, _run=naive_boston_one_sided)
 _BASE["PS"] = Mechanism("PS", "fractional", False, False, _assignment=probabilistic_serial)
 _BASE["GS"] = Mechanism(
@@ -78,6 +96,7 @@ _BASE["GS"] = Mechanism(
 _BASE["BOS-SEQ"] = Mechanism(
     "BOS-SEQ", "matching", True, True,
     _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SEQUENTIAL),
+    _stepper=boston_sequential_stepper,
 )
 _BASE["BOS-SIM"] = Mechanism(
     "BOS-SIM", "matching", False, True,
@@ -117,6 +136,7 @@ def resolve(code: str) -> Tuple[Mechanism, bool]:
             mech.uses_order,
             mech.needs_item_prefs,
             _run=compose_ttc(mech._run),
+            _stepper=mech._stepper and ttc_stepper(mech._stepper),
         )
     return mech, randomized
 

@@ -28,6 +28,7 @@ from propmatch.engine import (
     format_trace_table,
     replay_trace,
 )
+from propmatch.lottery import exact_lottery
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles
 
@@ -93,6 +94,32 @@ class TestEngineRuns:
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig.from_code("XYZ")
+
+
+def looping_profile(n=2):
+    """A malformed profile that skips validation: every agent lists item 0
+    n^3 + 1 times, so the agents keep proposing to one item past any bound."""
+    p = object.__new__(Profile)
+    object.__setattr__(p, "agent_prefs", ((0,) * (n**3 + 1),) * n)
+    object.__setattr__(p, "item_prefs", None)
+    return p
+
+
+class TestProposalBound:
+    """The n^2 and n^3 proposal bounds are raised as RuntimeError, so they
+    hold under ``python -O`` on every path that runs the engine."""
+
+    @pytest.mark.parametrize("code", ALL_ENGINE_CODES)
+    def test_run_engine_raises(self, code):
+        p = looping_profile()
+        with pytest.raises(RuntimeError, match="proposal bound"):
+            run_engine(p, AgentOrder.identity(p.n), EngineConfig.from_code(code), record=False)
+
+    @pytest.mark.parametrize("code", ALL_ENGINE_CODES)
+    def test_exact_lottery_raises(self, code):
+        mech, _ = resolve(code)
+        with pytest.raises(RuntimeError, match="proposal bound"):
+            exact_lottery(mech.run, looping_profile())
 
 
 class TestEngineInvariants:

@@ -20,7 +20,9 @@ from propmatch.axioms import satisfies_conditional_bound
 from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.lottery import (
     EnumerationLimitError,
+    Runner,
     equivalent_on,
+    exact_counts,
     exact_lottery,
     order_stream,
     outcome_counts,
@@ -209,6 +211,59 @@ class TestOrbitLottery:
         ]
         assert lot.order_count == 24
         assert lot == brute_force_lottery(serial_dictatorship, p)
+
+
+@st.composite
+def two_sided_profiles(draw):
+    """A two-sided profile, n <= 5, whose agents often share a list."""
+    n = draw(st.integers(1, 5))
+    lists = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=n))
+    agents = draw(st.lists(st.sampled_from(lists), min_size=n, max_size=n))
+    items = draw(st.lists(st.permutations(range(n)), min_size=n, max_size=n))
+    return profile(agents, items)
+
+
+class TestSteppedCounts:
+    """``exact_counts`` walks order prefixes through each code's stepper."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(two_sided_profiles())
+    def test_two_sided_equals_every_order(self, p):
+        for code in ("GS", "BOS-SEQ", "BOS-SIM"):
+            mech, _ = resolve(code)
+            assert exact_counts(mech.run, p) == outcome_counts(mech.run, p, order_stream(p.n)), code
+
+    @pytest.mark.parametrize("code", ALL_ENGINE_CODES + ("SD", "PLS+G", "TLQ+G", "BOS-SEQ"))
+    def test_stepper_alone_gives_the_lottery(self, code, bench4, two_sided4):
+        mech, _ = resolve(code)
+        p = two_sided4 if mech.needs_item_prefs else bench4
+
+        def refuse(profile, order):
+            raise AssertionError("a whole run")
+
+        stepped = exact_lottery(Runner(refuse, mech.run.stepper), p)
+        assert stepped == brute_force_lottery(mech.run, p)
+
+    def test_merged_prefixes_keep_the_largest_work(self):
+        # Prefixes of one agent set reach one state; the work spells the
+        # admitted agents as digits, so it differs between those prefixes.
+        seen = []
+
+        def stepper(p):
+            def admit(state, work, agent):
+                return state, 10 * work + agent + 1
+
+            def finish(state, work, agent):
+                seen.append(10 * work + agent + 1)
+                return tuple(range(p.n))
+
+            return None, admit, finish
+
+        p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+        counts = exact_counts(Runner(serial_dictatorship, stepper), p)
+        assert counts == {(0, 1, 2): 6}
+        # The states of {0, 1}, {0, 2} and {1, 2} go on from 21, 31 and 32.
+        assert sorted(seen) == [213, 312, 321]
 
 
 class TestSampledLottery:
