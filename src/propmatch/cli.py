@@ -18,12 +18,11 @@ from .axioms import (
     is_pareto_efficient,
     satisfies_conditional_bound,
 )
-from .engine import ALL_ENGINE_CODES, EngineConfig, format_trace_table, run_engine, run_gale_shapley
+from .engine import format_trace_table
 from .experiments import parse_config, rows_to_csv, run_experiment
 from .lottery import (
     EnumerationLimitError,
     equivalent_on,
-    exact_lottery,
     order_stream,
     randomized_equivalent_on,
     sampled_lottery,
@@ -44,10 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_profile(path: str) -> Profile:
+    text = Path(path).read_text()
     try:
-        return textio.parse_profile(Path(path).read_text())
-    except FileNotFoundError:
-        _fail(f"no such file: {path}", INPUT_ERROR)
+        return textio.parse_profile(text)
     except (ProfileParseError, InvalidInstanceError) as exc:
         _fail(f"bad profile {path}: {exc}", INPUT_ERROR)
 
@@ -77,24 +75,18 @@ def _profile_source(args, count: int) -> str | int:
 def cmd_run(args) -> int:
     profile = _read_profile(args.profile)
     order = _parse_order(args.order, profile)
-    code = args.mechanism.upper()
-    if code in ALL_ENGINE_CODES:
-        config = EngineConfig.from_code(code)
-        result = run_engine(profile, order, config, record=args.trace)
-    elif code == "GS":
-        config = None
-        result = run_gale_shapley(profile, order, record=args.trace)
-    else:
-        mech, randomized = resolve(args.mechanism)
-        if randomized:
-            _fail("R- codes are lotteries; use the lottery subcommand", USAGE_ERROR)
-        if mech.kind != "matching":
-            _fail(f"{mech.code} has fractional output; use the lottery subcommand", USAGE_ERROR)
+    mech, randomized = resolve(args.mechanism)
+    if randomized:
+        _fail("R- codes are lotteries; use the lottery subcommand", USAGE_ERROR)
+    if mech.kind != "matching":
+        _fail(f"{mech.code} has fractional output; use the lottery subcommand", USAGE_ERROR)
+    traced = mech.trace(profile, order, args.trace)
+    if traced is None:
         if args.trace:
             _fail(f"{mech.code} has no proposal trace; drop --trace", USAGE_ERROR)
-        matching = mech.run(profile, order)
-        print(format_matching(matching))
+        print(format_matching(mech.run(profile, order)))
         return 0
+    result, config = traced
     print(f"{format_matching(result.matching)}; proposals={result.proposal_count}")
     if args.trace:
         sys.stdout.write(format_trace_table(order, result, config))
@@ -104,17 +96,15 @@ def cmd_run(args) -> int:
 def cmd_lottery(args) -> int:
     profile = _read_profile(args.profile)
     mech, _randomized = resolve(args.mechanism)
-    if mech.kind == "fractional":
-        if args.samples:
-            _fail(f"{mech.code} has an exact fractional outcome; drop --samples", USAGE_ERROR)
+    if not args.samples:
         out = format_matrix(mech.assignment(profile))
-    elif args.samples:
+    elif mech.kind == "fractional":
+        _fail(f"{mech.code} has an exact fractional outcome; drop --samples", USAGE_ERROR)
+    else:
         freq = sampled_lottery(mech.run, profile, args.samples, args.seed)
         lines = [f"# samples: {args.samples} seed: {args.seed}"]
         lines += [" ".join(str(x) for x in row) for row in freq]
         out = "\n".join(lines) + "\n"
-    else:
-        out = format_matrix(exact_lottery(mech.run, profile).assignment)
     sys.stdout.write(out)
     return 0
 
@@ -176,11 +166,7 @@ def _run_axiom_sweep(axiom, mech, n, args, source):
                 if not is_pareto_efficient(mech.run(profile, order), profile):
                     return "FAIL", (profile, order.order, None)
         elif axiom == "ordinal":
-            if mech.kind == "fractional":
-                assignment = mech.assignment(profile)
-            else:
-                assignment = exact_lottery(mech.run, profile).assignment
-            if not is_ordinally_efficient(assignment, profile):
+            if not is_ordinally_efficient(mech.assignment(profile), profile):
                 return "FAIL", (profile, None, None)
         elif axiom == "sp":
             if source != "all":
@@ -195,11 +181,7 @@ def _run_axiom_sweep(axiom, mech, n, args, source):
 
 
 def cmd_experiment(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except FileNotFoundError:
-        _fail(f"no such file: {args.config}", INPUT_ERROR)
-    csv_text = rows_to_csv(run_experiment(parse_config(text)))
+    csv_text = rows_to_csv(run_experiment(parse_config(Path(args.config).read_text())))
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -296,13 +278,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Parse ``argv`` and run the subcommand.  Library errors end the run here:
     order enumeration beyond the limit exits 3, any other ``ValueError`` (a
-    rejected input) exits 2, each with one ``error:`` line on stderr."""
+    rejected input) and any ``OSError`` (a path that cannot be read or
+    written) exit 2, each with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except EnumerationLimitError as exc:
         _fail(str(exc), LIMIT_ERROR)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _fail(str(exc), INPUT_ERROR)
 
 

@@ -32,7 +32,7 @@ import enum
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .lottery import Stepper
 from .mechanisms import immediate_acceptance, serial_dictatorship, serial_dictatorship_stepper
@@ -335,22 +335,24 @@ def boston_sequential_stepper(profile: Profile):
     return serial_dictatorship_stepper(profile)
 
 
-def replay_trace(profile: Profile, order: AgentOrder, trace: Tuple[TraceEvent, ...]) -> Matching:
-    """Re-apply a recorded trace to a fresh state and return the final matching.
-
-    Raises if the events are not applicable in sequence (internal consistency
-    check for recorded runs).
-    """
-    n = profile.n
-    item_of: List[Optional[int]] = [None] * n
+def _replay(item_of: List[Optional[int]], trace: Tuple[TraceEvent, ...]) -> Iterator[TraceEvent]:
+    """Apply each event to the partial matching ``item_of`` in place, then
+    yield it; raises if an event does not apply to the state before it."""
     for e in trace:
-        if e.outcome is Outcome.MATCHED_UNASSIGNED:
-            item_of[e.proposer] = e.item
-        elif e.outcome is Outcome.DISPLACED_HOLDER:
+        if e.outcome is Outcome.DISPLACED_HOLDER:
             if item_of[e.displaced] != e.item:
                 raise InvalidInstanceError("trace displaces a non-holder")
             item_of[e.displaced] = None
+        if e.outcome is not Outcome.REJECTED:
             item_of[e.proposer] = e.item
+        yield e
+
+
+def replay_trace(profile: Profile, order: AgentOrder, trace: Tuple[TraceEvent, ...]) -> Matching:
+    """Re-apply a recorded trace to a fresh state and return the final matching.
+    Raises ``InvalidInstanceError`` if an event does not apply."""
+    item_of: List[Optional[int]] = [None] * profile.n
+    deque(_replay(item_of, trace), maxlen=0)
     return Matching(tuple(item_of))
 
 
@@ -368,19 +370,13 @@ def format_trace_table(
     memory: List[Tuple[int, ...]] = [()] * n
     item_of: List[Optional[int]] = [None] * n
     out = []
-    for idx, e in enumerate(result.trace, start=1):
+    for idx, e in enumerate(_replay(item_of, result.trace), start=1):
         if e.reset_occurred:
             memory = [()] * n
         memory[e.item] = e.memory
-        if e.outcome is Outcome.MATCHED_UNASSIGNED:
-            item_of[e.proposer] = e.item
-            outcome = "matched"
-        elif e.outcome is Outcome.DISPLACED_HOLDER:
-            item_of[e.displaced] = None
-            item_of[e.proposer] = e.item
-            outcome = f"{agent_name(e.displaced)} displaced"
-        else:
-            outcome = "rejected"
+        outcome = e.outcome.value
+        if e.outcome is Outcome.DISPLACED_HOLDER:
+            outcome = f"{agent_name(e.displaced)} {outcome}"
         pending_s = ",".join(agent_name(a) for a in e.pending) or "-"
         matching_s = (
             " ".join(

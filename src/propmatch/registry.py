@@ -23,13 +23,14 @@ from .engine import (
     ALL_ENGINE_CODES,
     BostonMode,
     EngineConfig,
+    EngineResult,
     boston_sequential_stepper,
     engine_stepper,
     run_boston_two_sided,
     run_engine,
     run_gale_shapley,
 )
-from .lottery import MatchingMechanism, Runner, Stepper, order_free
+from .lottery import MatchingMechanism, Runner, Stepper, exact_lottery, order_free
 from .mechanisms import (
     compose_ttc,
     naive_boston_one_sided,
@@ -40,35 +41,56 @@ from .mechanisms import (
 )
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 
+# A proposal run and its engine configuration, None for GS's stated item preferences.
+Traced = Tuple[EngineResult, Optional[EngineConfig]]
+
 
 @dataclass(frozen=True)
 class Mechanism:
     """A mechanism with uniform call surfaces for experiments and the CLI.
 
-    ``_stepper`` runs a sequential code one admitted agent at a time, for
-    exact lotteries; codes that never read the order get ``order_free``.
+    Each code sets one runner: ``_run`` for a matching, ``_assignment`` for
+    a fractional outcome, or ``_trace`` for the proposal codes (the eight
+    engine codes and GS).  ``_stepper`` runs a sequential code one admitted
+    agent at a time, for exact lotteries; codes that never read the order
+    get ``order_free``.
     """
 
     code: str
-    kind: str  # "matching" or "fractional"
     uses_order: bool
     needs_item_prefs: bool
     _run: Optional[MatchingMechanism] = None
     _assignment: Optional[Callable[[Profile], FractionalAssignment]] = None
+    _trace: Optional[Callable[[Profile, AgentOrder, bool], Traced]] = None
     _stepper: Optional[Stepper] = None
+
+    @property
+    def kind(self) -> str:
+        """``"fractional"`` for a random assignment, else ``"matching"``."""
+        return "matching" if self._assignment is None else "fractional"
 
     @functools.cached_property
     def run(self) -> Runner:
         """The matching mechanism, ``run(profile, order)``, carrying its stepper."""
-        run = self._run or self._no_run
+        run = self._run
+        if run is None:
+            trace = self._trace
+            run = (lambda p, o: trace(p, o, False)[0].matching) if trace else self._no_run
         return Runner(run, self._stepper if self.uses_order else order_free(run))
 
     def _no_run(self, profile: Profile, order: AgentOrder) -> Matching:
         raise ValueError(f"{self.code} does not produce discrete matchings")
 
+    def trace(self, profile: Profile, order: AgentOrder, record: bool) -> Optional[Traced]:
+        """The proposal run, with its events if ``record`` is set, and its
+        configuration; None for a code that makes no proposals."""
+        return self._trace and self._trace(profile, order, record)
+
     def assignment(self, profile: Profile) -> FractionalAssignment:
+        """The random assignment: the fractional outcome, or the exact
+        uniform-order lottery of a matching mechanism."""
         if self._assignment is None:
-            raise ValueError(f"{self.code} is not a fractional mechanism")
+            return exact_lottery(self.run, profile).assignment
         return self._assignment(profile)
 
 
@@ -76,30 +98,29 @@ def _engine_mech(code: str) -> Mechanism:
     config = EngineConfig.from_code(code)
     return Mechanism(
         code,
-        "matching",
         uses_order=True,
         needs_item_prefs=False,
-        _run=lambda p, o, _c=config: run_engine(p, o, _c, record=False).matching,
+        _trace=lambda p, o, record, _c=config: (run_engine(p, o, _c, record), _c),
         _stepper=engine_stepper(config),
     )
 
 
 _BASE = {code: _engine_mech(code) for code in ALL_ENGINE_CODES}
 _BASE["SD"] = Mechanism(
-    "SD", "matching", True, False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper
+    "SD", True, False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper
 )
-_BASE["NB"] = Mechanism("NB", "matching", True, False, _run=naive_boston_one_sided)
-_BASE["PS"] = Mechanism("PS", "fractional", False, False, _assignment=probabilistic_serial)
+_BASE["NB"] = Mechanism("NB", True, False, _run=naive_boston_one_sided)
+_BASE["PS"] = Mechanism("PS", False, False, _assignment=probabilistic_serial)
 _BASE["GS"] = Mechanism(
-    "GS", "matching", False, True, _run=lambda p, o: run_gale_shapley(p, o, record=False).matching
+    "GS", False, True, _trace=lambda p, o, record: (run_gale_shapley(p, o, record), None)
 )
 _BASE["BOS-SEQ"] = Mechanism(
-    "BOS-SEQ", "matching", True, True,
+    "BOS-SEQ", True, True,
     _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SEQUENTIAL),
     _stepper=boston_sequential_stepper,
 )
 _BASE["BOS-SIM"] = Mechanism(
-    "BOS-SIM", "matching", False, True,
+    "BOS-SIM", False, True,
     _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SIMULTANEOUS),
 )
 
@@ -132,10 +153,9 @@ def resolve(code: str) -> Tuple[Mechanism, bool]:
             raise ValueError(f"+G is invalid on {code}: no discrete output to trade from")
         mech = Mechanism(
             code + "+G",
-            "matching",
             mech.uses_order,
             mech.needs_item_prefs,
-            _run=compose_ttc(mech._run),
+            _run=compose_ttc(mech.run.run),
             _stepper=mech._stepper and ttc_stepper(mech._stepper),
         )
     return mech, randomized

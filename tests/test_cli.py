@@ -9,11 +9,15 @@ import pytest
 from propmatch import axioms
 from propmatch.cli import main
 from propmatch.lottery import exact_lottery
+from propmatch.model import AgentOrder
+from propmatch.registry import resolve
+from propmatch.textio import format_matching, parse_profile
 
 DATA = Path(__file__).parent / "data"
 BENCH = str(DATA / "bench4.txt")
 TWO_SIDED = str(DATA / "two_sided4.txt")
 ENGINE_CODES = ("PFS", "PFQ", "PLS", "PLQ", "TFS", "TFQ", "TLS", "TLQ")
+EXPERIMENT = str(DATA / "experiment3.cfg")
 
 
 def cli(*args, expect=0):
@@ -64,6 +68,32 @@ class TestRun:
 
     def test_unknown_subcommand_is_usage_error(self):
         cli("frobnicate", expect=1)
+
+    @pytest.mark.parametrize("name, padded, code, trace", [
+        ("bench4", " pfs", "PFS", ()), ("bench4", " pfs", "PFS", ("--trace",)),
+        ("bench4", "tls ", "TLS", ("--trace",)), ("two_sided4", "gs", "GS", ()),
+        ("two_sided4", " Gs ", "GS", ("--trace",)), ("bench4", " sd+g", "SD+G", ()),
+    ])
+    def test_codes_ignore_case_and_spaces(self, capsys, name, padded, code, trace):
+        path = str(DATA / f"{name}.txt")
+        assert main(["run", path, code, *trace]) == 0
+        canonical = capsys.readouterr().out
+        assert main(["run", path, padded, *trace]) == 0
+        assert capsys.readouterr().out == canonical
+
+    @pytest.mark.parametrize("base", ENGINE_CODES + ("SD", "NB", "GS", "BOS-SEQ", "BOS-SIM"))
+    @pytest.mark.parametrize("ttc", ["", "+G"])
+    def test_run_prints_the_registry_matching(self, capsys, base, ttc):
+        profile = parse_profile(Path(TWO_SIDED).read_text())
+        order = AgentOrder((1, 3, 0, 2))
+        assert main(["run", TWO_SIDED, base + ttc, "--order", "2,4,1,3"]) == 0
+        printed = capsys.readouterr().out.rstrip("\n")
+        matching = format_matching(resolve(base + ttc)[0].run(profile, order))
+        if not ttc and (base in ENGINE_CODES or base == "GS"):
+            head, count = printed.split("; proposals=")
+            assert head == matching and int(count) >= profile.n
+        else:
+            assert printed == matching
 
 
 class TestLottery:
@@ -289,6 +319,12 @@ class TestErrorContract:
             (("axioms", "SD", "--n", "3", "--exhaustive", "--samples", "0", "--axioms", "expost"), 2),
             (("generate", "--n", "2", "--exhaustive", "--count", "0",
               "--out", str(DATA / "never-written")), 2),
+            # a path that is a directory or already a file
+            (("run", str(DATA), "SD"), 2),
+            (("lottery", str(DATA), "SD"), 2),
+            (("experiment", str(DATA)), 2),
+            (("experiment", EXPERIMENT, "--out", str(DATA)), 2),
+            (("generate", "--n", "2", "--out", BENCH), 2),
         ],
     )
     def test_bad_input(self, args, code):

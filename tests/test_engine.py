@@ -1,5 +1,6 @@
 """Proposal engine semantics: all eight policy triples, the two-sided modes,
 and their structural invariants."""
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from propmatch import (
     AgentOrder,
+    InvalidInstanceError,
     Matching,
     Profile,
     naive_boston_one_sided,
@@ -167,6 +169,16 @@ class TestEngineInvariants:
             r = run_gale_shapley(p, order)
             assert len(r.trace) == r.proposal_count <= p.n**2
             assert replay_trace(p, order, r.trace) == r.matching
+
+    def test_replay_refuses_a_displaced_non_holder(self, bench4):
+        config = EngineConfig.from_code("TLS")
+        r = run_engine(bench4, IDENT4, config)
+        i = next(i for i, e in enumerate(r.trace) if e.outcome is Outcome.DISPLACED_HOLDER)
+        bad = r.trace[:i] + (dataclasses.replace(r.trace[i], displaced=r.trace[i].proposer),)
+        with pytest.raises(InvalidInstanceError, match="non-holder"):
+            replay_trace(bench4, IDENT4, bad)
+        with pytest.raises(InvalidInstanceError, match="non-holder"):
+            format_trace_table(IDENT4, dataclasses.replace(r, trace=bad), config)
 
     def test_unrecorded_run_matches_recorded(self):
         for p, order in self._random_cases():
