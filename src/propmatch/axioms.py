@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .lottery import MatchingMechanism, exact_lottery, order_stream
 from .mechanisms import top_trading_cycles
 from .model import FractionalAssignment, Matching, Profile
+from .sampling import Prefs, canonical
 
 
 class Dominance(enum.Enum):
@@ -114,24 +115,46 @@ class SPReport:
         return None
 
 
-Prefs = Tuple[Tuple[int, ...], ...]
 LotteryMemo = Dict[Tuple[Prefs, Optional[Prefs]], Tuple[Tuple[int, ...], ...]]
 
 
-def _receipt_counts(
-    mechanism: MatchingMechanism, agent_prefs: Prefs, item_prefs: Optional[Prefs], memo: LotteryMemo
-) -> Tuple[Tuple[int, ...], ...]:
-    """Every agent's exact-lottery row as receipt counts over n!, built by
-    ``exact_lottery`` only for preferences ``memo`` does not hold yet."""
-    key = (agent_prefs, item_prefs)
+def _receipt_row(
+    mechanism: MatchingMechanism,
+    agent_prefs: Prefs,
+    item_prefs: Optional[Prefs],
+    agent: int,
+    memo: Optional[LotteryMemo],
+) -> Tuple[int, ...]:
+    """The agent's exact-lottery row as receipt counts over n!.
+
+    With ``memo``, a one-sided profile's rows are kept under its orbit's
+    least member (``canonical``) and renamed back to the caller's agents and
+    items, so each orbit's lottery is built once; a two-sided profile's rows
+    are kept under its own preferences.
+    """
+    if memo is None:
+        return _receipt_counts(mechanism, Profile(agent_prefs, item_prefs))[agent]
+    if item_prefs is not None:
+        key = (agent_prefs, item_prefs)
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = _receipt_counts(mechanism, Profile(agent_prefs, item_prefs))
+        return rows[agent]
+    least, agents, items = canonical(agent_prefs)
+    key = (least, None)
     rows = memo.get(key)
     if rows is None:
-        lottery = exact_lottery(mechanism, Profile(agent_prefs, item_prefs))
-        total = lottery.order_count
-        rows = memo[key] = tuple(
-            tuple(x.numerator * (total // x.denominator) for x in row) for row in lottery.assignment.p
-        )
-    return rows
+        rows = memo[key] = _receipt_counts(mechanism, Profile(least))
+    row = rows[agents.index(agent)]
+    return tuple([row[y] for y in items])
+
+
+def _receipt_counts(mechanism: MatchingMechanism, profile: Profile) -> Tuple[Tuple[int, ...], ...]:
+    lottery = exact_lottery(mechanism, profile)
+    total = lottery.order_count
+    return tuple(
+        tuple(x.numerator * (total // x.denominator) for x in row) for row in lottery.assignment.p
+    )
 
 
 def check_strategyproofness(
@@ -145,15 +168,18 @@ def check_strategyproofness(
     the preferences of a profile, ``(agent_prefs, item_prefs)``, to every
     agent's receipt counts over n! under ``mechanism``; pass one dict only
     with one mechanism.  The rows are then those integer counts, and a
-    profile's lottery is built once however often it comes up.  An exhaustive
-    sweep that keeps one memo throughout builds each profile's lottery once,
-    since every misreport profile is itself swept; a sampled sweep keeps a
-    memo for one profile, so its agents share the truthful lottery.
+    lottery is built once however often it comes up.  A one-sided profile is
+    kept under the least profile of its orbit under renaming agents and items
+    (``sampling.canonical``), so a memo assumes anonymity and neutrality:
+    pass one only for a mechanism whose outcomes are equivariant under
+    renaming, as every registry code's are.  An exhaustive sweep that keeps
+    one memo throughout builds each orbit's lottery once; a sampled sweep
+    keeps a memo for one profile, so its agents and the misreports that
+    reach one orbit share a lottery.
     """
     n = profile.n
     truth = profile.agent_prefs[agent]
-    rows_of = {} if memo is None else memo
-    truthful_row = _receipt_counts(mechanism, profile.agent_prefs, profile.item_prefs, rows_of)[agent]
+    truthful_row = _receipt_row(mechanism, profile.agent_prefs, profile.item_prefs, agent, memo)
     before, after = profile.agent_prefs[:agent], profile.agent_prefs[agent + 1:]
     rows = []
     strict_gain = False
@@ -161,7 +187,7 @@ def check_strategyproofness(
     for report in itertools.permutations(range(n)):
         if report == truth:
             continue
-        row = _receipt_counts(mechanism, before + (report,) + after, profile.item_prefs, rows_of)[agent]
+        row = _receipt_row(mechanism, before + (report,) + after, profile.item_prefs, agent, memo)
         verdict = sd_dominates(row, truthful_row, truth)
         rows.append((report, row, verdict))
         if verdict is Dominance.STRICTLY_DOMINATES:

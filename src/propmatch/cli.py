@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 resource-limit refusal.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -65,11 +64,12 @@ def _parse_order(arg: str | None, profile: Profile) -> AgentOrder:
     return AgentOrder(tuple(names[tok] for tok in tokens))
 
 
-def _profile_source(args, count: int) -> str | int:
-    """``"all"`` under --exhaustive, else ``count``.  ``profile_stream``
-    checks ``count`` either way, so a bad value is refused even when unused."""
+def _profile_source(args, count: int, exhaustive: str) -> str | int:
+    """``exhaustive`` (``"all"`` or ``"orbits"``) under --exhaustive, else
+    ``count``.  ``profile_stream`` checks ``count`` either way, so a bad value
+    is refused even when unused."""
     profile_stream(args.n, count)
-    return "all" if args.exhaustive else count
+    return exhaustive if args.exhaustive else count
 
 
 def cmd_run(args) -> int:
@@ -127,7 +127,7 @@ def cmd_axioms(args) -> int:
             if mech.kind == "fractional" and axiom in MATCHING_AXIOMS:
                 _fail(f"the {axiom} axiom needs a matching mechanism; {mech.code} is fractional",
                       INPUT_ERROR)
-    source = _profile_source(args, args.samples)
+    source = _profile_source(args, args.samples, "orbits")
     profile_stream(n, source)  # refuses an exhaustive size beyond the limit on the call
     if any(mech.kind == "matching" for _code, mech in mechs):
         order_stream(n)  # every matching axiom enumerates the orders
@@ -135,7 +135,8 @@ def cmd_axioms(args) -> int:
         _fail(f"need 1 <= k <= n for the topk axiom, got k={args.k}", INPUT_ERROR)
     for code, mech in mechs:
         for axiom in axioms:
-            verdict, witness = _run_axiom_sweep(axiom, mech, n, args, source)
+            profiles = profile_stream(n, source, args.seed)
+            verdict, witness = _run_axiom_sweep(axiom, mech, profiles, args.k, source == "orbits")
             print(
                 textio.format_axiom_report_line(
                     axiom if axiom != "topk" else f"topk{args.k}",
@@ -150,47 +151,62 @@ def cmd_axioms(args) -> int:
     return 0
 
 
-def _run_axiom_sweep(axiom, mech, n, args, source):
-    total = math.factorial(n) ** n if source == "all" else source
-    progress = max(total // 10, 1)
-    count = 0
-    # sp: each profile's lottery rows; an exhaustive sweep later sweeps every
-    # misreport profile, a sampled one almost never does
+def _run_axiom_sweep(axiom, mech, profiles, k, exhaustive):
+    """``("FAIL", witness)`` for the first of ``profiles`` that fails the
+    axiom, else ``("PASS", (None, None, None))``.
+
+    An exhaustive sweep runs over ``sampling.orbit_profiles``: every registry
+    code is equivariant under renaming agents and items, so each verdict
+    holds on a whole orbit and the first failing profile is its orbit's least.
+    """
+    # sp: lottery rows by orbit; an exhaustive sweep meets every misreport's
+    # orbit again, a sampled one keeps them for one profile
     lotteries = {}
-    for profile in profile_stream(n, source, args.seed):
-        count += 1
-        if source == "all" and total >= 10000 and count % progress == 0:
-            sys.stderr.write(f"  ...{count}/{total} profiles\n")
-        if axiom == "expost":
-            for order in order_stream(n):
-                if not is_pareto_efficient(mech.run(profile, order), profile):
-                    return "FAIL", (profile, order.order, None)
-        elif axiom == "ordinal":
-            if not is_ordinally_efficient(mech.assignment(profile), profile):
-                return "FAIL", (profile, None, None)
-        elif axiom == "sp":
-            if source != "all":
-                lotteries.clear()
-            for agent in range(n):
-                report = check_strategyproofness(mech.run, profile, agent, lotteries)
-                if report.overall is SPVerdict.NOT_WEAKLY_SP:
-                    return "FAIL", (profile, None, report.best_deviation())
-        elif not satisfies_conditional_bound(mech.run, profile, args.k):  # topk
-            return "FAIL", (profile, None, None)
+    for profile in profiles:
+        if not exhaustive:
+            lotteries.clear()
+        witness = _axiom_witness(axiom, mech, profile, k, lotteries)
+        if witness is not None:
+            return "FAIL", witness
     return "PASS", (None, None, None)
 
 
+def _axiom_witness(axiom, mech, profile, k, lotteries):
+    """The witness ``(profile, order, misreport)`` by which ``profile`` fails
+    ``axiom`` under ``mech``, or None if it passes: the first order of a
+    failing ``expost`` run, the first strict-gain misreport of the first
+    agent that has one for ``sp``.  ``k`` is the ``topk`` bound and
+    ``lotteries`` the ``sp`` memo of ``check_strategyproofness``."""
+    n = profile.n
+    if axiom == "expost":
+        for order in order_stream(n):
+            if not is_pareto_efficient(mech.run(profile, order), profile):
+                return profile, order.order, None
+    elif axiom == "ordinal":
+        if not is_ordinally_efficient(mech.assignment(profile), profile):
+            return profile, None, None
+    elif axiom == "sp":
+        for agent in range(n):
+            report = check_strategyproofness(mech.run, profile, agent, lotteries)
+            if report.overall is SPVerdict.NOT_WEAKLY_SP:
+                return profile, None, report.best_deviation()
+    elif not satisfies_conditional_bound(mech.run, profile, k):  # topk
+        return profile, None, None
+    return None
+
+
 def cmd_experiment(args) -> int:
-    csv_text = rows_to_csv(run_experiment(parse_config(Path(args.config).read_text())))
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    config = parse_config(Path(args.config).read_text())
+    if not args.out:
+        sys.stdout.write(rows_to_csv(run_experiment(config)))
+        return 0
+    with open(args.out, "w") as out:  # an unwritable path fails before any cell runs
+        out.write(rows_to_csv(run_experiment(config)))
     return 0
 
 
 def cmd_generate(args) -> int:
-    profiles = list(profile_stream(args.n, _profile_source(args, args.count), args.seed))
+    profiles = list(profile_stream(args.n, _profile_source(args, args.count, "all"), args.seed))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     width = max(3, len(str(len(profiles) - 1)))
@@ -203,7 +219,8 @@ def cmd_generate(args) -> int:
 def cmd_compare(args) -> int:
     mech_a, rand_a = resolve(args.mechanism_a)
     mech_b, rand_b = resolve(args.mechanism_b)
-    profiles = profile_stream(args.n, _profile_source(args, args.samples), args.seed)
+    # --exhaustive compares one profile per renaming orbit, as axiom sweeps do
+    profiles = profile_stream(args.n, _profile_source(args, args.samples, "orbits"), args.seed)
     order_stream(args.n, args.orders)  # refuses a bad --orders even when it goes unused
     if rand_a or rand_b:
         verdict = randomized_equivalent_on(mech_a.run, mech_b.run, profiles)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from propmatch import axioms
+from propmatch import axioms, cli as cli_module, sampling
 from propmatch.cli import main
 from propmatch.lottery import exact_lottery
 from propmatch.model import AgentOrder
@@ -17,7 +17,20 @@ DATA = Path(__file__).parent / "data"
 BENCH = str(DATA / "bench4.txt")
 TWO_SIDED = str(DATA / "two_sided4.txt")
 ENGINE_CODES = ("PFS", "PFQ", "PLS", "PLQ", "TFS", "TFQ", "TLS", "TLQ")
+ONE_SIDED_CODES = ENGINE_CODES + ("SD", "NB", "PS") + tuple(
+    code + "+G" for code in ENGINE_CODES + ("SD", "NB")
+)
 EXPERIMENT = str(DATA / "experiment3.cfg")
+
+
+def main_result(capsys, *args):
+    """``main``'s exit status, stdout and stderr, in process."""
+    try:
+        status = main(list(args))
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    return status, out, err
 
 
 def cli(*args, expect=0):
@@ -164,10 +177,11 @@ class TestAxioms:
     @pytest.mark.parametrize(
         "args, built",
         [
-            # every misreport profile is itself swept: one lottery per profile
-            (("--n", "3", "--exhaustive"), 216),
-            # k profiles: the truthful lottery once, then n (n! - 1) misreports
-            (("--n", "4", "--samples", "5"), 5 * (4 * 23 + 1)),
+            # every misreport's orbit is itself swept: one lottery per orbit
+            (("--n", "3", "--exhaustive"), 10),
+            # k profiles: one lottery per orbit among the truthful profile and
+            # its n (n! - 1) misreports, at most 5 * (4 * 23 + 1) = 465
+            (("--n", "4", "--samples", "5"), 354),
         ],
     )
     def test_sp_sweep_builds_each_lottery_once(self, monkeypatch, capsys, args, built):
@@ -181,6 +195,35 @@ class TestAxioms:
         assert main(["axioms", "SD", *args, "--axioms", "sp"]) == 0
         assert capsys.readouterr().out.startswith(f"sp, SD, {args[1]}, PASS")
         assert len(calls) == built
+
+    @pytest.mark.parametrize("axiom", [
+        ("--axioms", "expost"), ("--axioms", "ordinal"), ("--axioms", "sp"),
+        ("--axioms", "topk", "--k", "1"), ("--axioms", "topk", "--k", "2"),
+        ("--axioms", "topk", "--k", "3"),
+    ], ids=["expost", "ordinal", "sp", "topk1", "topk2", "topk3"])
+    @pytest.mark.parametrize("code", ONE_SIDED_CODES)
+    def test_orbit_sweep_matches_brute_force(self, monkeypatch, capsys, code, axiom):
+        """An exhaustive sweep over one profile per renaming orbit prints, and
+        exits with, exactly what the same check prints over every profile."""
+        args = ("axioms", code, "--n", "3", "--exhaustive", *axiom)
+        orbits = main_result(capsys, *args)
+        monkeypatch.setattr(sampling, "orbit_profiles", sampling.all_profiles)
+        assert main_result(capsys, *args) == orbits
+
+    @pytest.mark.parametrize("code, axiom, line", [
+        ("PFQ", "sp", "sp, PFQ, 4, FAIL, a,b,c,d;a,b,c,d;a,b,c,d;b,a,c,d, -, a,c,b,d"),
+        ("TLQ", "topk", "topk2, TLQ, 4, FAIL, a,b,c,d;a,b,c,d;a,c,b,d;b,d,a,c, -, -"),
+        ("SD", "topk", "topk2, SD, 4, FAIL, a,b,c,d;a,b,c,d;a,c,b,d;a,d,b,c, -, -"),
+    ])
+    def test_n4_witnesses(self, capsys, code, axiom, line):
+        """The witnesses a sweep over all 331,776 profiles prints."""
+        assert main(["axioms", code, "--n", "4", "--exhaustive", "--axioms", axiom]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.slow
+    def test_n4_sd_sp_passes(self, capsys):
+        assert main(["axioms", "SD", "--n", "4", "--exhaustive", "--axioms", "sp"]) == 0
+        assert capsys.readouterr().out == "sp, SD, 4, PASS, -, -, -\n"
 
 
 class TestGenerateAndExperiment:
@@ -261,6 +304,16 @@ class TestGenerateAndExperiment:
         )
         assert cli("experiment", str(config), expect=2) == ""
 
+    def test_experiment_out_refused_before_any_cell(self, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("a cell ran before --out was opened")
+
+        monkeypatch.setattr(cli_module, "run_experiment", never)
+        status, out, err = main_result(capsys, "experiment", EXPERIMENT, "--out", str(DATA))
+        assert (status, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_experiment_loss_on_one_agent_refused(self, tmp_path):
         config = tmp_path / "one.cfg"
         config.write_text("mechanisms = RSD\nn_values = 1\nmetrics = util_loss\n")
@@ -280,6 +333,16 @@ class TestCompare:
     def test_randomized_comparison(self):
         out = cli("compare", "R-PFS", "R-SD", "--n", "3", "--exhaustive")
         assert out.startswith("EQUAL")
+
+    @pytest.mark.parametrize("a, b", [
+        ("PFS", "SD"), ("PFQ", "NB"), ("TFQ", "TLQ"), ("PLS", "PLS+G"), ("SD", "TLS+G"),
+        ("R-PFS", "R-SD"), ("R-TLS", "R-TLQ"), ("PS", "SD"),
+    ])
+    def test_orbit_comparison_matches_brute_force(self, monkeypatch, capsys, a, b):
+        args = ("compare", a, b, "--n", "3", "--exhaustive")
+        orbits = main_result(capsys, *args)
+        monkeypatch.setattr(sampling, "orbit_profiles", sampling.all_profiles)
+        assert main_result(capsys, *args) == orbits
 
 
 class TestErrorContract:

@@ -15,6 +15,7 @@ from propmatch import (
     Matching,
     Profile,
     naive_boston_one_sided,
+    probabilistic_serial,
     profile,
     run_boston_two_sided,
     run_engine,
@@ -321,7 +322,7 @@ def relabel(p, order, agents, items):
 class TestRelabeling:
     """Renaming agents and items commutes with every engine code and with
     Gale-Shapley: the same matching up to the renaming, the same proposal
-    count."""
+    count.  It commutes with every other registry code too, PS included."""
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(relabeled_instances())
@@ -349,6 +350,18 @@ class TestRelabeling:
             r, s = mechanism.run(p, order), mechanism.run(q, renamed_order)
             for a in range(p.n):
                 assert s.item_of[agents[a]] == items[r.item_of[a]], code
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(relabeled_instances())
+    def test_probabilistic_serial_equivariant(self, case):
+        """Renaming agents and items permutes the rows and columns of PS's
+        random assignment, which ``ordinal`` sweeps over orbits rely on."""
+        p, order, agents, items = case
+        q, _ = relabel(p, order, agents, items)
+        r, s = probabilistic_serial(p), probabilistic_serial(q)
+        for a in range(p.n):
+            for o in range(p.n):
+                assert s.p[agents[a]][items[o]] == r.p[a][o]
 
 
 @st.composite

@@ -30,7 +30,13 @@ from propmatch.lottery import (
     sampled_lottery,
 )
 from propmatch.registry import resolve
-from propmatch.sampling import ProfileSampler, all_profiles, profile_stream
+from propmatch.sampling import (
+    ProfileSampler,
+    all_profiles,
+    canonical,
+    orbit_profiles,
+    profile_stream,
+)
 
 from conftest import random_permutation
 
@@ -86,12 +92,49 @@ class TestProfileStream:
             (3, 0, ValueError),
             (3, -1, ValueError),
             (5, "all", EnumerationLimitError),
+            (5, "orbits", EnumerationLimitError),
         ],
     )
     def test_refused_on_call(self, n, profiles, error):
         # A generator would raise only when first iterated.
         with pytest.raises(error):
             profile_stream(n, profiles)
+
+
+@st.composite
+def renamed_prefs(draw):
+    """One-sided preferences and a renaming of their agents and items."""
+    n = draw(st.integers(1, 6))
+    perm = st.permutations(range(n))
+    prefs = tuple(tuple(draw(perm)) for _ in range(n))
+    agents, items = draw(perm), draw(perm)
+    renamed = [None] * n
+    for a, row in enumerate(prefs):
+        renamed[agents[a]] = tuple(items[o] for o in row)
+    return prefs, tuple(renamed)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 10), (4, 762)])
+    def test_one_least_profile_per_orbit(self, n, count):
+        orbits = [p.agent_prefs for p in profile_stream(n, "orbits")]
+        assert len(orbits) == count
+        assert orbits == sorted(orbits)
+        assert all(canonical(prefs)[0] == prefs for prefs in orbits)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_profile_reaches_a_listed_orbit(self, n):
+        least = {canonical(p.agent_prefs)[0] for p in all_profiles(n)}
+        assert sorted(least) == [p.agent_prefs for p in orbit_profiles(n)]
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(renamed_prefs())
+    def test_canonical_ignores_renaming(self, case):
+        prefs, renamed = case
+        least, agents, items = canonical(prefs)
+        assert canonical(renamed)[0] == least
+        assert least == tuple(tuple(items[o] for o in prefs[a]) for a in agents)
+        assert least <= prefs and least <= renamed
 
 
 class TestExactLottery:
