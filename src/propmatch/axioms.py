@@ -6,8 +6,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lottery import MatchingMechanism, exact_lottery, order_stream
@@ -24,15 +24,15 @@ class Dominance(enum.Enum):
 
 
 def sd_dominates(
-    p: Sequence[Fraction | int], q: Sequence[Fraction | int], pref: Sequence[int]
+    p: Sequence[numbers.Rational], q: Sequence[numbers.Rational], pref: Sequence[int]
 ) -> Dominance:
     """First-order stochastic dominance of row ``p`` over ``q`` under ``pref``.
 
     ``p`` weakly dominates ``q`` iff every preference-prefix cumulative
     probability of ``p`` is at least that of ``q``; strictly iff some prefix is
     strictly greater.  The rows are ``Fraction`` probabilities, or integer
-    counts over one common denominator (as ``check_strategyproofness`` passes
-    with a memo), which compare without any ``Fraction`` arithmetic.
+    counts over one common denominator (as ``check_strategyproofness`` passes),
+    which compare without any ``Fraction`` arithmetic.
     """
     if len(p) != len(q) or len(p) != len(pref):
         raise ValueError("row/preference length mismatch")
@@ -100,12 +100,13 @@ class SPVerdict(enum.Enum):
 class SPReport:
     """Deviation analysis for one agent: the truthful exact-lottery row against
     the row under every possible misreport, others held truthful.  Rows are
-    ``Fraction`` probabilities, or receipt counts over n! when
-    ``check_strategyproofness`` was given a memo."""
+    receipt counts over ``order_count`` (n!): ``row[o] / order_count`` is the
+    probability of item o."""
 
     agent: int
-    truthful_row: Tuple[Fraction | int, ...]
-    misreports: Tuple[Tuple[Tuple[int, ...], Tuple[Fraction | int, ...], Dominance], ...]
+    order_count: int
+    truthful_row: Tuple[int, ...]
+    misreports: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Dominance], ...]
     overall: SPVerdict
 
     def best_deviation(self) -> Optional[Tuple[int, ...]]:
@@ -133,28 +134,17 @@ def _receipt_row(
     are kept under its own preferences.
     """
     if memo is None:
-        return _receipt_counts(mechanism, Profile(agent_prefs, item_prefs))[agent]
-    if item_prefs is not None:
-        key = (agent_prefs, item_prefs)
-        rows = memo.get(key)
-        if rows is None:
-            rows = memo[key] = _receipt_counts(mechanism, Profile(agent_prefs, item_prefs))
-        return rows[agent]
-    least, agents, items = canonical(agent_prefs)
-    key = (least, None)
+        return exact_lottery(mechanism, Profile(agent_prefs, item_prefs)).rows[agent]
+    items = None
+    if item_prefs is None:
+        agent_prefs, agents, items = canonical(agent_prefs)
+        agent = agents.index(agent)
+    key = (agent_prefs, item_prefs)
     rows = memo.get(key)
     if rows is None:
-        rows = memo[key] = _receipt_counts(mechanism, Profile(least))
-    row = rows[agents.index(agent)]
-    return tuple([row[y] for y in items])
-
-
-def _receipt_counts(mechanism: MatchingMechanism, profile: Profile) -> Tuple[Tuple[int, ...], ...]:
-    lottery = exact_lottery(mechanism, profile)
-    total = lottery.order_count
-    return tuple(
-        tuple(x.numerator * (total // x.denominator) for x in row) for row in lottery.assignment.p
-    )
+        rows = memo[key] = exact_lottery(mechanism, Profile(*key)).rows
+    row = rows[agent]
+    return row if items is None else tuple([row[y] for y in items])
 
 
 def check_strategyproofness(
@@ -162,14 +152,14 @@ def check_strategyproofness(
 ) -> SPReport:
     """Compare the agent's exact randomized outcome under truth against every
     misreport, the other agents' preferences and any item preferences held
-    fixed.  Dominance verdicts are relative to the *true* preferences.
+    fixed.  Dominance verdicts are relative to the *true* preferences.  The
+    rows are receipt counts over n!, the exact lotteries' ``rows``.
 
-    Without ``memo`` the rows are ``Fraction`` probabilities.  ``memo`` maps
-    the preferences of a profile, ``(agent_prefs, item_prefs)``, to every
-    agent's receipt counts over n! under ``mechanism``; pass one dict only
-    with one mechanism.  The rows are then those integer counts, and a
-    lottery is built once however often it comes up.  A one-sided profile is
-    kept under the least profile of its orbit under renaming agents and items
+    ``memo`` maps the preferences of a profile, ``(agent_prefs,
+    item_prefs)``, to every agent's receipt counts under ``mechanism``; pass
+    one dict only with one mechanism.  A lottery is then built once however
+    often it comes up.  A one-sided profile is kept under the least profile
+    of its orbit under renaming agents and items
     (``sampling.canonical``), so a memo assumes anonymity and neutrality:
     pass one only for a mechanism whose outcomes are equivariant under
     renaming, as every registry code's are.  An exhaustive sweep that keeps
@@ -181,30 +171,19 @@ def check_strategyproofness(
     truth = profile.agent_prefs[agent]
     truthful_row = _receipt_row(mechanism, profile.agent_prefs, profile.item_prefs, agent, memo)
     before, after = profile.agent_prefs[:agent], profile.agent_prefs[agent + 1:]
-    rows = []
-    strict_gain = False
-    all_weakly_dominated = True
+    misreports = []
     for report in itertools.permutations(range(n)):
-        if report == truth:
-            continue
-        row = _receipt_row(mechanism, before + (report,) + after, profile.item_prefs, agent, memo)
-        verdict = sd_dominates(row, truthful_row, truth)
-        rows.append((report, row, verdict))
-        if verdict is Dominance.STRICTLY_DOMINATES:
-            strict_gain = True
-        if verdict not in (Dominance.DOMINATED_BY, Dominance.EQUAL):
-            all_weakly_dominated = False
-    if strict_gain:
+        if report != truth:
+            row = _receipt_row(mechanism, before + (report,) + after, profile.item_prefs, agent, memo)
+            misreports.append((report, row, sd_dominates(row, truthful_row, truth)))
+    verdicts = {verdict for _, _, verdict in misreports}
+    if Dominance.STRICTLY_DOMINATES in verdicts:
         overall = SPVerdict.NOT_WEAKLY_SP
-    elif all_weakly_dominated:
+    elif verdicts <= {Dominance.DOMINATED_BY, Dominance.EQUAL}:
         overall = SPVerdict.STRATEGYPROOF
     else:
         overall = SPVerdict.WEAKLY_SP_ONLY
-    if memo is None:
-        total = math.factorial(n)
-        truthful_row = tuple(Fraction(c, total) for c in truthful_row)
-        rows = [(report, tuple(Fraction(c, total) for c in row), verdict) for report, row, verdict in rows]
-    return SPReport(agent, truthful_row, tuple(rows), overall)
+    return SPReport(agent, math.factorial(n), truthful_row, tuple(misreports), overall)
 
 
 def feasible_top_k(profile: Profile, k: int) -> bool:

@@ -105,6 +105,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"order_mode=exact needs n <= {ENUMERATION_LIMIT}, got {max(cfg.n_values)}"
         )
+    if "util_loss" in cfg.metrics and min(cfg.n_values) < 2:
+        raise ConfigError("util_loss needs n >= 2: with one agent the optimum is 0")
     for code in cfg.mechanisms:
         mech, randomized = resolve(code)  # raises on unknown codes / +G on PS
         if mech.needs_item_prefs:

@@ -3,15 +3,16 @@ Monte Carlo estimation, and equivalence testing between mechanisms.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
-from .model import AgentOrder, FractionalAssignment, Matching, Profile
+from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile
 
 MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
@@ -37,16 +38,37 @@ class EnumerationLimitError(ValueError):
 
 @dataclass(frozen=True)
 class LotteryResult:
-    """Exact uniform-order lottery: the average assignment and its support.
+    """Exact uniform-order lottery, as integer counts over ``order_count`` (n!).
 
-    ``support`` pairs each distinct matching with its exact probability;
-    weights sum to 1 and their weighted permutation matrices sum to
-    ``assignment``.
+    ``outcomes`` pairs each distinct outcome ``item_of`` with the number of
+    orders giving it, sorted by outcome, and ``rows[i][o]`` counts the orders
+    giving agent i item o; every row and column of ``rows`` must sum to
+    ``order_count``.  ``assignment`` and ``support`` are the same lottery in
+    exact ``Fraction`` probabilities, built on first read: ``support`` pairs
+    each distinct matching with its probability, and the weighted permutation
+    matrices sum to ``assignment``.
     """
 
-    assignment: FractionalAssignment
-    support: Tuple[Tuple[Matching, Fraction], ...]
+    outcomes: Tuple[Tuple[Tuple[int, ...], int], ...]
     order_count: int
+    rows: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        rows = _receipt_rows(self.outcomes, len(self.outcomes[0][0]))
+        object.__setattr__(self, "rows", rows)
+        if any(sum(line) != self.order_count for line in rows + tuple(zip(*rows))):
+            raise InvalidInstanceError(f"lottery rows and columns must each sum to {self.order_count}")
+
+    @functools.cached_property
+    def assignment(self) -> FractionalAssignment:
+        total = self.order_count
+        return FractionalAssignment(tuple(tuple(Fraction(c, total) for c in row) for row in self.rows))
+
+    @functools.cached_property
+    def support(self) -> Tuple[Tuple[Matching, Fraction], ...]:
+        total = self.order_count
+        weight = {c: Fraction(c, total) for c in {c for _, c in self.outcomes}}
+        return tuple((Matching(item_of), weight[c]) for item_of, c in self.outcomes)
 
 
 class Runner:
@@ -220,32 +242,22 @@ def _walk(stepped: tuple, classes) -> Counter:
     return counts
 
 
-def _receipt_rows(counts: Counter, n: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Per agent and item, the share of the counted runs giving the agent that item."""
-    total = sum(counts.values())
+def _receipt_rows(outcomes: Iterable[Tuple[Tuple[int, ...], int]], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per agent and item, how many of the counted runs give the agent that item."""
     rows = [[0] * n for _ in range(n)]
-    for item_of, c in counts.items():
+    for item_of, c in outcomes:
         for row, o in zip(rows, item_of):
             row[o] += c
-    return tuple(tuple(Fraction(c, total) for c in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
-    """The lottery over all n! initial orders, each with weight 1/n!.
-
-    Outcomes are counted by ``exact_counts``, which walks order prefixes and
-    runs on once from each mechanism state they reach (``mechanism`` may be
-    a ``Runner`` carrying a stepper, as every registry code's ``run`` is).
-    Identical agents of a one-sided profile are folded into classes, which
-    relies on ``mechanism`` treating agents anonymously.  ``order_count`` is
-    n!, and n is limited to ``ENUMERATION_LIMIT``.
+    """The lottery over all n! initial orders, each with weight 1/n!: the
+    outcome counts of ``exact_counts``, which states how orders are walked,
+    the anonymity it relies on, and the ``ENUMERATION_LIMIT`` on n.
     """
     counts = exact_counts(mechanism, profile)
-    total = sum(counts.values())
-    weight = {c: Fraction(c, total) for c in set(counts.values())}
-    support = tuple((Matching(item_of), weight[c]) for item_of, c in sorted(counts.items()))
-    assignment = FractionalAssignment(_receipt_rows(counts, profile.n))
-    return LotteryResult(assignment, support, total)
+    return LotteryResult(tuple(sorted(counts.items())), sum(counts.values()))
 
 
 def sampled_lottery(
@@ -256,7 +268,8 @@ def sampled_lottery(
     not, so the result is returned as raw frequency rows.
     """
     orders = order_stream(profile.n, samples, random.Random(seed))
-    return _receipt_rows(outcome_counts(mechanism, profile, orders), profile.n)
+    rows = _receipt_rows(outcome_counts(mechanism, profile, orders).items(), profile.n)
+    return tuple(tuple(Fraction(c, samples) for c in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -297,6 +310,6 @@ def randomized_equivalent_on(
 ) -> EquivalenceVerdict:
     """Compare randomized versions by exact lottery matrices (never samples)."""
     for profile in profiles:
-        if exact_lottery(mech_a, profile).assignment != exact_lottery(mech_b, profile).assignment:
+        if exact_lottery(mech_a, profile).rows != exact_lottery(mech_b, profile).rows:
             return EquivalenceVerdict(False, profile)
     return EquivalenceVerdict(True)

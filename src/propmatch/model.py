@@ -7,6 +7,7 @@ floating point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,14 +118,12 @@ class FractionalAssignment:
         rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.p)
         object.__setattr__(self, "p", rows)
         # The sums are checked exactly, as integer numerators over one common denominator.
-        scale = math.lcm(*(x.denominator for row in rows for x in row))
-        nums = []
+        nums, scale = self.scaled
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise InvalidInstanceError(f"row {i} has length {len(row)}, expected {n}")
             if any(x.numerator < 0 or x.numerator > x.denominator for x in row):
                 raise InvalidInstanceError(f"row {i} has an entry outside [0, 1]")
-            nums.append([x.numerator * (scale // x.denominator) for x in row])
             if sum(nums[i]) != scale:
                 raise InvalidInstanceError(
                     f"row {i} sums to {Fraction(sum(nums[i]), scale)}, expected exactly 1"
@@ -134,6 +133,13 @@ class FractionalAssignment:
                 raise InvalidInstanceError(
                     f"column {j} sums to {Fraction(sum(col), scale)}, expected exactly 1"
                 )
+
+    @functools.cached_property
+    def scaled(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """The entries as integers over their least common denominator:
+        ``(nums, scale)`` with ``p[i][o] == nums[i][o] / scale``."""
+        scale = math.lcm(*(x.denominator for row in self.p for x in row))
+        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.p), scale
 
     @property
     def n(self) -> int:

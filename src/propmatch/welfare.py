@@ -35,9 +35,8 @@ def _utility_rows(
     """(Expected) Borda utility of every agent, given the utility table ``u``."""
     if isinstance(outcome, Matching):
         return [Fraction(row[o]) for row, o in zip(u, outcome.item_of)]
-    return [
-        sum((p * row[o] for o, p in enumerate(ps)), Fraction(0)) for row, ps in zip(u, outcome.p)
-    ]
+    nums, scale = outcome.scaled
+    return [Fraction(sum(x * w for x, w in zip(ps, row)), scale) for ps, row in zip(nums, u)]
 
 
 def agent_utility(
@@ -184,16 +183,13 @@ def _utility_sums(
 
     Matching mechanisms count outcomes over every order (``"all"``, by
     ``exact_counts``) or over k draws from ``rng``.  Fractional mechanisms draw
-    no orders; their shares go over the lcm of their denominators, and their
-    worst-off value is the minimum expectation.
+    no orders; their shares are the assignment's integer numerators over its
+    common denominator (``FractionalAssignment.scaled``), and their worst-off
+    value is the minimum expectation.
     """
     if mechanism.kind == "fractional":
-        p = mechanism.assignment(profile).p
-        scale = math.lcm(*(x.denominator for row in p for x in row))
-        sums = [
-            sum(x.numerator * (scale // x.denominator) * w for x, w in zip(ps, row))
-            for ps, row in zip(p, u)
-        ]
+        nums, scale = mechanism.assignment(profile).scaled
+        sums = [sum(x * w for x, w in zip(ps, row)) for ps, row in zip(nums, u)]
         return sums, scale, min(sums)
     if orders == "all":
         counts = exact_counts(mechanism.run, profile)

@@ -212,25 +212,23 @@ class TestStrategyproofness:
 
     @pytest.mark.parametrize("code", ["SD", "TLS", "NB", "PLQ+G"])
     def test_rows_match_exact_lotteries(self, code, lottery4):
-        """Without a memo the rows are the exact lotteries' Fraction rows; with
-        one they are the same rows as counts over n!, with the same verdicts."""
+        """The rows are the exact lotteries' receipt counts over n!, and a memo
+        leaves the whole report, rows and verdicts, unchanged."""
         mech, _ = resolve(code)
         for p in (lottery4, profile([[0, 1, 2], [1, 0, 2], [0, 2, 1]])):
             total = math.factorial(p.n)
             memo = {}
             for agent in range(p.n):
                 report = check_strategyproofness(mech.run, p, agent)
-                assert report.truthful_row == exact_lottery(mech.run, p).assignment.row(agent)
+                assert check_strategyproofness(mech.run, p, agent, memo) == report
+                assert report.order_count == total
+                lot = exact_lottery(mech.run, p)
+                assert report.truthful_row == lot.rows[agent]
+                assert tuple(F(c, total) for c in report.truthful_row) == lot.assignment.row(agent)
                 for misreport, row, _ in report.misreports:
                     prefs = list(p.agent_prefs)
                     prefs[agent] = misreport
-                    assert row == exact_lottery(mech.run, profile(prefs)).assignment.row(agent)
-                counted = check_strategyproofness(mech.run, p, agent, memo)
-                assert counted.overall is report.overall
-                assert tuple(F(c, total) for c in counted.truthful_row) == report.truthful_row
-                assert [(m, tuple(F(c, total) for c in row), v) for m, row, v in counted.misreports] == [
-                    (m, row, v) for m, row, v in report.misreports
-                ]
+                    assert row == exact_lottery(mech.run, profile(prefs)).rows[agent]
 
 
 class TestFeasibleTopK:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from propmatch import axioms, cli as cli_module, sampling
+from propmatch import axioms, cli as cli_module, experiments, sampling
 from propmatch.cli import main
 from propmatch.lottery import exact_lottery
 from propmatch.model import AgentOrder
@@ -318,6 +318,20 @@ class TestGenerateAndExperiment:
         config = tmp_path / "one.cfg"
         config.write_text("mechanisms = RSD\nn_values = 1\nmetrics = util_loss\n")
         assert cli("experiment", str(config), expect=2) == ""
+
+    def test_experiment_loss_on_one_agent_refused_before_any_cell(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("a campaign ran before the config was refused")
+
+        monkeypatch.setattr(experiments, "campaign", never)
+        config, out = tmp_path / "mixed.cfg", tmp_path / "out.csv"
+        config.write_text("mechanisms = RSD\nn_values = 3, 1\nmetrics = util_loss\n")
+        status, stdout, err = main_result(capsys, "experiment", str(config), "--out", str(out))
+        assert (status, stdout) == (2, "")
+        assert err == "error: util_loss needs n >= 2: with one agent the optimum is 0\n"
+        assert not out.exists()
 
 
 class TestCompare:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from propmatch import (
     FractionalAssignment,
+    InvalidInstanceError,
     LotteryResult,
     Matching,
     matching_to_assignment,
@@ -187,7 +188,8 @@ class TestExactLottery:
 
 
 def brute_force_lottery(run, p):
-    """The lottery from running every one of the n! orders."""
+    """The lottery from running every one of the n! orders; its Fraction
+    views must equal the probabilities summed here from the same counts."""
     counts = outcome_counts(run, p, order_stream(p.n))
     total = sum(counts.values())
     rows = [[F(0)] * p.n for _ in range(p.n)]
@@ -195,7 +197,10 @@ def brute_force_lottery(run, p):
         for a, o in enumerate(item_of):
             rows[a][o] += F(c, total)
     support = tuple((Matching(item_of), F(c, total)) for item_of, c in sorted(counts.items()))
-    return LotteryResult(FractionalAssignment(tuple(map(tuple, rows))), support, total)
+    lot = LotteryResult(tuple(sorted(counts.items())), total)
+    assert lot.assignment == FractionalAssignment(tuple(map(tuple, rows)))
+    assert lot.support == support
+    return lot
 
 
 @st.composite
@@ -307,6 +312,23 @@ class TestSteppedCounts:
         assert counts == {(0, 1, 2): 6}
         # The states of {0, 1}, {0, 2} and {1, 2} go on from 21, 31 and 32.
         assert sorted(seen) == [213, 312, 321]
+
+    def test_outcome_that_is_no_matching_refused(self):
+        def stepper(p):
+            def admit(state, work, agent):
+                return state, work
+
+            def finish(state, work, agent):
+                return (0,) * p.n  # every agent gets item 0
+
+            return None, admit, finish
+
+        p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+        # Refused by the lottery itself, before either Fraction view is read.
+        with pytest.raises(InvalidInstanceError, match="columns must each sum to 6"):
+            exact_lottery(Runner(serial_dictatorship, stepper), p)
+        with pytest.raises(InvalidInstanceError):
+            LotteryResult((((0, 0, 0), 6),), 6)
 
 
 class TestSampledLottery:
