@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 resource-limit refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -239,7 +240,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """Built on first use and reused by every ``main`` call; it holds no
+    ``cmd_*`` function, so ``main`` looks the subcommand's up at call time."""
     parser = _Parser(prog="propmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,14 +252,12 @@ def build_parser() -> _Parser:
     p.add_argument("mechanism")
     p.add_argument("--order", help="comma-separated agent names; default: file order")
     p.add_argument("--trace", action="store_true", help="print the proposal table")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("lottery", help="exact or sampled uniform-order lottery")
     p.add_argument("profile")
     p.add_argument("mechanism")
     p.add_argument("--samples", type=int, default=0, help="Monte Carlo order samples; default: all orders")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_lottery)
 
     p = sub.add_parser("axioms", help="axiom sweeps with witnesses")
     p.add_argument("mechanisms", help="comma-separated mechanism codes")
@@ -265,12 +267,10 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--axioms", default="expost,ordinal,sp", help="expost,ordinal,sp,topk")
     p.add_argument("--k", type=int, default=2, help="k for the topk axiom")
-    p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("experiment", help="welfare/bias campaign from a config file")
     p.add_argument("config")
     p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("generate", help="write a deterministic profile corpus")
     p.add_argument("--n", type=int, required=True)
@@ -278,7 +278,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--exhaustive", action="store_true", help="all n!^n profiles")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("compare", help="test two mechanisms for equivalence")
     p.add_argument("mechanism_a")
@@ -288,7 +287,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=200, help="profiles when not exhaustive")
     p.add_argument("--orders", type=int, default=6, help="orders per profile when not exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -299,7 +297,7 @@ def main(argv=None) -> int:
     written) exit 2, each with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except EnumerationLimitError as exc:
         _fail(str(exc), LIMIT_ERROR)
     except (ValueError, OSError) as exc:

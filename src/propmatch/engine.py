@@ -37,7 +37,7 @@ from typing import Iterator, List, Optional, Tuple
 from .lottery import Stepper
 from .mechanisms import immediate_acceptance, serial_dictatorship, serial_dictatorship_stepper
 from .model import AgentOrder, InvalidInstanceError, Matching, Profile
-from .textio import agent_name, item_name
+from .textio import names
 
 
 class Memory(enum.Enum):
@@ -364,37 +364,31 @@ def format_trace_table(
     One line per proposal:
     ``index | proposer -> item | outcome | pending-after | partial-matching | item-memories``.
     ``config`` is the engine configuration the run used; pass None for a
-    fixed-preference run (no memory column).
+    fixed-preference run (no memory column).  Costs time linear in the table.
     """
     n = len(order.order)
-    memory: List[Tuple[int, ...]] = [()] * n
-    item_of: List[Optional[int]] = [None] * n
+    agents, items = names(n)
+    # Kept tokens: "agent:item" per matched agent and "item:agent>agent" per
+    # item with a recorded preference; an event rewrites only those it changes.
+    held: List[Optional[str]] = [None] * n
+    mems: List[Optional[str]] = [None] * n
+    mem_s = "-"
     out = []
-    for idx, e in enumerate(_replay(item_of, result.trace), start=1):
-        if e.reset_occurred:
-            memory = [()] * n
-        memory[e.item] = e.memory
-        outcome = e.outcome.value
+    for idx, e in enumerate(_replay([None] * n, result.trace), start=1):
+        j, o, outcome = e.proposer, e.item, e.outcome.value
         if e.outcome is Outcome.DISPLACED_HOLDER:
-            outcome = f"{agent_name(e.displaced)} {outcome}"
-        pending_s = ",".join(agent_name(a) for a in e.pending) or "-"
-        matching_s = (
-            " ".join(
-                f"{agent_name(a)}:{item_name(o, n)}" for a, o in enumerate(item_of) if o is not None
-            )
-            or "-"
-        )
-        if config is None:
-            mem_s = "-"
-        else:
-            mems = [
-                f"{item_name(o, n)}:" + ">".join(agent_name(a) for a in memory[o])
-                for o in range(n)
-                if memory[o]
-            ]
-            mem_s = " ".join(mems) if mems else "none"
+            held[e.displaced] = None
+            outcome = f"{agents[e.displaced]} {outcome}"
+        if e.outcome is not Outcome.REJECTED:
+            held[j] = f"{agents[j]}:{items[o]}"
+        if config is not None:
+            if e.reset_occurred:
+                mems = [None] * n
+            mems[o] = f"{items[o]}:" + ">".join([agents[a] for a in e.memory]) if e.memory else None
+            mem_s = " ".join(filter(None, mems)) or "none"
+        pending_s = ",".join([agents[a] for a in e.pending]) or "-"
+        matching_s = " ".join(filter(None, held)) or "-"
         out.append(
-            f"{idx} | {agent_name(e.proposer)} -> {item_name(e.item, n)} | {outcome}"
-            f" | {pending_s} | {matching_s} | {mem_s}"
+            f"{idx} | {agents[j]} -> {items[o]} | {outcome} | {pending_s} | {matching_s} | {mem_s}"
         )
     return "\n".join(out) + "\n"

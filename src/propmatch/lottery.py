@@ -42,11 +42,11 @@ class LotteryResult:
 
     ``outcomes`` pairs each distinct outcome ``item_of`` with the number of
     orders giving it, sorted by outcome, and ``rows[i][o]`` counts the orders
-    giving agent i item o; every row and column of ``rows`` must sum to
-    ``order_count``.  ``assignment`` and ``support`` are the same lottery in
-    exact ``Fraction`` probabilities, built on first read: ``support`` pairs
-    each distinct matching with its probability, and the weighted permutation
-    matrices sum to ``assignment``.
+    giving agent i item o; every outcome must be a permutation of 0..n-1 and
+    every row and column of ``rows`` sum to ``order_count``.  ``assignment``
+    and ``support`` are the same lottery in exact ``Fraction`` probabilities,
+    built on first read: ``support`` pairs each distinct matching with its
+    probability, and the weighted permutation matrices sum to ``assignment``.
     """
 
     outcomes: Tuple[Tuple[Tuple[int, ...], int], ...]
@@ -54,7 +54,12 @@ class LotteryResult:
     rows: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        rows = _receipt_rows(self.outcomes, len(self.outcomes[0][0]))
+        n = len(self.outcomes[0][0])
+        items = set(range(n))
+        for item_of, _ in self.outcomes:
+            if len(item_of) != n or set(item_of) != items:
+                raise InvalidInstanceError(f"lottery outcome {item_of} is not a matching of {n} items")
+        rows = _receipt_rows(self.outcomes, n)
         object.__setattr__(self, "rows", rows)
         if any(sum(line) != self.order_count for line in rows + tuple(zip(*rows))):
             raise InvalidInstanceError(f"lottery rows and columns must each sum to {self.order_count}")

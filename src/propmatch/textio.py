@@ -27,14 +27,18 @@ def item_name(o: int, n: int) -> str:
         return "abcdefghijklmnopqrstuvwxyz"[o]
     return f"o{o + 1:0{len(str(n))}d}"
 
+def names(n: int) -> Tuple[List[str], List[str]]:
+    """The canonical agent and item names of indices 0..n-1."""
+    return [agent_name(i) for i in range(n)], [item_name(o, n) for o in range(n)]
+
 
 def _split_line(line: str, lineno: int) -> Tuple[str, List[str]]:
     if ":" not in line:
         raise ProfileParseError(f"line {lineno}: expected '<name>: <list>', got {line!r}")
     head, _, tail = line.partition(":")
     name = head.strip()
-    entries = [tok.strip() for tok in tail.split(",")]
-    if not name or any(not tok for tok in entries):
+    entries = list(map(str.strip, tail.split(",")))
+    if not name or "" in entries:
         raise ProfileParseError(f"line {lineno}: empty name or list entry in {line!r}")
     return name, entries
 
@@ -68,6 +72,10 @@ def parse_profile(text: str) -> Profile:
     items = {name: o for o, name in enumerate(item_names)}
 
     def to_indices(entries: List[str], table: dict, lineno: int, kind: str) -> Tuple[int, ...]:
+        row = tuple(map(table.get, entries))
+        if len(row) == n == len(set(row)) and None not in row:
+            return row
+        # a malformed row: report its first fault, token by token
         out = []
         seen = set()
         for tok in entries:
@@ -102,15 +110,15 @@ def parse_profile(text: str) -> Profile:
 
 def format_profile(p: Profile) -> str:
     """Render a profile with canonical names; ``parse_profile`` inverts this."""
-    n = p.n
+    agents, items = names(p.n)
     lines = [
-        f"{agent_name(i)}: " + ",".join(item_name(o, n) for o in prefs)
+        f"{agents[i]}: " + ",".join([items[o] for o in prefs])
         for i, prefs in enumerate(p.agent_prefs)
     ]
     if p.item_prefs is not None:
         lines.append("@items")
         lines.extend(
-            f"{item_name(o, n)}: " + ",".join(agent_name(i) for i in prefs)
+            f"{items[o]}: " + ",".join([agents[i] for i in prefs])
             for o, prefs in enumerate(p.item_prefs)
         )
     return "\n".join(lines) + "\n"

@@ -109,6 +109,37 @@ class TestRun:
             assert printed == matching
 
 
+class TestParserReuse:
+    """``main`` reuses one argument tree per process; each call still sees
+    only its own arguments and the module's current ``cmd_*`` functions."""
+
+    def test_built_once(self):
+        assert cli_module.build_parser() is cli_module.build_parser()
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        args = ("axioms", "TLQ", "--n", "3", "--samples", "2", "--axioms", "topk")
+        assert main_result(capsys, *args, "--k", "3")[1].startswith("topk3, TLQ, 3, ")
+        assert main_result(capsys, *args)[1].startswith("topk2, TLQ, 3, ")
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert main_result(capsys, "run", BENCH, "TLS")[0] == 0
+        status, out, err = main_result(capsys, "run", BENCH)
+        assert status == 1 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: the following arguments are required: mechanism"
+        ]
+
+    def test_repeated_run_prints_the_same(self, capsys):
+        first = main_result(capsys, "run", BENCH, "TLQ", "--trace")
+        assert first[0] == 0 and first[1].split("\n", 1)[1] == (DATA / "trace_TLQ.txt").read_text()
+        assert main_result(capsys, "run", BENCH, "TLQ", "--trace") == first
+
+    def test_patched_command_is_called(self, monkeypatch, capsys):
+        assert main_result(capsys, "run", BENCH, "SD")[0] == 0
+        monkeypatch.setattr(cli_module, "cmd_run", lambda args: 7)
+        assert main(["run", BENCH, "SD"]) == 7
+
+
 class TestLottery:
     def test_exact_matrix(self):
         out = cli("lottery", str(DATA / "lottery4.txt"), "RSD")

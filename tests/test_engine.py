@@ -29,11 +29,13 @@ from propmatch.engine import (
     ModeError,
     Outcome,
     format_trace_table,
+    _replay,
     replay_trace,
 )
 from propmatch.lottery import exact_lottery
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles
+from propmatch.textio import agent_name, item_name
 
 from conftest import random_order, random_prefs, random_profile
 
@@ -444,3 +446,63 @@ class TestTraceTable:
         last = [c.strip() for c in lines[-1].split("|")]
         assert last[3] == "-"
         assert set(last[4].split()) == {"1:b", "2:a", "3:d", "4:c"}
+
+
+def reference_trace_table(order, result, config=None):
+    """The trace table rebuilt in full on every line: the oracle that
+    ``format_trace_table``, which rewrites only the tokens an event changes,
+    must match byte for byte."""
+    n = len(order.order)
+    memory = [()] * n
+    item_of = [None] * n
+    out = []
+    for idx, e in enumerate(_replay(item_of, result.trace), start=1):
+        if e.reset_occurred:
+            memory = [()] * n
+        memory[e.item] = e.memory
+        outcome = e.outcome.value
+        if e.outcome is Outcome.DISPLACED_HOLDER:
+            outcome = f"{agent_name(e.displaced)} {outcome}"
+        pending_s = ",".join(agent_name(a) for a in e.pending) or "-"
+        matching_s = (
+            " ".join(
+                f"{agent_name(a)}:{item_name(o, n)}" for a, o in enumerate(item_of) if o is not None
+            )
+            or "-"
+        )
+        if config is None:
+            mem_s = "-"
+        else:
+            mems = [
+                f"{item_name(o, n)}:" + ">".join(agent_name(a) for a in memory[o])
+                for o in range(n)
+                if memory[o]
+            ]
+            mem_s = " ".join(mems) if mems else "none"
+        out.append(
+            f"{idx} | {agent_name(e.proposer)} -> {item_name(e.item, n)} | {outcome}"
+            f" | {pending_s} | {matching_s} | {mem_s}"
+        )
+    return "\n".join(out) + "\n"
+
+
+class TestTraceTableOracle:
+    """Seeded profiles and orders at n = 5, 27 and 32; past 26 items are
+    named ``o01``..., which no golden file reaches."""
+
+    @pytest.mark.parametrize("n", [5, 27, 32])
+    @pytest.mark.parametrize("code", ALL_ENGINE_CODES + ("GS",))
+    def test_matches_reference(self, code, n):
+        for seed in range(3):
+            p, order = seeded_case(n, seed=1000 * n + seed, two_sided=code == "GS")
+            if code == "GS":
+                config, r = None, run_gale_shapley(p, order)
+            else:
+                config = EngineConfig.from_code(code)
+                r = run_engine(p, order, config)
+            for c in (config, None):  # None: no memory column
+                table = format_trace_table(order, r, c)
+                reference = reference_trace_table(order, r, c)
+                # lines first: a failure then names the first bad line cheaply
+                assert table.split("\n") == reference.split("\n")
+                assert table == reference

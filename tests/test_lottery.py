@@ -325,10 +325,30 @@ class TestSteppedCounts:
 
         p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
         # Refused by the lottery itself, before either Fraction view is read.
-        with pytest.raises(InvalidInstanceError, match="columns must each sum to 6"):
+        with pytest.raises(InvalidInstanceError, match=r"\(0, 0, 0\) is not a matching of 3 items"):
             exact_lottery(Runner(serial_dictatorship, stepper), p)
         with pytest.raises(InvalidInstanceError):
             LotteryResult((((0, 0, 0), 6),), 6)
+
+    @pytest.mark.parametrize("first, other", [
+        ((0, 0), (1, 1)),  # balanced rows and columns, but no matching
+        ((0, 2), (1, 0)),  # an item index past n - 1
+        ((0, -1), (-1, 0)),  # a negative item index, which would wrap
+    ])
+    def test_outcome_that_is_no_permutation_refused(self, first, other):
+        # The outcome depends on which of the two agents is admitted first.
+        def stepper(p):
+            def admit(state, work, agent):
+                return agent, work
+
+            def finish(state, work, agent):
+                return first if state == 0 else other
+
+            return None, admit, finish
+
+        p = profile([[0, 1], [1, 0]])
+        with pytest.raises(InvalidInstanceError, match="is not a matching of 2 items"):
+            exact_lottery(Runner(serial_dictatorship, stepper), p)
 
 
 class TestSampledLottery:

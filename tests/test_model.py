@@ -130,6 +130,36 @@ class TestProfileText:
         with pytest.raises(ProfileParseError, match="unknown item"):
             parse_profile("1: a,b\n2: a,x\n")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,a,x", "line 2: duplicate entry 'a'"),
+            ("x,a,a", "line 2: unknown item name 'x'"),
+            ("a,a,b", "line 2: duplicate entry 'a'"),
+            ("a,b", "line 2: expected 3 entries, got 2"),
+            ("a,b,c,a", "line 2: duplicate entry 'a'"),
+            ("a,b,c,d", "line 2: unknown item name 'd'"),
+        ],
+    )
+    def test_row_fault_messages(self, row, message):
+        # the first fault of a row, in token order, is the one reported
+        with pytest.raises(ProfileParseError) as excinfo:
+            parse_profile(f"1: a,b,c\n2: {row}\n3: c,b,a\n")
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,9", "line 4: unknown agent name '9'"),
+            ("2,2", "line 4: duplicate entry '2'"),
+            ("2", "line 4: expected 2 entries, got 1"),
+        ],
+    )
+    def test_item_section_fault_messages(self, row, message):
+        with pytest.raises(ProfileParseError) as excinfo:
+            parse_profile(f"1: a,b\n2: b,a\n@items\na: {row}\nb: 1,2\n")
+        assert str(excinfo.value) == message
+
     def test_two_sided_section(self, two_sided4):
         text = format_profile(two_sided4)
         assert "@items" in text
