@@ -22,6 +22,7 @@ from .engine import format_trace_table
 from .experiments import parse_config, rows_to_csv, run_experiment
 from .lottery import (
     EnumerationLimitError,
+    check_seed,
     equivalent_on,
     order_stream,
     randomized_equivalent_on,
@@ -67,9 +68,9 @@ def _parse_order(arg: str | None, profile: Profile) -> AgentOrder:
 
 def _profile_source(args, count: int, exhaustive: str) -> str | int:
     """``exhaustive`` (``"all"`` or ``"orbits"``) under --exhaustive, else
-    ``count``.  ``profile_stream`` checks ``count`` either way, so a bad value
-    is refused even when unused."""
-    profile_stream(args.n, count)
+    ``count``.  ``profile_stream`` checks ``count`` and the seed either way, so
+    a bad value is refused even when unused."""
+    profile_stream(args.n, count, args.seed)
     return exhaustive if args.exhaustive else count
 
 
@@ -95,6 +96,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_lottery(args) -> int:
+    check_seed(args.seed)  # refused even when no samples are drawn
     profile = _read_profile(args.profile)
     mech, _randomized = resolve(args.mechanism)
     if not args.samples:

@@ -11,7 +11,7 @@ Config files are flat ``key = value`` text; recognized keys:
     profile_samples  profiles drawn per (n, mechanism, metric)
     order_mode       "exact" or "sampled:K" (orders per profile for expected
                      welfare; exact enumerates all n! orders, n <= 8)
-    seed             64-bit integer
+    seed             non-negative integer
 
 Any other key, and a key given twice, is refused.
 
@@ -100,6 +100,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown metric {m!r}")
     if cfg.profile_samples < 1:
         raise ConfigError("profile_samples must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if (cfg.orders == "all" and max(cfg.n_values) > ENUMERATION_LIMIT
             and set(cfg.metrics) != {"order_bias"}):
         raise ConfigError(

@@ -36,6 +36,13 @@ class EnumerationLimitError(ValueError):
     """The instance is too large for exhaustive order enumeration."""
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed: ``random.Random`` seeds with an int's absolute
+    value, so ``-s`` would repeat the draws of ``s`` under another seed."""
+    if seed < 0:
+        raise ValueError(f"need a seed >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class LotteryResult:
     """Exact uniform-order lottery, as integer counts over ``order_count`` (n!).
@@ -272,6 +279,7 @@ def sampled_lottery(
     orders drawn with ``seed``.  Rows sum to exactly 1 but columns generally do
     not, so the result is returned as raw frequency rows.
     """
+    check_seed(seed)
     orders = order_stream(profile.n, samples, random.Random(seed))
     rows = _receipt_rows(outcome_counts(mechanism, profile, orders).items(), profile.n)
     return tuple(tuple(Fraction(c, samples) for c in row) for row in rows)
@@ -300,6 +308,7 @@ def equivalent_on(
     of seeded random orders per profile.  Returns the first (profile, order)
     where the outputs differ, if any.
     """
+    check_seed(seed)
     rng = random.Random(seed)
     for profile in profiles:
         for order in order_stream(profile.n, orders, rng):

@@ -117,49 +117,36 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
     """Trade from an initial ownership until no improving cycle remains.
 
     Every remaining agent points to the current owner of its best remaining
-    item; all cycles of the pointer graph trade simultaneously and leave.
-    The result is individually rational and has no improving trade cycle.
+    item.  Following the pointers from an agent that holds nothing reaches a
+    cycle, whose agents trade along it and leave.  With strict preferences
+    the order in which cycles leave does not change the result (it is the
+    unique strict-core allocation, Shapley-Scarf).  The result is
+    individually rational and has no improving trade cycle.
     """
     n = profile.n
     if endowment.n != n:
         raise InvalidInstanceError("endowment size mismatch")
-    prefs = profile.agent_prefs
-    owns: List[Optional[int]] = list(endowment.item_of)
+    prefs, owns = profile.agent_prefs, endowment.item_of
     owner = {o: a for a, o in enumerate(owns)}  # remaining items only
     # Each agent's position of its best remaining item.  Items only ever
     # leave, so the position only moves forward.
     best = [0] * n
-    active = set(range(n))
     item_of: List[Optional[int]] = [None] * n
-    while active:
-        points = {}
-        for j in active:
-            p, k = prefs[j], best[j]
-            while p[k] not in owner:
-                k += 1
-            best[j] = k
-            points[j] = owner[p[k]]
-        # Functional graph on a finite set: every walk reaches a cycle.
-        resolved = set()
-        for start in list(active):
-            if start in resolved:
-                continue
-            seen: dict[int, int] = {}
+    for start in range(n):
+        while item_of[start] is None:
+            wants = {}  # the walk so far: each agent and the item it points at
             j = start
-            while j not in seen and j not in resolved:
-                seen[j] = len(seen)
-                j = points[j]
-            if j in seen:  # found a fresh cycle; trade along it
-                cycle = list(seen)[seen[j]:]
-                for a in cycle:
-                    item_of[a] = owns[points[a]]
-                resolved.update(seen)
-                for a in cycle:
-                    del owner[owns[a]]
-                    owns[a] = None
-                    active.discard(a)
-            else:
-                resolved.update(seen)
+            while j not in wants:
+                p, k = prefs[j], best[j]
+                while p[k] not in owner:
+                    k += 1
+                best[j] = k
+                wants[j] = p[k]
+                j = owner[p[k]]
+            walk = list(wants)
+            for a in walk[walk.index(j):]:
+                item_of[a] = wants[a]
+                del owner[owns[a]]
     return Matching(tuple(item_of))
 
 

@@ -1,7 +1,7 @@
 """Seeded random generation of profiles and orders.
 
 Randomness comes from :class:`random.Random` (Mersenne Twister) seeded with a
-64-bit integer; every artifact derived from sampling records its seed.
+non-negative integer; every artifact derived from sampling records its seed.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from .lottery import EnumerationLimitError
+from .lottery import EnumerationLimitError, check_seed
 from .model import AgentOrder, Profile
 
 EXHAUSTIVE_PROFILE_LIMIT = 4  # 4!^4 = 331776 profiles
@@ -27,6 +27,7 @@ class ProfileSampler:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need n >= 1")
+        check_seed(self.seed)
         self._rng = random.Random(self.seed)
 
     def sample(self) -> Profile:
@@ -111,11 +112,13 @@ def profile_stream(n: int, profiles: str | int = "all", seed: int = 0) -> Iterat
     ``profiles`` is ``"all"`` (every profile, lexicographic), ``"orbits"``
     (``orbit_profiles``, one profile per renaming orbit) or a count k of
     uniform profiles drawn by ``ProfileSampler(n, seed)``.  Both exhaustive
-    sources are refused beyond ``EXHAUSTIVE_PROFILE_LIMIT`` agents.  Every
-    check runs on the call, before any profile is produced.
+    sources are refused beyond ``EXHAUSTIVE_PROFILE_LIMIT`` agents, and a
+    negative seed whatever the source.  Every check runs on the call, before
+    any profile is produced.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    check_seed(seed)
     if profiles in ("all", "orbits"):
         if n > EXHAUSTIVE_PROFILE_LIMIT:
             raise EnumerationLimitError(

@@ -75,8 +75,7 @@ def parse_profile(text: str) -> Profile:
         row = tuple(map(table.get, entries))
         if len(row) == n == len(set(row)) and None not in row:
             return row
-        # a malformed row: report its first fault, token by token
-        out = []
+        # a malformed row: report its first fault; a row without one has the wrong length
         seen = set()
         for tok in entries:
             if tok not in table:
@@ -85,10 +84,7 @@ def parse_profile(text: str) -> Profile:
             if ix in seen:
                 raise ProfileParseError(f"line {lineno}: duplicate entry {tok!r}")
             seen.add(ix)
-            out.append(ix)
-        if len(out) != n:
-            raise ProfileParseError(f"line {lineno}: expected {n} entries, got {len(out)}")
-        return tuple(out)
+        raise ProfileParseError(f"line {lineno}: expected {n} entries, got {len(entries)}")
 
     agent_prefs = tuple(
         to_indices(entries, items, lineno, "item") for lineno, _, entries in agent_lines

@@ -283,6 +283,8 @@ class TestGenerateAndExperiment:
             (("--n", "3", "--count", "0"), 2),
             (("--n", "5", "--exhaustive"), 3),
             (("--n", "2", "--exhaustive", "--count", "0"), 2),
+            (("--n", "3", "--count", "2", "--seed", "-5"), 2),
+            (("--n", "2", "--exhaustive", "--seed", "-5"), 2),
         ],
     )
     def test_generate_refused_before_out_dir(self, tmp_path, args, code):
@@ -321,6 +323,13 @@ class TestGenerateAndExperiment:
         from fractions import Fraction
         mean = Fraction(lines[1].split(",")[3])
         assert 0 <= mean <= 1
+
+    def test_experiment_negative_seed_refused_before_out(self, capsys, tmp_path):
+        config, out = tmp_path / "neg.cfg", tmp_path / "out.csv"
+        config.write_text(Path(EXPERIMENT).read_text() + "seed = -5\n")
+        status, stdout, err = main_result(capsys, "experiment", str(config), "--out", str(out))
+        assert (status, stdout, err) == (2, "", "error: seed must be >= 0\n")
+        assert not out.exists()
 
     def test_experiment_empty_mechanisms_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -433,6 +442,16 @@ class TestErrorContract:
             (("experiment", str(DATA)), 2),
             (("experiment", EXPERIMENT, "--out", str(DATA)), 2),
             (("generate", "--n", "2", "--out", BENCH), 2),
+            # a negative seed, refused also where no sample is drawn
+            (("lottery", BENCH, "SD", "--seed", "-1"), 2),
+            (("lottery", BENCH, "R-TLS", "--samples", "5", "--seed", "-1"), 2),
+            (("axioms", "SD", "--n", "3", "--seed", "-1"), 2),
+            (("axioms", "SD", "--n", "3", "--exhaustive", "--seed", "-1"), 2),
+            (("compare", "TFQ", "TLQ", "--n", "3", "--seed", "-1"), 2),
+            (("compare", "TFQ", "TLQ", "--n", "3", "--exhaustive", "--seed", "-1"), 2),
+            (("compare", "R-PFS", "R-SD", "--n", "3", "--samples", "5", "--seed", "-1"), 2),
+            (("generate", "--n", "3", "--count", "2", "--seed", "-5",
+              "--out", str(DATA / "never-written")), 2),
         ],
     )
     def test_bad_input(self, args, code):

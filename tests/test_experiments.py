@@ -53,6 +53,7 @@ class TestParseAndValidate:
             (("seed            = 123", "seed = 123\nseeds = 4"), "line 9: unknown key 'seeds'"),
             (("order_mode      = sampled:2", "order_mode = sampled:2\norder_mode = exact"),
              "line 8: order_mode given twice"),
+            (("seed            = 123", "seed            = -5"), "seed must be >= 0"),
         ],
     )
     def test_rejected_configs(self, mutation, match):

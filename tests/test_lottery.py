@@ -101,6 +101,17 @@ class TestProfileStream:
         with pytest.raises(error):
             profile_stream(n, profiles)
 
+    @pytest.mark.parametrize("profiles", ["all", "orbits", 5])
+    def test_negative_seed_refused_whatever_the_source(self, profiles):
+        # random.Random(-5) draws as random.Random(5) does
+        with pytest.raises(ValueError, match="seed >= 0, got -5"):
+            profile_stream(3, profiles, -5)
+        assert next(profile_stream(3, profiles, 0)).n == 3
+
+    def test_sampler_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed >= 0, got -5"):
+            ProfileSampler(3, -5)
+
 
 @st.composite
 def renamed_prefs(draw):
@@ -362,6 +373,11 @@ class TestSampledLottery:
         with pytest.raises(ValueError, match="order count"):
             sampled_lottery(sd.run, bench4, samples, 0)
 
+    def test_negative_seed_refused(self, bench4):
+        sd, _ = resolve("SD")
+        with pytest.raises(ValueError, match="seed >= 0, got -3"):
+            sampled_lottery(sd.run, bench4, 50, -3)
+
     def test_single_agent(self):
         sd, _ = resolve("SD")
         freq = sampled_lottery(sd.run, profile([[0]]), 5, 1)
@@ -429,6 +445,12 @@ class TestEquivalence:
         verdict = equivalent_on(tfq.run, tlq.run, profiles(), orders=4, seed=9)
         assert not verdict.equal
         assert (verdict.profile.agent_prefs, verdict.order.order) == (prefs, order)
+
+    @pytest.mark.parametrize("orders", ["all", 4])
+    def test_negative_seed_refused(self, orders):
+        tfq, _ = resolve("TFQ")
+        with pytest.raises(ValueError, match="seed >= 0, got -1"):
+            equivalent_on(tfq.run, tfq.run, [], orders=orders, seed=-1)
 
     def test_randomized_comparison_uses_exact_matrices(self, lottery4):
         tls, _ = resolve("TLS")

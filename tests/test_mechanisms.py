@@ -20,7 +20,7 @@ from propmatch import (
 )
 from propmatch.axioms import is_pareto_efficient
 from propmatch.lottery import exact_lottery
-from propmatch.sampling import all_profiles
+from propmatch.sampling import all_profiles, orbit_profiles
 
 from conftest import random_permutation, random_profile
 
@@ -198,6 +198,76 @@ class TestProbabilisticSerialProperties:
     @given(st.one_of(class_profiles(10), endowed_profiles(10).map(lambda case: case[0])))
     def test_equals_per_step_eating(self, p):
         assert probabilistic_serial(p).p == per_step_eating(p)
+
+
+def reference_top_trading_cycles(p, endowment):
+    """Top trading cycles as first written: every round, every remaining
+    agent points at the owner of its best remaining item and all cycles of
+    that pointer graph trade at once; the reference for the one-cycle walk."""
+    n = p.n
+    prefs = p.agent_prefs
+    owns = list(endowment.item_of)
+    owner = {o: a for a, o in enumerate(owns)}
+    best = [0] * n
+    active = set(range(n))
+    item_of = [None] * n
+    while active:
+        points = {}
+        for j in active:
+            row, k = prefs[j], best[j]
+            while row[k] not in owner:
+                k += 1
+            best[j] = k
+            points[j] = owner[row[k]]
+        resolved = set()
+        for start in list(active):
+            if start in resolved:
+                continue
+            seen = {}
+            j = start
+            while j not in seen and j not in resolved:
+                seen[j] = len(seen)
+                j = points[j]
+            if j in seen:
+                cycle = list(seen)[seen[j]:]
+                for a in cycle:
+                    item_of[a] = owns[points[a]]
+                for a in cycle:
+                    del owner[owns[a]]
+                    owns[a] = None
+                    active.discard(a)
+            resolved.update(seen)
+    return Matching(tuple(item_of))
+
+
+@st.composite
+def endowed_class_profiles(draw, max_n):
+    """A profile from ``class_profiles`` with an endowment matching."""
+    p = draw(class_profiles(max_n))
+    return p, Matching(tuple(draw(st.permutations(range(p.n)))))
+
+
+class TestTopTradingCyclesOracle:
+    """The one-cycle walk trades exactly as the round-based search."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.one_of(endowed_profiles(10), endowed_class_profiles(10)))
+    def test_equals_reference_on_drawn_cases(self, case):
+        p, endowment = case
+        assert top_trading_cycles(p, endowment) == reference_top_trading_cycles(p, endowment)
+
+    def test_equals_reference_on_every_case_to_n3(self):
+        for n in (1, 2, 3):
+            endowments = [Matching(e) for e in itertools.permutations(range(n))]
+            for p in all_profiles(n):
+                for e in endowments:
+                    assert top_trading_cycles(p, e) == reference_top_trading_cycles(p, e), (p, e)
+
+    def test_equals_reference_on_every_orbit_at_n4(self):
+        endowments = [Matching(e) for e in itertools.permutations(range(4))]
+        for p in orbit_profiles(4):
+            for e in endowments:
+                assert top_trading_cycles(p, e) == reference_top_trading_cycles(p, e), (p, e)
 
 
 class TestComposeTTC:

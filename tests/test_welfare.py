@@ -203,8 +203,9 @@ class TestCampaigns:
 
 
 class TestCountsRefused:
-    """A profile or order count below 1 raises on the call, also where the
-    mechanism never reads it (order_bias on PS draws no profile)."""
+    """A profile or order count below 1, or a negative seed, raises on the
+    call, also where the mechanism never reads it (order_bias on PS draws no
+    profile)."""
 
     @pytest.mark.parametrize("count", [0, -1])
     @pytest.mark.parametrize(
@@ -222,6 +223,13 @@ class TestCountsRefused:
         mech, _ = resolve(code)
         with pytest.raises(ValueError, match="profile count"):
             campaign(mech, 4, count, 0)
+
+    @pytest.mark.parametrize("campaign", [utilitarian_loss, expected_egalitarian, order_bias])
+    def test_negative_seed(self, campaign):
+        # random.Random seeds with the absolute value, so -5 would repeat seed 5
+        mech, _ = resolve("SD" if campaign is order_bias else "RSD")
+        with pytest.raises(ValueError, match="seed >= 0"):
+            campaign(mech, 4, 5, -5)
 
     @pytest.mark.parametrize("count", [0, -1])
     @pytest.mark.parametrize("campaign", [utilitarian_loss, expected_egalitarian])
