@@ -104,15 +104,36 @@ def _check_limit(n: int) -> None:
         )
 
 
+def permutation_drawer(rng: random.Random, n: int) -> Callable[[], Tuple[int, ...]]:
+    """A function giving a fresh uniform permutation of 0..n-1 per call: the one
+    ``rng.shuffle(list(range(n)))`` draws, by the same ``getrandbits`` calls and
+    rejections.  Assumes a ``getrandbits``-based ``rng``, as ``random.Random``;
+    ``rng`` is not read before the first call."""
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    identity = list(range(n))
+
+    def draw() -> Tuple[int, ...]:
+        getrandbits = rng.getrandbits
+        perm = identity[:]
+        for i, below, k in steps:
+            j = getrandbits(k)
+            while j >= below:
+                j = getrandbits(k)
+            perm[i], perm[j] = perm[j], perm[i]
+        return tuple(perm)
+
+    return draw
+
+
 def order_stream(
     n: int, orders: str | int = "all", rng: Optional[random.Random] = None
 ) -> Iterator[AgentOrder]:
     """The initial orders a randomized evaluation runs.
 
     ``orders`` is ``"all"`` (every permutation, lexicographic; refused beyond
-    ``ENUMERATION_LIMIT`` agents) or a count k of uniform draws from ``rng``.
-    The limit and the count are checked on the call, before any order is
-    produced.
+    ``ENUMERATION_LIMIT`` agents) or a count k of uniform draws from ``rng``
+    by ``permutation_drawer``.  The limit and the count are checked on the
+    call, before any order is produced.
     """
     if orders == "all":
         _check_limit(n)
@@ -120,12 +141,8 @@ def order_stream(
     if orders < 1:
         raise ValueError(f"need an order count >= 1, got {orders}")
 
-    def draw() -> AgentOrder:
-        perm = list(range(n))
-        rng.shuffle(perm)
-        return AgentOrder(tuple(perm))
-
-    return (draw() for _ in range(orders))
+    draw = permutation_drawer(rng, n)  # ``rng`` may be None when only ``orders`` is checked
+    return (AgentOrder(draw()) for _ in range(orders))
 
 
 def outcome_counts(

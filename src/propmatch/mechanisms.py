@@ -3,6 +3,7 @@ Probabilistic Serial, Top Trading Cycles, and the trade-on-output composition.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -71,45 +72,45 @@ def naive_boston_one_sided(profile: Profile, order: AgentOrder) -> Matching:
 
 
 def probabilistic_serial(profile: Profile) -> FractionalAssignment:
-    """Simultaneous eating at unit speed, computed with exact rationals.
+    """Simultaneous eating at unit speed, computed exactly on integers.
 
-    Repeatedly find the earliest moment some item is exhausted (remaining
-    supply divided by its current number of eaters), advance the clock and the
-    supplies to it, and move the eaters of exhausted items on, until time 1.
-    An agent's share of an item is the time it stopped eating it minus the
-    time it started: an item it leaves is gone, so it never comes back.
+    The clock ``t``, the supplies ``left`` and the agents' start times ``since``
+    are integer numerators over one denominator ``scale``.  Repeatedly find the
+    earliest moment an item is exhausted (supply over eater count, compared by
+    cross-multiplying), multiply ``scale`` and every numerator by the least
+    factor that makes it whole, advance to it and move the eaters of exhausted
+    items on, until time 1.  An item an agent leaves is gone, so its share is
+    the time it left minus the time it started; only such shares are Fractions.
     """
     n = profile.n
-    prefs = profile.agent_prefs
-    zero = Fraction(0)
-    remaining = [Fraction(1)] * n
-    exhausted = [False] * n
-    shares = [[zero] * n for _ in range(n)]
-    eating = [row[0] for row in prefs]
-    since = [zero] * n  # when each agent started on its current item
-    eaters = [0] * n
-    for o in eating:
-        eaters[o] += 1
-    t = zero
+    shares = [[Fraction(0)] * n for _ in range(n)]
+    scale, t, left, since = 1, 0, [1] * n, [0] * n
+    rest = [iter(row) for row in profile.agent_prefs]  # read forward only: exhausted stays exhausted
+    eating = [next(row) for row in rest]
+    eaters = [eating.count(o) for o in range(n)]
     while True:
-        dt = min([remaining[o] / k for o, k in enumerate(eaters) if k] + [1 - t])
+        num, k = scale - t, 1  # the earliest exhaustion is num / k units away
+        for o, c in enumerate(eaters):
+            if c and left[o] * k < num * c:
+                num, k = left[o], c
+        if num % k:
+            m = k // math.gcd(num, k)
+            scale, t, num = scale * m, t * m, num * m
+            left, since = [x * m for x in left], [x * m for x in since]
+        dt = num // k
         t += dt
-        for o, k in enumerate(eaters):
-            if k:
-                remaining[o] -= dt * k
-                exhausted[o] = remaining[o] == 0
-        if t == 1:
+        if t == scale:
             break
+        left = [x - dt * c for x, c in zip(left, eaters)]
         for j, o in enumerate(eating):
-            if exhausted[o]:
-                shares[j][o] = t - since[j]
+            if not left[o]:
+                shares[j][o] = Fraction(t - since[j], scale)
                 since[j] = t
-                nxt = next(x for x in prefs[j] if not exhausted[x])
-                eating[j] = nxt
+                nxt = eating[j] = next(filter(left.__getitem__, rest[j]))
                 eaters[o] -= 1
                 eaters[nxt] += 1
     for j, o in enumerate(eating):
-        shares[j][o] = 1 - since[j]
+        shares[j][o] = Fraction(scale - since[j], scale)
     return FractionalAssignment(tuple(tuple(row) for row in shares))
 
 

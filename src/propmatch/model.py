@@ -18,11 +18,17 @@ class InvalidInstanceError(ValueError):
     """Raised when a problem instance violates a structural invariant."""
 
 
+_indices = functools.cache(lambda n: frozenset(range(n)))  # 0..n-1, built once per n
+
+
 def _as_permutation(seq: Iterable[int], n: int, what: str) -> Tuple[int, ...]:
     t = tuple(seq)
-    if len(t) != n or sorted(t) != list(range(n)):
-        raise InvalidInstanceError(f"{what} must be a permutation of 0..{n - 1}, got {t!r}")
-    return t
+    try:
+        if len(t) == n and _indices(n) == set(t):
+            return t
+    except TypeError:  # an unhashable entry
+        pass
+    raise InvalidInstanceError(f"{what} must be a permutation of 0..{n - 1}, got {t!r}")
 
 
 @dataclass(frozen=True)

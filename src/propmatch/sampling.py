@@ -2,6 +2,8 @@
 
 Randomness comes from :class:`random.Random` (Mersenne Twister) seeded with a
 non-negative integer; every artifact derived from sampling records its seed.
+Every draw is exactly the one ``random.shuffle`` makes from the same generator
+(``lottery.permutation_drawer``), so seeded outputs of earlier versions reproduce.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from .lottery import EnumerationLimitError, check_seed
+from .lottery import EnumerationLimitError, check_seed, permutation_drawer
 from .model import AgentOrder, Profile
 
 EXHAUSTIVE_PROFILE_LIMIT = 4  # 4!^4 = 331776 profiles
@@ -28,20 +30,13 @@ class ProfileSampler:
         if self.n < 1:
             raise ValueError("need n >= 1")
         check_seed(self.seed)
-        self._rng = random.Random(self.seed)
+        self._draw = permutation_drawer(random.Random(self.seed), self.n)
 
     def sample(self) -> Profile:
-        prefs = []
-        for _ in range(self.n):
-            p = list(range(self.n))
-            self._rng.shuffle(p)
-            prefs.append(tuple(p))
-        return Profile(tuple(prefs))
+        return Profile(tuple([self._draw() for _ in range(self.n)]))
 
     def sample_order(self) -> AgentOrder:
-        p = list(range(self.n))
-        self._rng.shuffle(p)
-        return AgentOrder(tuple(p))
+        return AgentOrder(self._draw())
 
     def stream(self, count: int) -> Iterator[Profile]:
         for _ in range(count):

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propmatch import (
+    AgentOrder,
     FractionalAssignment,
     InvalidInstanceError,
     LotteryResult,
     Matching,
+    Profile,
     matching_to_assignment,
     profile,
     serial_dictatorship,
@@ -27,6 +29,7 @@ from propmatch.lottery import (
     exact_lottery,
     order_stream,
     outcome_counts,
+    permutation_drawer,
     randomized_equivalent_on,
     sampled_lottery,
 )
@@ -74,6 +77,63 @@ class TestOrderStream:
         assert sum(counts.values()) == 24
         lot = exact_lottery(sd.run, bench4)
         assert tuple((m.item_of, w * 24) for m, w in lot.support) == tuple(sorted(counts.items()))
+
+
+def reference_draw(rng, n):
+    """A permutation of 0..n-1 as ``random.shuffle`` draws it: the oracle for
+    ``permutation_drawer``."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(perm)
+
+
+def reference_sample(n, count, seed):
+    """``count`` uniform profiles drawn with ``random.shuffle``, n lists each."""
+    rng = random.Random(seed)
+    return [Profile(tuple(reference_draw(rng, n) for _ in range(n))) for _ in range(count)]
+
+
+DRAW_SEEDS = [0, 7, 2**64 + 3]
+
+
+class TestPermutationDrawer:
+    """Every draw is the one ``random.shuffle`` makes, so seeded outputs of
+    earlier versions still reproduce."""
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_equals_shuffle(self, seed):
+        for n in range(1, 41):
+            rng, ref = random.Random(seed), random.Random(seed)
+            draw = permutation_drawer(rng, n)
+            assert [draw() for _ in range(50)] == [reference_draw(ref, n) for _ in range(50)], n
+            assert rng.random() == ref.random(), n
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_profile_stream_equals_shuffled_profiles(self, seed):
+        for n in range(1, 10):
+            assert list(profile_stream(n, 200, seed)) == reference_sample(n, 200, seed), n
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_orders_equal_shuffles(self, seed):
+        for n in range(1, 10):
+            ref = random.Random(seed)
+            orders = [o.order for o in order_stream(n, 30, random.Random(seed))]
+            assert orders == [reference_draw(ref, n) for _ in range(30)], n
+            sampler, ref = ProfileSampler(n, seed), random.Random(seed)
+            assert sampler.sample_order().order == reference_draw(ref, n)
+            assert sampler.sample().agent_prefs == tuple(reference_draw(ref, n) for _ in range(n))
+
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_sampled_lottery_equals_shuffled_orders(self, bench4, seed):
+        sd, _ = resolve("SD")
+        ref = random.Random(seed)
+        orders = [AgentOrder(reference_draw(ref, 4)) for _ in range(60)]
+        rows = [[0] * 4 for _ in range(4)]
+        for order in orders:
+            for a, o in enumerate(sd.run(bench4, order).item_of):
+                rows[a][o] += 1
+        want = tuple(tuple(Fraction(c, 60) for c in row) for row in rows)
+        assert sampled_lottery(sd.run, bench4, 60, seed) == want
 
 
 class TestProfileStream:

@@ -4,11 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propmatch import (
     AgentOrder,
+    FractionalAssignment,
     Matching,
     compose_ttc,
     naive_boston_one_sided,
@@ -198,6 +200,19 @@ class TestProbabilisticSerialProperties:
     @given(st.one_of(class_profiles(10), endowed_profiles(10).map(lambda case: case[0])))
     def test_equals_per_step_eating(self, p):
         assert probabilistic_serial(p).p == per_step_eating(p)
+
+    # The common denominator grows with n, so a missed rescale of the integer
+    # clock or supplies shows at sizes the drawn profiles above do not reach.
+    @pytest.mark.parametrize("n", [12, 16, 20, 24])
+    def test_equals_per_step_eating_at_larger_n(self, n):
+        rng = random.Random(n)
+        for shared in (n, n, 5, 3, 2, 1):  # agents sharing lists tie at exhaustions
+            lists = [random_permutation(rng, n) for _ in range(shared)]
+            p = profile([rng.choice(lists) for _ in range(n)])
+            got = probabilistic_serial(p)
+            want = FractionalAssignment(per_step_eating(p))
+            assert got.p == want.p
+            assert got.scaled == want.scaled
 
 
 def reference_top_trading_cycles(p, endowment):

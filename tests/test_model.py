@@ -70,6 +70,29 @@ class TestInvariants:
         with pytest.raises(InvalidInstanceError):
             profile([[0, 1], [1, 1]])
 
+    @pytest.mark.parametrize(
+        "row, shown",
+        [
+            ((0, 0, 2), "(0, 0, 2)"),  # a duplicate
+            ((0, 1, 3), "(0, 1, 3)"),  # out of range
+            ((0, 1), "(0, 1)"),  # too short
+            ((0, 1, 2, 2), "(0, 1, 2, 2)"),  # too long
+            (("a", 0, 1), "('a', 0, 1)"),  # mixed types: no TypeError from a sort
+            (([0], 1, 2), "([0], 1, 2)"),  # unhashable: no TypeError from a set
+        ],
+    )
+    def test_permutation_messages(self, row, shown):
+        builds = [
+            ("agent 1 preferences", lambda: profile([[0, 1, 2], row, [2, 1, 0]])),
+            ("item 2 preferences", lambda: profile([[0, 1, 2]] * 3, [[0, 1, 2], [1, 2, 0], row])),
+        ]
+        if len(row) == 3:  # a matching or an order is checked against its own length
+            builds += [("matching", lambda: Matching(row)), ("agent order", lambda: AgentOrder(row))]
+        for what, build in builds:
+            with pytest.raises(InvalidInstanceError) as excinfo:
+                build()
+            assert str(excinfo.value) == f"{what} must be a permutation of 0..2, got {shown}"
+
     def test_item_pref_count_must_match(self):
         with pytest.raises(InvalidInstanceError):
             profile([[0, 1], [1, 0]], [[0, 1]])
