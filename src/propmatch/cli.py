@@ -61,7 +61,7 @@ def _parse_order(arg: str | None, profile: Profile) -> AgentOrder:
         return AgentOrder.identity(profile.n)
     names = {textio.agent_name(i): i for i in range(profile.n)}
     tokens = [tok.strip() for tok in arg.split(",")]
-    if len(tokens) != profile.n or not names.keys() >= set(tokens):
+    if len(tokens) != profile.n or names.keys() != set(tokens):
         raise InvalidInstanceError(f"bad --order {arg!r}: name each of the {profile.n} agents once")
     return AgentOrder(tuple(names[tok] for tok in tokens))
 

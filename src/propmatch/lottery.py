@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
-from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile
+from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _indices
 
 MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
@@ -49,11 +49,12 @@ class LotteryResult:
 
     ``outcomes`` pairs each distinct outcome ``item_of`` with the number of
     orders giving it, sorted by outcome, and ``rows[i][o]`` counts the orders
-    giving agent i item o; every outcome must be a permutation of 0..n-1 and
-    every row and column of ``rows`` sum to ``order_count``.  ``assignment``
-    and ``support`` are the same lottery in exact ``Fraction`` probabilities,
-    built on first read: ``support`` pairs each distinct matching with its
-    probability, and the weighted permutation matrices sum to ``assignment``.
+    giving agent i item o; there must be at least one outcome, every outcome
+    must be a permutation of 0..n-1 and every row and column of ``rows`` sum
+    to ``order_count``.  ``assignment`` and ``support`` are the same lottery
+    in exact ``Fraction`` probabilities, built on first read: ``support``
+    pairs each distinct matching with its probability, and the weighted
+    permutation matrices sum to ``assignment``.
     """
 
     outcomes: Tuple[Tuple[Tuple[int, ...], int], ...]
@@ -61,8 +62,10 @@ class LotteryResult:
     rows: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
+        if not self.outcomes:
+            raise InvalidInstanceError("a lottery needs at least one outcome")
         n = len(self.outcomes[0][0])
-        items = set(range(n))
+        items = _indices(n)
         for item_of, _ in self.outcomes:
             if len(item_of) != n or set(item_of) != items:
                 raise InvalidInstanceError(f"lottery outcome {item_of} is not a matching of {n} items")
@@ -153,8 +156,9 @@ def outcome_counts(
 
 
 def _replay(mechanism: MatchingMechanism) -> Stepper:
-    """The stepper of any matching mechanism: its state is the admitted
-    prefix itself, and ``finish`` runs the mechanism on that whole order."""
+    """The stepper of a plain callable with none of its own (every registry
+    code carries one): its state is the admitted prefix itself, so no two
+    prefixes merge, and ``finish`` runs the mechanism on that whole order."""
 
     def begin(profile: Profile):
         def admit(prefix, work, agent):
@@ -189,10 +193,10 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
     orders: the ``Counter`` of ``outcome_counts`` over ``order_stream(n)``.
 
     Orders are walked as prefixes, one admitted agent per layer, by the
-    mechanism's stepper (``Runner.stepper``; a plain callable replays every
-    order).  Layer k maps each pair (members admitted per class, state after
-    k admits) to the number of prefixes reaching it, so prefixes that reach
-    one state run on once.
+    mechanism's stepper (``Runner.stepper``, which every registry code has;
+    a plain callable replays every order).  Layer k maps each pair (members
+    admitted per class, state after k admits) to the number of prefixes
+    reaching it, so prefixes that reach one state run on once.
 
     On a one-sided profile, agents with identical preferences form classes of
     sizes k1, k2, ..., and a class admits its members in index order: the

@@ -71,6 +71,46 @@ def naive_boston_one_sided(profile: Profile, order: AgentOrder) -> Matching:
     return immediate_acceptance(profile, [position] * profile.n)
 
 
+def naive_boston_stepper(profile: Profile):
+    """Naive Boston admitting one agent at a time: immediate acceptance with
+    priority by order.  The state is ``(item_of, waiting)``: the partial
+    ``item_of`` and the admitted agents refused so far, in order.  Every agent
+    admitted earlier outranks the new one and has made its first application,
+    so the new agent applies once, to its top item, and keeps it for good if
+    it is free; otherwise it joins ``waiting``.  ``finish`` admits the last
+    agent, then runs the later rounds: in round r each waiting agent, in
+    order, applies to its rank-r item and takes it if it is free; an agent
+    refused waits on, behind the others, for round r + 1.
+    """
+    prefs = profile.agent_prefs
+
+    def admit(state, work, j):
+        item_of, waiting = state
+        o = prefs[j][0]
+        if o in item_of:
+            return (item_of, waiting + (j,)), work
+        return (item_of[:j] + (o,) + item_of[j + 1:], waiting), work
+
+    def finish(state, work, j):
+        (item_of, waiting), _ = admit(state, work, j)
+        item_of = list(item_of)
+        taken = set(item_of)
+        r = 1
+        while waiting:
+            refused = []
+            for a in waiting:
+                o = prefs[a][r]
+                if o in taken:
+                    refused.append(a)
+                else:
+                    taken.add(o)
+                    item_of[a] = o
+            waiting, r = refused, r + 1
+        return tuple(item_of)
+
+    return ((None,) * profile.n, ()), admit, finish
+
+
 def probabilistic_serial(profile: Profile) -> FractionalAssignment:
     """Simultaneous eating at unit speed, computed exactly on integers.
 

@@ -7,7 +7,10 @@ PFS compute the same matchings, as do NB and PFQ; both implementations are
 kept because their equivalence is a tested property.  BOS-SEQ never reads
 the item preferences it requires: it runs serial dictatorship.  BOS-SIM and
 NB share one immediate-acceptance loop, with item priorities taken from the
-item preferences and from the order respectively.
+item preferences and from the order respectively.  Every code that reads
+the order carries a stepper of its own for exact lotteries, ``+G`` forms
+included (NB's is ``naive_boston_stepper``, not PFQ's engine stepper); the
+others get ``order_free``.
 
 Modifiers: a trailing ``+G`` reruns the output through top trading cycles
 (invalid on PS); a leading ``R-`` marks randomization over the initial order
@@ -34,6 +37,7 @@ from .lottery import MatchingMechanism, Runner, Stepper, exact_lottery, order_fr
 from .mechanisms import (
     compose_ttc,
     naive_boston_one_sided,
+    naive_boston_stepper,
     probabilistic_serial,
     serial_dictatorship,
     serial_dictatorship_stepper,
@@ -109,7 +113,9 @@ _BASE = {code: _engine_mech(code) for code in ALL_ENGINE_CODES}
 _BASE["SD"] = Mechanism(
     "SD", True, False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper
 )
-_BASE["NB"] = Mechanism("NB", True, False, _run=naive_boston_one_sided)
+_BASE["NB"] = Mechanism(
+    "NB", True, False, _run=naive_boston_one_sided, _stepper=naive_boston_stepper
+)
 _BASE["PS"] = Mechanism("PS", False, False, _assignment=probabilistic_serial)
 _BASE["GS"] = Mechanism(
     "GS", False, True, _trace=lambda p, o, record: (run_gale_shapley(p, o, record), None)

@@ -464,6 +464,15 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_repeated_order_name_refused_by_name(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "propmatch.cli", "run", BENCH, "SD", "--order", "1,1,2,3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: bad --order '1,1,2,3': name each of the 4 agents once\n"
+
     def test_trace_table_golden_without_asserts(self):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "propmatch.cli", "run", BENCH, "TLQ", "--trace"],

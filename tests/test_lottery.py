@@ -16,9 +16,11 @@ from propmatch import (
     Matching,
     Profile,
     matching_to_assignment,
+    naive_boston_one_sided,
     profile,
     serial_dictatorship,
 )
+from propmatch import registry
 from propmatch.axioms import satisfies_conditional_bound
 from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.lottery import (
@@ -33,6 +35,7 @@ from propmatch.lottery import (
     randomized_equivalent_on,
     sampled_lottery,
 )
+from propmatch.mechanisms import naive_boston_stepper
 from propmatch.registry import resolve
 from propmatch.sampling import (
     ProfileSampler,
@@ -42,7 +45,7 @@ from propmatch.sampling import (
     profile_stream,
 )
 
-from conftest import random_permutation
+from conftest import random_permutation, random_profile
 
 F = Fraction
 
@@ -352,7 +355,9 @@ class TestSteppedCounts:
             mech, _ = resolve(code)
             assert exact_counts(mech.run, p) == outcome_counts(mech.run, p, order_stream(p.n)), code
 
-    @pytest.mark.parametrize("code", ALL_ENGINE_CODES + ("SD", "PLS+G", "TLQ+G", "BOS-SEQ"))
+    @pytest.mark.parametrize(
+        "code", ALL_ENGINE_CODES + ("SD", "NB", "PLS+G", "TLQ+G", "NB+G", "BOS-SEQ")
+    )
     def test_stepper_alone_gives_the_lottery(self, code, bench4, two_sided4):
         mech, _ = resolve(code)
         p = two_sided4 if mech.needs_item_prefs else bench4
@@ -362,6 +367,39 @@ class TestSteppedCounts:
 
         stepped = exact_lottery(Runner(refuse, mech.run.stepper), p)
         assert stepped == brute_force_lottery(mech.run, p)
+
+    def test_every_order_reading_code_has_a_stepper(self):
+        # Without one, exact_counts would fall back to replaying every order.
+        for base in registry._BASE:
+            for code in (base, base + "+G"):
+                try:
+                    mech, _ = resolve(code)
+                except ValueError:
+                    continue
+                if mech.uses_order:
+                    assert mech.run.stepper is not None, code
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nb_stepper_equals_replay_on_every_orbit(self, n):
+        stepped = Runner(naive_boston_one_sided, naive_boston_stepper)
+        for p in orbit_profiles(n):
+            assert exact_counts(stepped, p) == exact_counts(naive_boston_one_sided, p), p
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(class_profiles())
+    def test_nb_stepper_equals_replay(self, p):
+        stepped = Runner(naive_boston_one_sided, naive_boston_stepper)
+        assert exact_counts(stepped, p) == exact_counts(naive_boston_one_sided, p)
+
+    @pytest.mark.slow
+    def test_nb_at_n8_equals_every_order_and_pfq(self):
+        p = random_profile(random.Random(8), 8)
+        assert len(set(p.agent_prefs)) == 8  # every agent its own class
+        nb, pfq = resolve("NB")[0].run, resolve("PFQ")[0].run
+        counts = exact_counts(nb, p)
+        assert len(counts) > 1
+        assert counts == outcome_counts(naive_boston_one_sided, p, order_stream(8))
+        assert exact_lottery(nb, p) == exact_lottery(pfq, p)
 
     def test_merged_prefixes_keep_the_largest_work(self):
         # Prefixes of one agent set reach one state; the work spells the
@@ -400,6 +438,10 @@ class TestSteppedCounts:
             exact_lottery(Runner(serial_dictatorship, stepper), p)
         with pytest.raises(InvalidInstanceError):
             LotteryResult((((0, 0, 0), 6),), 6)
+
+    def test_lottery_without_outcomes_refused(self):
+        with pytest.raises(InvalidInstanceError, match="at least one outcome"):
+            LotteryResult((), 0)
 
     @pytest.mark.parametrize("first, other", [
         ((0, 0), (1, 1)),  # balanced rows and columns, but no matching
