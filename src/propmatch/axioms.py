@@ -70,8 +70,7 @@ def is_ordinally_efficient(assignment: FractionalAssignment, profile: Profile) -
     """
     n = profile.n
     edges: List[set] = [set() for _ in range(n)]
-    for i in range(n):
-        row = assignment.row(i)
+    for i, row in enumerate(assignment.nums):
         for y in range(n):
             if row[y] > 0:
                 for x in profile.agent_prefs[i]:

@@ -76,8 +76,7 @@ class LotteryResult:
 
     @functools.cached_property
     def assignment(self) -> FractionalAssignment:
-        total = self.order_count
-        return FractionalAssignment(tuple(tuple(Fraction(c, total) for c in row) for row in self.rows))
+        return FractionalAssignment(self.rows, self.order_count)
 
     @functools.cached_property
     def support(self) -> Tuple[Tuple[Matching, Fraction], ...]:

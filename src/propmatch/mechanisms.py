@@ -4,7 +4,6 @@ Probabilistic Serial, Top Trading Cycles, and the trade-on-output composition.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .lottery import MatchingMechanism, Stepper
@@ -120,10 +119,10 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
     cross-multiplying), multiply ``scale`` and every numerator by the least
     factor that makes it whole, advance to it and move the eaters of exhausted
     items on, until time 1.  An item an agent leaves is gone, so its share is
-    the time it left minus the time it started; only such shares are Fractions.
+    the time it left minus the time it started, rescaled with the rest.
     """
     n = profile.n
-    shares = [[Fraction(0)] * n for _ in range(n)]
+    shares = [[0] * n for _ in range(n)]
     scale, t, left, since = 1, 0, [1] * n, [0] * n
     rest = [iter(row) for row in profile.agent_prefs]  # read forward only: exhausted stays exhausted
     eating = [next(row) for row in rest]
@@ -137,6 +136,7 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
             m = k // math.gcd(num, k)
             scale, t, num = scale * m, t * m, num * m
             left, since = [x * m for x in left], [x * m for x in since]
+            shares = [[x * m for x in row] for row in shares]
         dt = num // k
         t += dt
         if t == scale:
@@ -144,14 +144,14 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
         left = [x - dt * c for x, c in zip(left, eaters)]
         for j, o in enumerate(eating):
             if not left[o]:
-                shares[j][o] = Fraction(t - since[j], scale)
+                shares[j][o] = t - since[j]
                 since[j] = t
                 nxt = eating[j] = next(filter(left.__getitem__, rest[j]))
                 eaters[o] -= 1
                 eaters[nxt] += 1
     for j, o in enumerate(eating):
-        shares[j][o] = Fraction(scale - since[j], scale)
-    return FractionalAssignment(tuple(tuple(row) for row in shares))
+        shares[j][o] = scale - since[j]
+    return FractionalAssignment(shares, scale)
 
 
 def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:

@@ -1,9 +1,9 @@
 """Core domain types for one- and two-sided matching problems.
 
 Agents and items are dense integer indices in [0, n); display names exist only
-at the text I/O boundary (see :mod:`propmatch.textio`).  All probabilities are
-exact rationals (:class:`fractions.Fraction`); mechanism code never touches
-floating point.
+at the text I/O boundary (see :mod:`propmatch.textio`).  Probabilities are exact:
+integer numerators over one denominator, with :class:`fractions.Fraction` views
+built on first read; mechanism code never touches floating point.
 """
 from __future__ import annotations
 
@@ -111,61 +111,57 @@ class AgentOrder:
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """A doubly stochastic matrix of exact rationals.
-
-    Rows are agents, columns are items in fixed item-index order.  Row and
-    column sums are exactly 1 (rational equality, never tolerance-based).
+    """A doubly stochastic matrix: agent i gets item o (item-index order) with
+    probability ``nums[i][o] / scale``.  Every row and column of int numerators
+    sums to exactly ``scale``.  The pair is stored as tuples divided by the gcd
+    of ``scale`` and every numerator, so ``scale`` is the least common
+    denominator and equal assignments compare equal.  ``p`` and ``row()`` are
+    the ``Fraction`` probabilities, built on first read.
     """
 
-    p: Tuple[Tuple[Fraction, ...], ...]
+    nums: Tuple[Tuple[int, ...], ...]
+    scale: int
 
     def __post_init__(self):
-        n = len(self.p)
-        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.p)
-        object.__setattr__(self, "p", rows)
-        # The sums are checked exactly, as integer numerators over one common denominator.
-        nums, scale = self.scaled
-        for i, row in enumerate(rows):
+        nums, scale, n = self.nums, self.scale, len(self.nums)
+        if n == 0:
+            raise InvalidInstanceError("an assignment needs at least one agent")
+        if type(scale) is not int or scale < 1:
+            raise InvalidInstanceError(f"scale must be a positive integer, got {scale!r}")
+        for i, row in enumerate(nums):
             if len(row) != n:
                 raise InvalidInstanceError(f"row {i} has length {len(row)}, expected {n}")
-            if any(x.numerator < 0 or x.numerator > x.denominator for x in row):
+            if any(type(x) is not int for x in row):
+                raise InvalidInstanceError(f"row {i} has an entry that is not an integer numerator")
+            if any(x < 0 or x > scale for x in row):
                 raise InvalidInstanceError(f"row {i} has an entry outside [0, 1]")
-            if sum(nums[i]) != scale:
-                raise InvalidInstanceError(
-                    f"row {i} sums to {Fraction(sum(nums[i]), scale)}, expected exactly 1"
-                )
+            if sum(row) != scale:
+                raise InvalidInstanceError(f"row {i} sums to {Fraction(sum(row), scale)}, expected exactly 1")
         for j, col in enumerate(zip(*nums)):
             if sum(col) != scale:
-                raise InvalidInstanceError(
-                    f"column {j} sums to {Fraction(sum(col), scale)}, expected exactly 1"
-                )
+                raise InvalidInstanceError(f"column {j} sums to {Fraction(sum(col), scale)}, expected exactly 1")
+        g = math.gcd(scale, *(x for row in nums for x in row))
+        object.__setattr__(self, "nums", tuple([tuple([x // g for x in row]) for row in nums]))
+        object.__setattr__(self, "scale", scale // g)
 
     @functools.cached_property
-    def scaled(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-        """The entries as integers over their least common denominator:
-        ``(nums, scale)`` with ``p[i][o] == nums[i][o] / scale``."""
-        scale = math.lcm(*(x.denominator for row in self.p for x in row))
-        return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.p), scale
+    def p(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """``p[i][o]``, the probability that agent i gets item o."""
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.nums)
 
     @property
     def n(self) -> int:
-        return len(self.p)
+        return len(self.nums)
 
     def row(self, agent: int) -> Tuple[Fraction, ...]:
         return self.p[agent]
 
 
 def proportional_assignment(n: int) -> FractionalAssignment:
-    """The assignment in which every entry equals 1/n."""
-    if n < 1:
-        raise InvalidInstanceError("need n >= 1")
-    x = Fraction(1, n)
-    return FractionalAssignment(tuple(tuple(x for _ in range(n)) for _ in range(n)))
+    """The assignment in which every entry equals 1/n; refused below n = 1."""
+    return FractionalAssignment(((1,) * n,) * n, n)
 
 
 def matching_to_assignment(m: Matching) -> FractionalAssignment:
     """The 0/1 permutation matrix of a discrete assignment."""
-    n = m.n
-    return FractionalAssignment(
-        tuple(tuple(Fraction(1 if m.item_of[a] == o else 0) for o in range(n)) for a in range(n))
-    )
+    return FractionalAssignment(tuple(tuple(int(o == held) for o in range(m.n)) for held in m.item_of), 1)

@@ -9,10 +9,11 @@ colons; internally everything is mapped to dense indices, and canonical names
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .model import FractionalAssignment, Matching, Profile
+from .model import FractionalAssignment, InvalidInstanceError, Matching, Profile
 
 
 class ProfileParseError(ValueError):
@@ -136,13 +137,18 @@ def format_matrix(assignment: FractionalAssignment, header: bool = True) -> str:
 
 
 def parse_matrix(text: str) -> FractionalAssignment:
+    """Invert ``format_matrix``: the one place where ``Fraction`` text becomes numerators."""
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(tuple(Fraction(tok) for tok in line.split()))
-    return FractionalAssignment(tuple(rows))
+        try:
+            rows.append([Fraction(tok) for tok in line.split()])
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInstanceError(f"line {lineno}: bad matrix entry in {line!r}") from None
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return FractionalAssignment(tuple(tuple(int(x * scale) for x in row) for row in rows), scale)
 
 
 def format_axiom_report_line(

@@ -35,8 +35,7 @@ def _utility_rows(
     """(Expected) Borda utility of every agent, given the utility table ``u``."""
     if isinstance(outcome, Matching):
         return [Fraction(row[o]) for row, o in zip(u, outcome.item_of)]
-    nums, scale = outcome.scaled
-    return [Fraction(sum(x * w for x, w in zip(ps, row)), scale) for ps, row in zip(nums, u)]
+    return [Fraction(sum(x * w for x, w in zip(ps, row)), outcome.scale) for ps, row in zip(outcome.nums, u)]
 
 
 def agent_utility(
@@ -184,13 +183,13 @@ def _utility_sums(
     Matching mechanisms count outcomes over every order (``"all"``, by
     ``exact_counts``) or over k draws from ``rng``.  Fractional mechanisms draw
     no orders; their shares are the assignment's integer numerators over its
-    common denominator (``FractionalAssignment.scaled``), and their worst-off
-    value is the minimum expectation.
+    common denominator (``FractionalAssignment.nums`` and ``scale``), and
+    their worst-off value is the minimum expectation.
     """
     if mechanism.kind == "fractional":
-        nums, scale = mechanism.assignment(profile).scaled
-        sums = [sum(x * w for x, w in zip(ps, row)) for ps, row in zip(nums, u)]
-        return sums, scale, min(sums)
+        a = mechanism.assignment(profile)
+        sums = [sum(x * w for x, w in zip(ps, row)) for ps, row in zip(a.nums, u)]
+        return sums, a.scale, min(sums)
     if orders == "all":
         counts = exact_counts(mechanism.run, profile)
     else:

@@ -152,6 +152,12 @@ class TestLottery:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[0] == "1/3 1/6 1/4 1/4"
 
+    @pytest.mark.parametrize("code", ONE_SIDED_CODES)
+    def test_exact_output_golden(self, capsys, code):
+        status, out, err = main_result(capsys, "lottery", str(DATA / "lottery4.txt"), code)
+        assert (status, err) == (0, "")
+        assert out == (DATA / f"lottery4_{code}.txt").read_text()
+
     def test_sampled_deterministic_and_seed_recorded(self):
         a = cli("lottery", BENCH, "R-TLS", "--samples", "60", "--seed", "11")
         b = cli("lottery", BENCH, "R-TLS", "--samples", "60", "--seed", "11")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from propmatch import (
     AgentOrder,
-    FractionalAssignment,
     InvalidInstanceError,
     LotteryResult,
     Matching,
@@ -272,7 +271,7 @@ def brute_force_lottery(run, p):
             rows[a][o] += F(c, total)
     support = tuple((Matching(item_of), F(c, total)) for item_of, c in sorted(counts.items()))
     lot = LotteryResult(tuple(sorted(counts.items())), total)
-    assert lot.assignment == FractionalAssignment(tuple(map(tuple, rows)))
+    assert lot.assignment.p == tuple(map(tuple, rows))
     assert lot.support == support
     return lot
 

@@ -1,6 +1,7 @@
 """Serial dictatorship, one-sided naive Boston, probabilistic serial, top
 trading cycles, and the trade-on-output composition."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from propmatch import (
     AgentOrder,
-    FractionalAssignment,
     Matching,
     compose_ttc,
     naive_boston_one_sided,
@@ -210,9 +210,9 @@ class TestProbabilisticSerialProperties:
             lists = [random_permutation(rng, n) for _ in range(shared)]
             p = profile([rng.choice(lists) for _ in range(n)])
             got = probabilistic_serial(p)
-            want = FractionalAssignment(per_step_eating(p))
-            assert got.p == want.p
-            assert got.scaled == want.scaled
+            want = per_step_eating(p)
+            assert got.p == want
+            assert got.scale == math.lcm(*(x.denominator for row in want for x in row))
 
 
 def reference_top_trading_cycles(p, endowment):

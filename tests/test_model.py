@@ -15,7 +15,12 @@ from propmatch import (
     profile,
     proportional_assignment,
 )
+from propmatch.axioms import is_ordinally_efficient
+from propmatch.lottery import exact_lottery
+from propmatch.mechanisms import probabilistic_serial
+from propmatch.registry import resolve
 from propmatch.textio import ProfileParseError, format_matrix, parse_matrix
+from propmatch.welfare import campaign
 
 from conftest import random_permutation, random_prefs
 
@@ -98,38 +103,71 @@ class TestInvariants:
             profile([[0, 1], [1, 0]], [[0, 1]])
 
     def test_rows_must_sum_to_one(self):
-        h = Fraction(1, 2)
         with pytest.raises(InvalidInstanceError):
-            FractionalAssignment(((h, h), (h, Fraction(1, 3))))
+            FractionalAssignment(((3, 3), (3, 2)), 6)  # 1/2 1/2, 1/2 1/3
 
     def test_columns_must_sum_to_one(self):
         with pytest.raises(InvalidInstanceError):
-            FractionalAssignment(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))))
+            FractionalAssignment(((1, 0), (1, 0)), 1)
 
-    # The messages, and which check fires first, as the Fraction-sum validation gave them.
+    # The messages, and which check fires first, as the Fraction-sum validation
+    # gave them.  ``rows`` is a ``(nums, scale)`` pair: the Fraction matrix of
+    # that validation as numerators over its least common denominator.
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (((1, 0), (0,)), "row 1 has length 1, expected 2"),
-            (((1, 0, 0), (0, 1)), "row 0 has length 3, expected 2"),
-            (((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2))), "row 0 has an entry outside [0, 1]"),
-            (((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3))), "row 1 sums to 5/6, expected exactly 1"),
-            (
-                ((F(1, 2), F(1, 2), 0), (F(1, 2), 1, 0), (0,)),
-                "row 1 sums to 3/2, expected exactly 1",
-            ),
-            (((1, 0), (1, 0)), "column 0 sums to 2, expected exactly 1"),
-            (
-                ((F(1, 2), F(1, 2), 0), (F(1, 2), F(1, 4), F(1, 4)), (F(1, 3), F(1, 3), F(1, 3))),
-                "column 0 sums to 4/3, expected exactly 1",
-            ),
-            (((0, 1), (1, 0), (0, 1)), "row 0 has length 2, expected 3"),
+            ((((1, 0), (0,)), 1), "row 1 has length 1, expected 2"),
+            ((((1, 0, 0), (0, 1)), 1), "row 0 has length 3, expected 2"),
+            ((((3, -1), (-1, 3)), 2), "row 0 has an entry outside [0, 1]"),
+            ((((3, 3), (3, 2)), 6), "row 1 sums to 5/6, expected exactly 1"),
+            ((((1, 1, 0), (1, 2, 0), (0,)), 2), "row 1 sums to 3/2, expected exactly 1"),
+            ((((1, 0), (1, 0)), 1), "column 0 sums to 2, expected exactly 1"),
+            ((((6, 6, 0), (6, 3, 3), (4, 4, 4)), 12), "column 0 sums to 4/3, expected exactly 1"),
+            ((((0, 1), (1, 0), (0, 1)), 1), "row 0 has length 2, expected 3"),
+            # numerators and the scale must be ints, and an assignment non-empty
+            ((((0.5, 0.5), (0.5, 0.5)), 1), "row 0 has an entry that is not an integer numerator"),
+            ((((1, 0), (0, F(1))), 1), "row 1 has an entry that is not an integer numerator"),
+            ((((0,),), 0), "scale must be a positive integer, got 0"),
+            ((((1,),), 1.0), "scale must be a positive integer, got 1.0"),
+            (((), 1), "an assignment needs at least one agent"),
         ],
     )
     def test_rejection_messages(self, rows, message):
         with pytest.raises(InvalidInstanceError) as excinfo:
-            FractionalAssignment(rows)
+            FractionalAssignment(*rows)
         assert str(excinfo.value) == message
+
+    def test_stored_over_least_denominator(self):
+        a = FractionalAssignment([[2, 4, 0], [4, 2, 0], [0, 0, 6]], 6)
+        assert (a.nums, a.scale) == (((1, 2, 0), (2, 1, 0), (0, 0, 3)), 3)
+        assert a == FractionalAssignment(((1, 2, 0), (2, 1, 0), (0, 0, 3)), 3)
+        assert a.row(0) == (F(1, 3), F(2, 3), F(0)) and type(a.row(2)[2]) is F
+
+
+class TestFractionViews:
+    """Producers and integer readers never build the ``Fraction`` view ``p``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+        check = FractionalAssignment.__post_init__
+
+        def record(self):
+            check(self)
+            made.append(self)
+
+        monkeypatch.setattr(FractionalAssignment, "__post_init__", record)
+        return made
+
+    def test_not_built_by_producers_or_integer_readers(self, built, lottery4):
+        ps, _ = resolve("PS")
+        probabilistic_serial(lottery4)
+        assert is_ordinally_efficient(exact_lottery(resolve("SD")[0].run, lottery4).assignment, lottery4)
+        assert len(built) == 2
+        campaign([(ps, "util_loss"), (ps, "egal")], 4, 3, 7)
+        assert len(built) > 2
+        assert not any("p" in vars(a) for a in built)
+        assert built[0].row(0) == (F(1, 4), F(1, 3), F(1, 6), F(1, 4)) and "p" in vars(built[0])
 
 
 class TestProfileText:
@@ -206,6 +244,20 @@ class TestMatrixText:
     def test_round_trip(self):
         a = proportional_assignment(3)
         assert parse_matrix(format_matrix(a)) == a
+
+    def test_numerators_over_least_denominator(self):
+        a = parse_matrix("# items: a b\n1/2 0.5\n2/4 1/2\n")
+        assert (a.nums, a.scale) == (((1, 1), (1, 1)), 2)
+
+    def test_empty_refused(self):
+        with pytest.raises(InvalidInstanceError, match="at least one agent"):
+            parse_matrix("# items:\n\n")
+
+    @pytest.mark.parametrize("entry", ["1/0", "x"])
+    def test_bad_entry_names_its_line(self, entry):
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            parse_matrix(f"# items: a b\n1 0\n0 {entry}\n")
+        assert str(excinfo.value) == f"line 3: bad matrix entry in '0 {entry}'"
 
     def test_exact_fractions_in_output(self):
         text = format_matrix(proportional_assignment(3), header=False)
