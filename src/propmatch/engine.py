@@ -36,7 +36,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .lottery import Stepper
 from .mechanisms import immediate_acceptance, serial_dictatorship, serial_dictatorship_stepper
-from .model import AgentOrder, InvalidInstanceError, Matching, Profile
+from .model import AgentOrder, InvalidInstanceError, Matching, Profile, _trusted
 from .textio import names
 
 
@@ -173,7 +173,7 @@ def _run(
     item_of: List[Optional[int]] = [None] * n
     state = ([None] * n, item_of, [0] * n, memory, pending)
     count, trace = _propose(profile, config, state, pending, 0, record)
-    return EngineResult(Matching(tuple(item_of)), count, tuple(trace))  # complete by construction
+    return EngineResult(_trusted(Matching, tuple(item_of)), count, tuple(trace))  # complete by construction
 
 
 def _propose(

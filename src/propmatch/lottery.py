@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
-from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _indices
+from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _indices, _trusted
 
 MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
@@ -82,7 +82,7 @@ class LotteryResult:
     def support(self) -> Tuple[Tuple[Matching, Fraction], ...]:
         total = self.order_count
         weight = {c: Fraction(c, total) for c in {c for _, c in self.outcomes}}
-        return tuple((Matching(item_of), weight[c]) for item_of, c in self.outcomes)
+        return tuple((_trusted(Matching, item_of), weight[c]) for item_of, c in self.outcomes)
 
 
 class Runner:
@@ -139,12 +139,12 @@ def order_stream(
     """
     if orders == "all":
         _check_limit(n)
-        return map(AgentOrder, itertools.permutations(range(n)))
+        return (_trusted(AgentOrder, p) for p in itertools.permutations(range(n)))
     if orders < 1:
         raise ValueError(f"need an order count >= 1, got {orders}")
 
     draw = permutation_drawer(rng, n)  # ``rng`` may be None when only ``orders`` is checked
-    return (AgentOrder(draw()) for _ in range(orders))
+    return (_trusted(AgentOrder, draw()) for _ in range(orders))
 
 
 def outcome_counts(

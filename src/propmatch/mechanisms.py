@@ -7,19 +7,21 @@ import math
 from typing import List, Optional, Sequence
 
 from .lottery import MatchingMechanism, Stepper
-from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile
+from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _trusted
 
 
 def serial_dictatorship(profile: Profile, order: AgentOrder) -> Matching:
     """Agents pick in order; each takes its best still-unallocated item."""
     n = profile.n
+    if len(order.order) != n:
+        raise InvalidInstanceError("order length must equal agent count")
     taken = [False] * n
     item_of: List[Optional[int]] = [None] * n
     for j in order.order:
         o = next(x for x in profile.agent_prefs[j] if not taken[x])
         taken[o] = True
         item_of[j] = o
-    return Matching(tuple(item_of))
+    return _trusted(Matching, tuple(item_of))
 
 
 def serial_dictatorship_stepper(profile: Profile):
@@ -56,7 +58,7 @@ def immediate_acceptance(profile: Profile, priority: Sequence[Sequence[int]]) ->
             winner = min(js, key=priority[o].__getitem__)
             taken[o] = True
             item_of[winner] = o
-    return Matching(tuple(item_of))
+    return _trusted(Matching, tuple(item_of))
 
 
 def naive_boston_one_sided(profile: Profile, order: AgentOrder) -> Matching:
@@ -188,7 +190,7 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
             for a in walk[walk.index(j):]:
                 item_of[a] = wants[a]
                 del owner[owns[a]]
-    return Matching(tuple(item_of))
+    return _trusted(Matching, tuple(item_of))
 
 
 def compose_ttc(mechanism: MatchingMechanism) -> MatchingMechanism:
@@ -216,7 +218,7 @@ def ttc_stepper(stepper: Stepper) -> Stepper:
             base = finish(state, work, agent)
             out = traded.get(base)
             if out is None:
-                out = traded[base] = top_trading_cycles(profile, Matching(base)).item_of
+                out = traded[base] = top_trading_cycles(profile, _trusted(Matching, base)).item_of
             return out
 
         return start, admit, finish_traded

@@ -31,6 +31,16 @@ def _as_permutation(seq: Iterable[int], n: int, what: str) -> Tuple[int, ...]:
     raise InvalidInstanceError(f"{what} must be a permutation of 0..{n - 1}, got {t!r}")
 
 
+def _trusted(cls, *values):
+    """``cls(*values)`` for a frozen dataclass without its ``__post_init__``
+    checks: only for values valid by construction, such as a tuple built as
+    a permutation.  Every input from outside goes through ``cls``."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Profile:
     """Strict preference profile; ``item_prefs`` present only for two-sided problems.
@@ -109,6 +119,19 @@ class AgentOrder:
         return AgentOrder(tuple(range(n)))
 
 
+def _row_fault(row: Sequence[int], n: int, scale: int) -> Optional[str]:
+    """How one row of numerators over ``scale`` fails an n x n assignment, if it does."""
+    if len(row) != n:
+        return f"has length {len(row)}, expected {n}"
+    if any(type(x) is not int for x in row):
+        return "has an entry that is not an integer numerator"
+    if any(x < 0 or x > scale for x in row):
+        return "has an entry outside [0, 1]"
+    if sum(row) != scale:
+        return f"sums to {Fraction(sum(row), scale)}, expected exactly 1"
+    return None
+
+
 @dataclass(frozen=True)
 class FractionalAssignment:
     """A doubly stochastic matrix: agent i gets item o (item-index order) with
@@ -129,14 +152,8 @@ class FractionalAssignment:
         if type(scale) is not int or scale < 1:
             raise InvalidInstanceError(f"scale must be a positive integer, got {scale!r}")
         for i, row in enumerate(nums):
-            if len(row) != n:
-                raise InvalidInstanceError(f"row {i} has length {len(row)}, expected {n}")
-            if any(type(x) is not int for x in row):
-                raise InvalidInstanceError(f"row {i} has an entry that is not an integer numerator")
-            if any(x < 0 or x > scale for x in row):
-                raise InvalidInstanceError(f"row {i} has an entry outside [0, 1]")
-            if sum(row) != scale:
-                raise InvalidInstanceError(f"row {i} sums to {Fraction(sum(row), scale)}, expected exactly 1")
+            if fault := _row_fault(row, n, scale):
+                raise InvalidInstanceError(f"row {i} {fault}")
         for j, col in enumerate(zip(*nums)):
             if sum(col) != scale:
                 raise InvalidInstanceError(f"column {j} sums to {Fraction(sum(col), scale)}, expected exactly 1")

@@ -57,7 +57,8 @@ class Mechanism:
     a fractional outcome, or ``_trace`` for the proposal codes (the eight
     engine codes and GS).  ``_stepper`` runs a sequential code one admitted
     agent at a time, for exact lotteries; codes that never read the order
-    get ``order_free``.
+    get ``order_free``.  A ``+G`` form names its ``base``, whose outcome it
+    trades by top trading cycles, so a campaign runs the base once for both.
     """
 
     code: str
@@ -67,6 +68,7 @@ class Mechanism:
     _assignment: Optional[Callable[[Profile], FractionalAssignment]] = None
     _trace: Optional[Callable[[Profile, AgentOrder, bool], Traced]] = None
     _stepper: Optional[Stepper] = None
+    base: Optional["Mechanism"] = None
 
     @property
     def kind(self) -> str:
@@ -163,6 +165,7 @@ def resolve(code: str) -> Tuple[Mechanism, bool]:
             mech.needs_item_prefs,
             _run=compose_ttc(mech.run.run),
             _stepper=mech._stepper and ttc_stepper(mech._stepper),
+            base=mech,
         )
     return mech, randomized
 

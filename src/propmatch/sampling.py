@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from .lottery import EnumerationLimitError, check_seed, permutation_drawer
-from .model import AgentOrder, Profile
+from .model import AgentOrder, Profile, _trusted
 
 EXHAUSTIVE_PROFILE_LIMIT = 4  # 4!^4 = 331776 profiles
 
@@ -33,10 +33,10 @@ class ProfileSampler:
         self._draw = permutation_drawer(random.Random(self.seed), self.n)
 
     def sample(self) -> Profile:
-        return Profile(tuple([self._draw() for _ in range(self.n)]))
+        return _trusted(Profile, tuple([self._draw() for _ in range(self.n)]), None)
 
     def sample_order(self) -> AgentOrder:
-        return AgentOrder(self._draw())
+        return _trusted(AgentOrder, self._draw())
 
     def stream(self, count: int) -> Iterator[Profile]:
         for _ in range(count):
@@ -47,7 +47,7 @@ def all_profiles(n: int) -> Iterator[Profile]:
     """Every one-sided profile on n agents (n!^n of them); lexicographic."""
     perms = list(itertools.permutations(range(n)))
     for combo in itertools.product(perms, repeat=n):
-        yield Profile(tuple(combo))
+        yield _trusted(Profile, combo, None)
 
 
 Prefs = Tuple[Tuple[int, ...], ...]
@@ -94,7 +94,7 @@ def orbit_profiles(n: int) -> Iterator[Profile]:
     for rest in itertools.combinations_with_replacement(perms, n - 1):
         prefs = (perms[0],) + rest
         if canonical(prefs)[0] == prefs:
-            yield Profile(prefs)
+            yield _trusted(Profile, prefs, None)
 
 
 def all_orders(n: int) -> List[AgentOrder]:

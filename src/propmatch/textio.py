@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .model import FractionalAssignment, InvalidInstanceError, Matching, Profile
+from .model import FractionalAssignment, InvalidInstanceError, Matching, Profile, _row_fault
 
 
 class ProfileParseError(ValueError):
@@ -137,18 +137,23 @@ def format_matrix(assignment: FractionalAssignment, header: bool = True) -> str:
 
 
 def parse_matrix(text: str) -> FractionalAssignment:
-    """Invert ``format_matrix``: the one place where ``Fraction`` text becomes numerators."""
-    rows = []
+    """Invert ``format_matrix``: the one place where ``Fraction`` text becomes
+    numerators.  A bad entry or row is refused naming its text line."""
+    rows = {}  # text line number -> entries
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([Fraction(tok) for tok in line.split()])
+            rows[lineno] = [Fraction(tok) for tok in line.split()]
         except (ValueError, ZeroDivisionError):
             raise InvalidInstanceError(f"line {lineno}: bad matrix entry in {line!r}") from None
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return FractionalAssignment(tuple(tuple(int(x * scale) for x in row) for row in rows), scale)
+    scale = math.lcm(*(x.denominator for row in rows.values() for x in row))
+    nums = {lineno: tuple(int(x * scale) for x in row) for lineno, row in rows.items()}
+    for lineno, row in nums.items():
+        if fault := _row_fault(row, len(nums), scale):
+            raise InvalidInstanceError(f"line {lineno}: row {fault}")
+    return FractionalAssignment(tuple(nums.values()), scale)
 
 
 def format_axiom_report_line(

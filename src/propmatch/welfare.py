@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .lottery import exact_counts, order_stream, outcome_counts
-from .model import AgentOrder, FractionalAssignment, Matching, Profile
+from .mechanisms import top_trading_cycles
+from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
 from .sampling import profile_stream
 
 
@@ -59,60 +61,53 @@ def egalitarian_welfare(
 
 
 def _hungarian_max(weight: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
-    """Maximum-weight perfect matching on an integer matrix, O(n^3).
+    """Maximum-weight perfect matching on an integer matrix, O(n^3): the
+    value and a witness ``item_of`` that reaches it, in exact integers.
 
-    Potentials-based shortest-augmenting-path formulation on the negated
-    matrix; all arithmetic stays in exact integers.
-    """
+    Shortest augmenting paths on the negated matrix with potentials ``u`` and
+    ``v``.  ``minv[j]`` is the Dijkstra distance to column j from the phase's
+    start and ``d`` that of the column last reached, so the potentials are
+    settled once per augmentation: each tree column by ``d`` less the distance
+    at which it joined.  It makes the comparisons and tie-breaks of the form
+    that shifts every potential on every step, so it finds the same witness."""
     n = len(weight)
     INF = 1 << 60
-    cost = [[0] + [-w for w in row] for row in weight]  # 1-indexed columns
-    cost.insert(0, [])
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row matched to column j (1-indexed; 0 = free)
-    way = [0] * (n + 1)
-    columns = range(1, n + 1)
-    for i in columns:
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [0]  # columns on the alternating tree, in the order they joined
-        free = list(columns)  # the others, ascending
+    u, v = [0] * n, [0] * (n + 1)
+    p = [-1] * (n + 1)  # p[j] = row matched to column j, -1 if none; column n roots each phase
+    way = [n] * (n + 1)
+    for i in range(n):
+        p[n] = i
+        j0, d = n, 0
+        minv = [INF] * n + [0]
+        used = [n]  # columns on the alternating tree, in the order they joined
+        free = list(range(n))  # the others, ascending
         while True:
-            i0 = p[j0]
-            row = cost[i0]
-            ui0 = u[i0]
-            delta = INF
-            j1 = 0
+            row, h = weight[p[j0]], u[p[j0]] - d
+            d = INF
             for j in free:
                 m = minv[j]
-                cur = row[j] - ui0 - v[j]
+                cur = -row[j] - h - v[j]
                 if cur < m:
                     minv[j] = m = cur
                     way[j] = j0
-                if m < delta:
-                    delta = m
+                if m < d:
+                    d = m
                     j1 = j
-            for j in used:
-                u[p[j]] += delta
-                v[j] -= delta
-            for j in free:
-                minv[j] -= delta
             j0 = j1
-            if p[j0] == 0:
+            if p[j0] < 0:
                 break
             free.remove(j0)
             used.append(j0)
-        while j0:
+        for j in used:
+            shift = d - minv[j]
+            u[p[j]] += shift
+            v[j] -= shift
+        while j0 != n:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    item_of = [0] * n
-    for j in columns:
-        item_of[p[j] - 1] = j - 1
-    total = sum(weight[i][item_of[i]] for i in range(n))
-    return total, tuple(item_of)
+    item_of = sorted(range(n), key=p.__getitem__)  # the inverse of p[:n]
+    return sum(row[o] for row, o in zip(weight, item_of)), tuple(item_of)
 
 
 def optimal_utilitarian(
@@ -123,7 +118,7 @@ def optimal_utilitarian(
     ``utilities`` is the profile's Borda table, if the caller has built it.
     """
     value, item_of = _hungarian_max(borda_utilities(profile) if utilities is None else utilities)
-    return Fraction(value), Matching(item_of)
+    return Fraction(value), _trusted(Matching, item_of)
 
 
 @dataclass(frozen=True)
@@ -171,29 +166,43 @@ def _bias_stats(sums: List[int], squares: List[int], count: int) -> WelfareStats
     return WelfareStats(bias, math.sqrt(se(hi) ** 2 + se(lo) ** 2) / n)
 
 
+def _outcomes(mechanism, profile: Profile, orders, runs: dict) -> Counter:
+    """How often each outcome ``item_of`` of a matching mechanism occurs on
+    ``profile`` over ``orders``, ``"all"`` (by ``exact_counts``) or a list.
+    ``runs`` keeps by ``id`` the counts of each base already run on these
+    orders.  A mechanism with a ``base`` (a ``+G`` form) runs no orders: it
+    trades each distinct outcome of its base by top trading cycles."""
+    base = getattr(mechanism, "base", None)
+    own = base or mechanism
+    counts = runs.get(id(own))
+    if counts is None:
+        counts = runs[id(own)] = (exact_counts(own.run, profile) if orders == "all"
+                                  else outcome_counts(own.run, profile, orders))
+    if base is None:
+        return counts
+    traded = Counter()
+    for item_of, c in counts.items():
+        traded[top_trading_cycles(profile, _trusted(Matching, item_of)).item_of] += c
+    return traded
+
+
 def _utility_sums(
-    mechanism, profile: Profile, u: Sequence[Sequence[int]], orders: str | int,
-    rng: random.Random,
+    mechanism, profile: Profile, u: Sequence[Sequence[int]], orders, runs: dict
 ) -> Tuple[List[int], int, int]:
     """Expected Borda utilities of a randomized mechanism on one profile, as
     integers over one denominator: ``(sums, total, worst)`` means agent i
     expects ``sums[i] / total`` and the worst-off agent of a run gets
     ``worst / total`` in expectation.
 
-    Matching mechanisms count outcomes over every order (``"all"``, by
-    ``exact_counts``) or over k draws from ``rng``.  Fractional mechanisms draw
-    no orders; their shares are the assignment's integer numerators over its
-    common denominator (``FractionalAssignment.nums`` and ``scale``), and
-    their worst-off value is the minimum expectation.
-    """
+    Matching mechanisms count outcomes by ``_outcomes``.  Fractional ones run
+    no orders: their shares are the assignment's integer numerators over its
+    common denominator (``nums`` and ``scale``), and their worst-off value is
+    the minimum expectation."""
     if mechanism.kind == "fractional":
         a = mechanism.assignment(profile)
         sums = [sum(x * w for x, w in zip(ps, row)) for ps, row in zip(a.nums, u)]
         return sums, a.scale, min(sums)
-    if orders == "all":
-        counts = exact_counts(mechanism.run, profile)
-    else:
-        counts = outcome_counts(mechanism.run, profile, order_stream(profile.n, orders, rng))
+    counts = _outcomes(mechanism, profile, orders, runs)
     sums = [0] * profile.n
     worst = 0
     for item_of, c in counts.items():
@@ -223,14 +232,14 @@ def campaign(
       minus min over positions) of mean Borda utility, over n.  Mechanisms that
       never read the order have zero bias, returned exactly.
 
-    Each profile's Borda table is built once, and its optimum once if some
-    cell measures loss.  Every randomized cell draws its orders from its own
-    ``random.Random(seed ^ 0x9E3779B97F4A7C15)``, exactly as a one-cell pass
-    would; cells of one mechanism object draw the same orders, so they share
-    one generator and one run per order.  Statistics are accumulated in
-    integers: a cell keeps each profile's value as a numerator and a
-    denominator until the end.
-    """
+    Each profile's Borda table is built once if a loss or egalitarian cell
+    reads it, and its optimum once if some cell measures loss.  A one-cell pass of a matching mechanism draws k
+    orders per profile from ``random.Random(seed ^ 0x9E3779B97F4A7C15)``, so
+    every cell would draw the same orders: they are drawn once per profile.
+    Each base mechanism then runs once per order, and once on the identity
+    order for bias cells; a ``+G`` cell trades the outcomes of its ``base``.
+    Statistics are accumulated in integers: a cell keeps each profile's value
+    as a numerator and a denominator until the end."""
     stream = profile_stream(n, profiles, seed)  # refuses a bad n or count on the call
     for _, metric in cells:
         if metric not in METRICS:
@@ -243,24 +252,26 @@ def campaign(
     need_opt = any(metric == "util_loss" for _, metric in cells)
     if need_opt and n < 2:
         raise ValueError("util_loss needs n >= 2: with one agent the optimum is 0")
-    rngs = {id(cells[i][0]): random.Random(seed ^ _ORDER_SEED) for i in ratios}
+    rng = random.Random(seed ^ _ORDER_SEED)
+    draw = orders != "all" and any(cells[i][0].kind == "matching" for i in ratios)
     nums = {i: [] for i in ratios}
     dens = {i: [] for i in ratios}
     pos_sums = {i: [0] * n for i in biased}
     pos_squares = {i: [0] * n for i in biased}
-    identity = AgentOrder.identity(n)
+    identity = [AgentOrder.identity(n)]
     count = 0  # profiles seen: ``profiles`` may be "all"
     for profile in stream:
         count += 1
-        u = borda_utilities(profile)
+        u = borda_utilities(profile) if ratios else None  # bias cells read ranks instead
         if need_opt:
             opt = optimal_utilitarian(profile, u)[0].numerator
-        got = {}  # id(mechanism) -> its utility sums on this profile
+        drawn = list(order_stream(n, orders, rng)) if draw else orders
+        got, runs = {}, {}  # by id(mechanism): utility sums; base outcome counts
         for i in ratios:
             mech, metric = cells[i]
             key = id(mech)
             if key not in got:
-                got[key] = _utility_sums(mech, profile, u, orders, rngs[key])
+                got[key] = _utility_sums(mech, profile, u, drawn, runs)
             sums, total, worst = got[key]
             if metric == "util_loss":
                 nums[i].append(opt * total - sum(sums))
@@ -268,11 +279,12 @@ def campaign(
             else:
                 nums[i].append(worst if metric == "egal_realized" else min(sums))
                 dens[i].append(total * n)
+        fixed = {}  # by id(mechanism): base outcome counts on the identity order
         for i in biased:
-            item_of = cells[i][0].run(profile, identity).item_of
+            (item_of,) = _outcomes(cells[i][0], profile, identity, fixed)
             sums, squares = pos_sums[i], pos_squares[i]
-            for pos in range(n):  # position i holds agent i under the identity order
-                w = u[pos][item_of[pos]]
+            for pos, prefs in enumerate(profile.agent_prefs):  # agent i holds position i
+                w = n - 1 - prefs.index(item_of[pos])
                 sums[pos] += w
                 squares[pos] += w * w
     for i in ratios:

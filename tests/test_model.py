@@ -259,6 +259,21 @@ class TestMatrixText:
             parse_matrix(f"# items: a b\n1 0\n0 {entry}\n")
         assert str(excinfo.value) == f"line 3: bad matrix entry in '0 {entry}'"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# items: a b\n1/2 1/2\n1/2 1/3\n", "line 3: row sums to 5/6, expected exactly 1"),
+            ("# items: a b\n\n1 0 0\n0 1\n", "line 3: row has length 3, expected 2"),
+            ("1/2 1/2\n# a comment\n3/2 -1/2\n", "line 3: row has an entry outside [0, 1]"),
+            # a column fault names the column, as FractionalAssignment does
+            ("# items: a b\n1 0\n1 0\n", "column 0 sums to 2, expected exactly 1"),
+        ],
+    )
+    def test_fault_names_its_line(self, text, message):
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            parse_matrix(text)
+        assert str(excinfo.value) == message
+
     def test_exact_fractions_in_output(self):
         text = format_matrix(proportional_assignment(3), header=False)
         assert text.splitlines()[0] == "1/3 1/3 1/3"

@@ -17,11 +17,12 @@ from propmatch import (
 )
 from propmatch.axioms import is_pareto_efficient
 from propmatch.experiments import ExperimentConfig, run_experiment
-from propmatch import welfare
+from propmatch import registry, welfare
 from propmatch.registry import resolve
 from propmatch.sampling import ProfileSampler
 from propmatch.welfare import (
     _bias_stats,
+    _hungarian_max,
     _ratio_stats,
     borda_utilities,
     campaign,
@@ -106,6 +107,19 @@ class TestOptimalUtilitarian:
         value, _ = optimal_utilitarian(bench4)
         for perm in itertools.permutations(range(4)):
             assert utilitarian_welfare(Matching(perm), bench4) <= value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_general_integer_matrices(self, n):
+        """Not only Borda tables: negative weights, many ties, wide ranges."""
+        rng = random.Random(700 + n)
+        for lo, hi in [(0, 1), (-2, 2), (-9, 0), (-50, 50), (0, 10**9)] * 4:
+            weight = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+            value, item_of = _hungarian_max(weight)
+            best = max(sum(row[o] for row, o in zip(weight, perm))
+                       for perm in itertools.permutations(range(n)))
+            assert value == best
+            assert sorted(item_of) == list(range(n))
+            assert sum(row[o] for row, o in zip(weight, item_of)) == best
 
 
 class TestOptimumWitnesses:
@@ -303,6 +317,43 @@ class TestCampaignPass:
         cells = [(mech, metric) for mech in mechs for metric in one_cell]
         want = [one_cell[metric](mech) for mech, metric in cells]
         assert list(map(_exact, campaign(cells, 3, 80, 7, orders))) == list(map(_exact, want))
+
+    @pytest.mark.parametrize("orders", [1, 3, "all"])
+    def test_base_and_trading_cells_share_runs(self, orders):
+        """A base and its ``+G`` form, as loss, egalitarian and bias cells:
+        each equals its one-cell campaign."""
+        def mechs(*codes):
+            return [resolve(code)[0] for code in codes]
+
+        cells = [(m, "util_loss") for m in mechs("R-TLQ", "R-TLQ+G")]
+        cells += [(m, "egal_realized") for m in mechs("R-TLQ+G", "R-TLQ")]
+        cells += [(m, "order_bias") for m in mechs("TLQ", "TLQ+G")]
+        want = [utilitarian_loss(m, 4, 60, 5, orders) for m in mechs("R-TLQ", "R-TLQ+G")]
+        want += [expected_egalitarian(m, 4, 60, 5, orders, realized_min=True)
+                 for m in mechs("R-TLQ+G", "R-TLQ")]
+        want += [order_bias(m, 4, 60, 5) for m in mechs("TLQ", "TLQ+G")]
+        assert list(map(_exact, campaign(cells, 4, 60, 5, orders))) == list(map(_exact, want))
+
+    def test_one_base_run_per_order(self, monkeypatch):
+        calls = []
+        real = registry.run_engine
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(registry, "run_engine", counted)
+        loss = [(resolve(code)[0], "util_loss") for code in ("R-TLQ", "R-TLQ+G", "R-PLS+G")]
+        campaign(loss, 5, 20, 3, orders=3)
+        assert len(calls) == 2 * 20 * 3  # TLQ and PLS, once per order
+        calls.clear()
+        bias = [(resolve(code)[0], "order_bias") for code in ("TLQ", "TLQ+G", "PLS+G")]
+        campaign(bias, 5, 20, 3)
+        assert len(calls) == 2 * 20
+        assert {order.order for order in calls} == {(0, 1, 2, 3, 4)}
+        calls.clear()
+        campaign(loss + bias, 5, 20, 3, orders=3)
+        assert len(calls) == 2 * 20 * 4
 
     def test_optimum_once_per_profile_and_only_for_loss(self, monkeypatch):
         calls = []
