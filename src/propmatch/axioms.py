@@ -14,6 +14,7 @@ from .lottery import MatchingMechanism, exact_lottery, order_stream
 from .mechanisms import top_trading_cycles
 from .model import FractionalAssignment, Matching, Profile
 from .sampling import Prefs, canonical
+from .welfare import _hungarian_max
 
 
 class Dominance(enum.Enum):
@@ -187,24 +188,16 @@ def check_strategyproofness(
 
 def feasible_top_k(profile: Profile, k: int) -> bool:
     """Can every agent simultaneously receive one of its top k choices?
-    Decided by augmenting-path search on the agent/top-k-item graph."""
+    Decided by the assignment optimum of the 0/1 table of top-k items: it
+    reaches n exactly when a perfect matching of top-k choices exists."""
     n = profile.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    choices = [set(profile.agent_prefs[j][:k]) for j in range(n)]
-    match_of_item: List[Optional[int]] = [None] * n
-
-    def augment(j: int, visited: set) -> bool:
-        for o in choices[j]:
-            if o in visited:
-                continue
-            visited.add(o)
-            if match_of_item[o] is None or augment(match_of_item[o], visited):
-                match_of_item[o] = j
-                return True
-        return False
-
-    return all(augment(j, set()) for j in range(n))
+    table = [[0] * n for _ in range(n)]
+    for row, prefs in zip(table, profile.agent_prefs):
+        for o in prefs[:k]:
+            row[o] = 1
+    return _hungarian_max(table)[0] == n
 
 
 def satisfies_conditional_bound(

@@ -266,10 +266,12 @@ def engine_stepper(config: EngineConfig) -> Stepper:
     tuples; the work is the proposal count.  Under stack discipline an
     admitted agent proposes until every agent admitted so far holds an item;
     under queue discipline it makes one proposal, and the agents it sends
-    back wait behind the agents not yet admitted.  The last agent admitted is
-    followed by those still waiting, as in a whole run.  A whole run of an
-    order passes through the same states, so it makes the same proposals in
-    the same sequence, and the proposal bound fires on the same orders.
+    back wait behind the agents not yet admitted.  Once every agent is
+    admitted, ``settle`` lets those still waiting propose from the merged
+    count, as in a whole run; under stack discipline nothing waits.  A whole
+    run of an order passes through the same states, so it makes the same
+    proposals in the same sequence, and the proposal bound fires on the same
+    orders.
     """
     stack = config.switches[2]
 
@@ -286,17 +288,17 @@ def engine_stepper(config: EngineConfig) -> Stepper:
             )
             return (tuple(holder), tuple(item_of), tuple(rank), tuple(memory), tuple(waiting)), count
 
-        def finish(state, count, agent):
+        def settle(state, count):
             holder, item_of, rank, memory, waiting = state
             item_of = list(item_of)
-            pending = deque((agent,) + waiting)
+            pending = deque(waiting)
             _propose(
                 profile, config, (list(holder), item_of, list(rank), list(memory), pending),
                 pending, count, False,
             )
             return tuple(item_of)
 
-        return ((None,) * n, (None,) * n, (0,) * n, ((),) * n, ()), admit, finish
+        return ((None,) * n, (None,) * n, (0,) * n, ((),) * n, ()), admit, settle
 
     return begin
 

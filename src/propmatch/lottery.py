@@ -17,13 +17,13 @@ from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Match
 MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
 # A sequential mechanism run one admitted agent at a time.  ``stepper(profile)``
-# returns ``(start, admit, finish)``: ``admit(state, work, agent)`` returns the
-# state and work after ``agent`` joins the agents admitted so far, and
-# ``finish(state, work, agent)`` the outcome ``item_of`` once ``agent``, the
-# last, joins.  A state must depend on nothing but the admitted agents' order,
-# and ``work`` is what the mechanism counts towards a bound it enforces by
-# raising; prefix walks that meet in one state go on from the largest work
-# among them.
+# returns ``(start, admit, settle)``: ``admit(state, work, agent)`` returns the
+# state and work after ``agent`` joins the agents admitted so far, every agent
+# the last included, and ``settle(state, work)`` the outcome ``item_of`` of a
+# state reached once all n have joined.  A state must depend on nothing but
+# the admitted agents' order, and ``work`` is what the mechanism counts
+# towards a bound it enforces by raising; prefix walks that meet in one state
+# go on, or settle, from the largest work among them.
 Stepper = Callable[[Profile], tuple]
 
 # The largest n whose n! orders are enumerated (8! = 40320), whether one by
@@ -157,32 +157,32 @@ def outcome_counts(
 def _replay(mechanism: MatchingMechanism) -> Stepper:
     """The stepper of a plain callable with none of its own (every registry
     code carries one): its state is the admitted prefix itself, so no two
-    prefixes merge, and ``finish`` runs the mechanism on that whole order."""
+    prefixes merge, and ``settle`` runs the mechanism on that whole order."""
 
     def begin(profile: Profile):
         def admit(prefix, work, agent):
             return prefix + (agent,), work
 
-        def finish(prefix, work, agent):
-            return mechanism(profile, AgentOrder(prefix + (agent,))).item_of
+        def settle(prefix, work):
+            return mechanism(profile, AgentOrder(prefix)).item_of
 
-        return (), admit, finish
+        return (), admit, settle
 
     return begin
 
 
 def order_free(mechanism: MatchingMechanism) -> Stepper:
     """The stepper of a mechanism that never reads the order: every prefix
-    reaches the one state, and ``finish`` runs the mechanism once."""
+    reaches the one state, and its one ``settle`` runs the mechanism once."""
 
     def begin(profile: Profile):
         def admit(state, work, agent):
             return state, work
 
-        def finish(state, work, agent):
+        def settle(state, work):
             return mechanism(profile, AgentOrder.identity(profile.n)).item_of
 
-        return None, admit, finish
+        return None, admit, settle
 
     return begin
 
@@ -195,7 +195,7 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
     mechanism's stepper (``Runner.stepper``, which every registry code has;
     a plain callable replays every order).  Layer k maps each pair (members
     admitted per class, state after k admits) to the number of prefixes
-    reaching it, so prefixes that reach one state run on once.
+    reaching it, so prefixes that reach one state run on, and settle, once.
 
     On a one-sided profile, agents with identical preferences form classes of
     sizes k1, k2, ..., and a class admits its members in index order: the
@@ -239,11 +239,11 @@ def _walk(stepped: tuple, classes) -> Counter:
 
     A layer maps the members admitted per class to the states reached, and
     each state to [prefixes, work], the work being the largest among the
-    merged prefixes."""
-    start, admit, finish = stepped
+    merged prefixes.  Each state of the last layer is settled once."""
+    start, admit, settle = stepped
     sizes = [len(members) for members in classes]
     layer = {(0,) * len(classes): {start: [1, 0]}}
-    for _ in range(sum(sizes) - 1):
+    for _ in range(sum(sizes)):
         nxt = {}
         for taken, states in layer.items():
             for c, k in enumerate(taken):
@@ -265,12 +265,10 @@ def _walk(stepped: tuple, classes) -> Counter:
                             entry[1] = done
         layer = nxt
     counts = Counter()
-    for taken, states in layer.items():
-        # One member of one class is left to join.
-        agent = next(members[k] for members, k in zip(classes, taken) if k < len(members))
-        for state, (prefixes, work) in states.items():
-            outcome = finish(state, work, agent)
-            counts[outcome] = counts.get(outcome, 0) + prefixes
+    (states,) = layer.values()
+    for state, (prefixes, work) in states.items():
+        outcome = settle(state, work)
+        counts[outcome] = counts.get(outcome, 0) + prefixes
     return counts
 
 

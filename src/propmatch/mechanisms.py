@@ -26,17 +26,18 @@ def serial_dictatorship(profile: Profile, order: AgentOrder) -> Matching:
 
 def serial_dictatorship_stepper(profile: Profile):
     """Serial dictatorship admitting one agent at a time: the state is the
-    partial ``item_of``, None for agents not admitted yet."""
+    partial ``item_of``, None for agents not admitted yet, and a final state
+    is its own outcome."""
     prefs = profile.agent_prefs
 
     def admit(item_of, work, j):
         o = next(x for x in prefs[j] if x not in item_of)
         return item_of[:j] + (o,) + item_of[j + 1:], work
 
-    def finish(item_of, work, j):
-        return admit(item_of, work, j)[0]
+    def settle(item_of, work):
+        return item_of
 
-    return (None,) * profile.n, admit, finish
+    return (None,) * profile.n, admit, settle
 
 
 def immediate_acceptance(profile: Profile, priority: Sequence[Sequence[int]]) -> Matching:
@@ -78,8 +79,8 @@ def naive_boston_stepper(profile: Profile):
     ``item_of`` and the admitted agents refused so far, in order.  Every agent
     admitted earlier outranks the new one and has made its first application,
     so the new agent applies once, to its top item, and keeps it for good if
-    it is free; otherwise it joins ``waiting``.  ``finish`` admits the last
-    agent, then runs the later rounds: in round r each waiting agent, in
+    it is free; otherwise it joins ``waiting``.  ``settle`` runs the later
+    rounds once every agent is admitted: in round r each waiting agent, in
     order, applies to its rank-r item and takes it if it is free; an agent
     refused waits on, behind the others, for round r + 1.
     """
@@ -92,8 +93,8 @@ def naive_boston_stepper(profile: Profile):
             return (item_of, waiting + (j,)), work
         return (item_of[:j] + (o,) + item_of[j + 1:], waiting), work
 
-    def finish(state, work, j):
-        (item_of, waiting), _ = admit(state, work, j)
+    def settle(state, work):
+        item_of, waiting = state
         item_of = list(item_of)
         taken = set(item_of)
         r = 1
@@ -109,7 +110,7 @@ def naive_boston_stepper(profile: Profile):
             waiting, r = refused, r + 1
         return tuple(item_of)
 
-    return ((None,) * profile.n, ()), admit, finish
+    return ((None,) * profile.n, ()), admit, settle
 
 
 def probabilistic_serial(profile: Profile) -> FractionalAssignment:
@@ -211,16 +212,16 @@ def ttc_stepper(stepper: Stepper) -> Stepper:
     outcome of ``stepper``."""
 
     def begin(profile: Profile):
-        start, admit, finish = stepper(profile)
+        start, admit, settle = stepper(profile)
         traded: dict = {}
 
-        def finish_traded(state, work, agent):
-            base = finish(state, work, agent)
+        def settle_traded(state, work):
+            base = settle(state, work)
             out = traded.get(base)
             if out is None:
                 out = traded[base] = top_trading_cycles(profile, _trusted(Matching, base)).item_of
             return out
 
-        return start, admit, finish_traded
+        return start, admit, settle_traded
 
     return begin

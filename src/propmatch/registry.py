@@ -7,10 +7,10 @@ PFS compute the same matchings, as do NB and PFQ; both implementations are
 kept because their equivalence is a tested property.  BOS-SEQ never reads
 the item preferences it requires: it runs serial dictatorship.  BOS-SIM and
 NB share one immediate-acceptance loop, with item priorities taken from the
-item preferences and from the order respectively.  Every code that reads
-the order carries a stepper of its own for exact lotteries, ``+G`` forms
-included (NB's is ``naive_boston_stepper``, not PFQ's engine stepper); the
-others get ``order_free``.
+item preferences and from the order respectively.  A code reads the order
+exactly when it has a stepper of its own, which admits every agent and then
+settles each distinct final state once (NB's is ``naive_boston_stepper``,
+not PFQ's engine stepper); the others get ``order_free``.
 
 Modifiers: a trailing ``+G`` reruns the output through top trading cycles
 (invalid on PS); a leading ``R-`` marks randomization over the initial order
@@ -55,20 +55,24 @@ class Mechanism:
 
     Each code sets one runner: ``_run`` for a matching, ``_assignment`` for
     a fractional outcome, or ``_trace`` for the proposal codes (the eight
-    engine codes and GS).  ``_stepper`` runs a sequential code one admitted
-    agent at a time, for exact lotteries; codes that never read the order
-    get ``order_free``.  A ``+G`` form names its ``base``, whose outcome it
-    trades by top trading cycles, so a campaign runs the base once for both.
+    engine codes and GS).  ``_stepper`` admits one agent at a time and
+    settles each final state once, for exact lotteries; only the codes that
+    read the order (``uses_order``) have one.  A ``+G`` form names its
+    ``base``, whose outcome it trades by top trading cycles, so a campaign
+    runs the base once for both.
     """
 
     code: str
-    uses_order: bool
     needs_item_prefs: bool
     _run: Optional[MatchingMechanism] = None
     _assignment: Optional[Callable[[Profile], FractionalAssignment]] = None
     _trace: Optional[Callable[[Profile, AgentOrder, bool], Traced]] = None
     _stepper: Optional[Stepper] = None
     base: Optional["Mechanism"] = None
+
+    @property
+    def uses_order(self) -> bool:
+        return self._stepper is not None
 
     @property
     def kind(self) -> str:
@@ -82,7 +86,7 @@ class Mechanism:
         if run is None:
             trace = self._trace
             run = (lambda p, o: trace(p, o, False)[0].matching) if trace else self._no_run
-        return Runner(run, self._stepper if self.uses_order else order_free(run))
+        return Runner(run, self._stepper or order_free(run))
 
     def _no_run(self, profile: Profile, order: AgentOrder) -> Matching:
         raise ValueError(f"{self.code} does not produce discrete matchings")
@@ -104,7 +108,6 @@ def _engine_mech(code: str) -> Mechanism:
     config = EngineConfig.from_code(code)
     return Mechanism(
         code,
-        uses_order=True,
         needs_item_prefs=False,
         _trace=lambda p, o, record, _c=config: (run_engine(p, o, _c, record), _c),
         _stepper=engine_stepper(config),
@@ -112,23 +115,17 @@ def _engine_mech(code: str) -> Mechanism:
 
 
 _BASE = {code: _engine_mech(code) for code in ALL_ENGINE_CODES}
-_BASE["SD"] = Mechanism(
-    "SD", True, False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper
-)
-_BASE["NB"] = Mechanism(
-    "NB", True, False, _run=naive_boston_one_sided, _stepper=naive_boston_stepper
-)
-_BASE["PS"] = Mechanism("PS", False, False, _assignment=probabilistic_serial)
-_BASE["GS"] = Mechanism(
-    "GS", False, True, _trace=lambda p, o, record: (run_gale_shapley(p, o, record), None)
-)
+_BASE["SD"] = Mechanism("SD", False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper)
+_BASE["NB"] = Mechanism("NB", False, _run=naive_boston_one_sided, _stepper=naive_boston_stepper)
+_BASE["PS"] = Mechanism("PS", False, _assignment=probabilistic_serial)
+_BASE["GS"] = Mechanism("GS", True, _trace=lambda p, o, r: (run_gale_shapley(p, o, r), None))
 _BASE["BOS-SEQ"] = Mechanism(
-    "BOS-SEQ", True, True,
+    "BOS-SEQ", True,
     _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SEQUENTIAL),
     _stepper=boston_sequential_stepper,
 )
 _BASE["BOS-SIM"] = Mechanism(
-    "BOS-SIM", False, True,
+    "BOS-SIM", True,
     _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SIMULTANEOUS),
 )
 
@@ -161,7 +158,6 @@ def resolve(code: str) -> Tuple[Mechanism, bool]:
             raise ValueError(f"+G is invalid on {code}: no discrete output to trade from")
         mech = Mechanism(
             code + "+G",
-            mech.uses_order,
             mech.needs_item_prefs,
             _run=compose_ttc(mech.run.run),
             _stepper=mech._stepper and ttc_stepper(mech._stepper),

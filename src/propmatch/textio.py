@@ -125,12 +125,11 @@ def format_matching(m: Matching) -> str:
     return " ".join(f"{agent_name(a)}:{item_name(o, m.n)}" for a, o in enumerate(m.item_of))
 
 
-def format_matrix(assignment: FractionalAssignment, header: bool = True) -> str:
-    """One agent-row per line of exact fractions, columns in item-index order."""
+def format_matrix(assignment: FractionalAssignment) -> str:
+    """A ``# items:`` header, then one agent-row per line of exact fractions,
+    columns in item-index order."""
     n = assignment.n
-    lines = []
-    if header:
-        lines.append("# items: " + " ".join(item_name(o, n) for o in range(n)))
+    lines = ["# items: " + " ".join(item_name(o, n) for o in range(n))]
     for row in assignment.p:
         lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"

@@ -33,31 +33,36 @@ def borda_utilities(profile: Profile) -> Tuple[Tuple[int, ...], ...]:
 
 def _utility_rows(
     outcome: Union[Matching, FractionalAssignment], u: Sequence[Sequence[int]]
-) -> List[Fraction]:
-    """(Expected) Borda utility of every agent, given the utility table ``u``."""
+) -> Tuple[List[int], int]:
+    """(Expected) Borda utility of every agent, given the utility table ``u``,
+    as integer numerators over one scale: 1 for a matching, the assignment's
+    ``scale`` for a fractional outcome."""
     if isinstance(outcome, Matching):
-        return [Fraction(row[o]) for row, o in zip(u, outcome.item_of)]
-    return [Fraction(sum(x * w for x, w in zip(ps, row)), outcome.scale) for ps, row in zip(outcome.nums, u)]
+        return [row[o] for row, o in zip(u, outcome.item_of)], 1
+    return [sum(x * w for x, w in zip(ps, row)) for ps, row in zip(outcome.nums, u)], outcome.scale
 
 
 def agent_utility(
     outcome: Union[Matching, FractionalAssignment], profile: Profile, agent: int
 ) -> Fraction:
-    return _utility_rows(outcome, borda_utilities(profile))[agent]
+    nums, scale = _utility_rows(outcome, borda_utilities(profile))
+    return Fraction(nums[agent], scale)
 
 
 def utilitarian_welfare(
     outcome: Union[Matching, FractionalAssignment], profile: Profile
 ) -> Fraction:
     """Sum over agents of the (expected) Borda utility of their allocation."""
-    return sum(_utility_rows(outcome, borda_utilities(profile)), Fraction(0))
+    nums, scale = _utility_rows(outcome, borda_utilities(profile))
+    return Fraction(sum(nums), scale)
 
 
 def egalitarian_welfare(
     outcome: Union[Matching, FractionalAssignment], profile: Profile
 ) -> Fraction:
     """(Expected) Borda utility of the worst-off agent, scaled by n."""
-    return min(_utility_rows(outcome, borda_utilities(profile))) / profile.n
+    nums, scale = _utility_rows(outcome, borda_utilities(profile))
+    return Fraction(min(nums), scale * profile.n)
 
 
 def _hungarian_max(weight: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
@@ -195,13 +200,11 @@ def _utility_sums(
     ``worst / total`` in expectation.
 
     Matching mechanisms count outcomes by ``_outcomes``.  Fractional ones run
-    no orders: their shares are the assignment's integer numerators over its
-    common denominator (``nums`` and ``scale``), and their worst-off value is
-    the minimum expectation."""
+    no orders: their sums are ``_utility_rows`` of the assignment, over its
+    ``scale``, and their worst-off value is the minimum expectation."""
     if mechanism.kind == "fractional":
-        a = mechanism.assignment(profile)
-        sums = [sum(x * w for x, w in zip(ps, row)) for ps, row in zip(a.nums, u)]
-        return sums, a.scale, min(sums)
+        sums, scale = _utility_rows(mechanism.assignment(profile), u)
+        return sums, scale, min(sums)
     counts = _outcomes(mechanism, profile, orders, runs)
     sums = [0] * profile.n
     worst = 0

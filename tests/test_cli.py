@@ -158,6 +158,12 @@ class TestLottery:
         assert (status, err) == (0, "")
         assert out == (DATA / f"lottery4_{code}.txt").read_text()
 
+    @pytest.mark.parametrize("code", ["GS", "BOS-SEQ", "BOS-SIM", "GS+G", "BOS-SEQ+G", "BOS-SIM+G"])
+    def test_two_sided_exact_output_golden(self, capsys, code):
+        status, out, err = main_result(capsys, "lottery", str(DATA / "two_sided4.txt"), code)
+        assert (status, err) == (0, "")
+        assert out == (DATA / f"two_sided4_{code}.txt").read_text()
+
     def test_sampled_deterministic_and_seed_recorded(self):
         a = cli("lottery", BENCH, "R-TLS", "--samples", "60", "--seed", "11")
         b = cli("lottery", BENCH, "R-TLS", "--samples", "60", "--seed", "11")

@@ -293,6 +293,23 @@ def class_profiles(draw):
 ONE_SIDED_CODES = ALL_ENGINE_CODES + ("SD", "NB") + tuple(
     code + "+G" for code in ALL_ENGINE_CODES + ("SD", "NB")
 )
+# Every registry code with discrete runs, ``+G`` forms included, and those
+# of them that carry a stepper of their own.
+MATCHING_CODES = tuple(
+    code for base, mech in registry._BASE.items() if mech.kind == "matching"
+    for code in (base, base + "+G")
+)
+STEPPED_CODES = tuple(code for code in MATCHING_CODES if resolve(code)[0].uses_order)
+
+
+def fold(stepped, order):
+    """The outcome of admitting the agents of ``order`` one at a time to a
+    stepper's ``(start, admit, settle)``, then settling."""
+    state, admit, settle = stepped
+    work = 0
+    for agent in order.order:
+        state, work = admit(state, work, agent)
+    return settle(state, work)
 
 
 class TestOrbitLottery:
@@ -367,16 +384,40 @@ class TestSteppedCounts:
         stepped = exact_lottery(Runner(refuse, mech.run.stepper), p)
         assert stepped == brute_force_lottery(mech.run, p)
 
-    def test_every_order_reading_code_has_a_stepper(self):
-        # Without one, exact_counts would fall back to replaying every order.
-        for base in registry._BASE:
-            for code in (base, base + "+G"):
-                try:
-                    mech, _ = resolve(code)
-                except ValueError:
-                    continue
-                if mech.uses_order:
-                    assert mech.run.stepper is not None, code
+    @pytest.mark.parametrize("code", STEPPED_CODES)
+    def test_fold_of_an_order_is_its_run_on_every_orbit(self, code):
+        mech, _ = resolve(code)
+        for n in (1, 2, 3, 4):
+            for p in orbit_profiles(n):
+                if mech.needs_item_prefs:  # BOS-SEQ: give the items the agents' lists
+                    p = profile(p.agent_prefs, p.agent_prefs)
+                stepped = mech.run.stepper(p)
+                for order in order_stream(n):
+                    assert fold(stepped, order) == mech.run(p, order).item_of, (p, order)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(class_profiles(), st.data())
+    def test_fold_of_an_order_is_its_run(self, p, data):
+        order = AgentOrder(tuple(data.draw(st.permutations(range(p.n)))))
+        for code in STEPPED_CODES:
+            mech, _ = resolve(code)
+            q = profile(p.agent_prefs, p.agent_prefs) if mech.needs_item_prefs else p
+            assert fold(mech.run.stepper(q), order) == mech.run(q, order).item_of, code
+
+    def test_only_codes_with_a_stepper_read_the_order(self):
+        shared = profile([[0, 1, 2]] * 3)
+        for code in MATCHING_CODES:
+            mech, _ = resolve(code)
+            if mech.uses_order:
+                p = profile(shared.agent_prefs, shared.agent_prefs) if mech.needs_item_prefs else shared
+                assert len(outcome_counts(mech.run, p, order_stream(3))) >= 2, code
+                continue
+            # Every two-sided profile renames one whose agent side is an
+            # orbit's least member, and renaming keeps the outcome count.
+            for n in (1, 2, 3):
+                for agents, items in itertools.product(orbit_profiles(n), all_profiles(n)):
+                    p = Profile(agents.agent_prefs, items.agent_prefs)
+                    assert len(outcome_counts(mech.run, p, order_stream(n))) == 1, (code, p)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_nb_stepper_equals_replay_on_every_orbit(self, n):
@@ -403,33 +444,37 @@ class TestSteppedCounts:
     def test_merged_prefixes_keep_the_largest_work(self):
         # Prefixes of one agent set reach one state; the work spells the
         # admitted agents as digits, so it differs between those prefixes.
-        seen = []
+        last, settled = [], []
 
         def stepper(p):
             def admit(state, work, agent):
+                if work > 9:
+                    last.append(work)
                 return state, 10 * work + agent + 1
 
-            def finish(state, work, agent):
-                seen.append(10 * work + agent + 1)
+            def settle(state, work):
+                settled.append(work)
                 return tuple(range(p.n))
 
-            return None, admit, finish
+            return None, admit, settle
 
         p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
         counts = exact_counts(Runner(serial_dictatorship, stepper), p)
         assert counts == {(0, 1, 2): 6}
-        # The states of {0, 1}, {0, 2} and {1, 2} go on from 21, 31 and 32.
-        assert sorted(seen) == [213, 312, 321]
+        # The states of {0, 1}, {0, 2} and {1, 2} go on from 21, 31 and 32,
+        # and the one final state settles from the largest of 213, 312, 321.
+        assert sorted(last) == [21, 31, 32]
+        assert settled == [321]
 
     def test_outcome_that_is_no_matching_refused(self):
         def stepper(p):
             def admit(state, work, agent):
                 return state, work
 
-            def finish(state, work, agent):
+            def settle(state, work):
                 return (0,) * p.n  # every agent gets item 0
 
-            return None, admit, finish
+            return None, admit, settle
 
         p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
         # Refused by the lottery itself, before either Fraction view is read.
@@ -451,12 +496,12 @@ class TestSteppedCounts:
         # The outcome depends on which of the two agents is admitted first.
         def stepper(p):
             def admit(state, work, agent):
-                return agent, work
+                return agent if state is None else state, work
 
-            def finish(state, work, agent):
+            def settle(state, work):
                 return first if state == 0 else other
 
-            return None, admit, finish
+            return None, admit, settle
 
         p = profile([[0, 1], [1, 0]])
         with pytest.raises(InvalidInstanceError, match="is not a matching of 2 items"):
