@@ -16,14 +16,16 @@ from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Match
 
 MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
-# A sequential mechanism run one admitted agent at a time.  ``stepper(profile)``
-# returns ``(start, admit, settle)``: ``admit(state, work, agent)`` returns the
-# state and work after ``agent`` joins the agents admitted so far, every agent
-# the last included, and ``settle(state, work)`` the outcome ``item_of`` of a
-# state reached once all n have joined.  A state must depend on nothing but
-# the admitted agents' order, and ``work`` is what the mechanism counts
-# towards a bound it enforces by raising; prefix walks that meet in one state
-# go on, or settle, from the largest work among them.
+# A sequential mechanism run one admitted agent at a time, which a ``Runner``
+# carries for ``exact_counts`` to walk; a plain callable has none and runs on
+# every order.  ``stepper(profile)`` returns ``(start, admit, settle)``:
+# ``admit(state, work, agent)`` returns the state and work after ``agent``
+# joins the agents admitted so far, every agent the last included, and
+# ``settle(state, work)`` the outcome ``item_of`` of a state reached once all
+# n have joined.  A state must depend on nothing but the admitted agents'
+# order, and ``work`` is what the mechanism counts towards a bound it enforces
+# by raising; prefix walks that meet in one state go on, or settle, from the
+# largest work among them.
 Stepper = Callable[[Profile], tuple]
 
 # The largest n whose n! orders are enumerated (8! = 40320), whether one by
@@ -49,12 +51,13 @@ class LotteryResult:
 
     ``outcomes`` pairs each distinct outcome ``item_of`` with the number of
     orders giving it, sorted by outcome, and ``rows[i][o]`` counts the orders
-    giving agent i item o; there must be at least one outcome, every outcome
-    must be a permutation of 0..n-1 and every row and column of ``rows`` sum
-    to ``order_count``.  ``assignment`` and ``support`` are the same lottery
-    in exact ``Fraction`` probabilities, built on first read: ``support``
-    pairs each distinct matching with its probability, and the weighted
-    permutation matrices sum to ``assignment``.
+    giving agent i item o.  There must be at least one outcome, every outcome
+    must be a permutation of 0..n-1 with a count of at least 1, and the
+    counts must sum to ``order_count``; each row and column of ``rows`` then
+    sums to ``order_count`` too.  ``assignment`` and ``support`` are the same
+    lottery in exact ``Fraction`` probabilities, built on first read:
+    ``support`` pairs each distinct matching with its probability, and the
+    weighted permutation matrices sum to ``assignment``.
     """
 
     outcomes: Tuple[Tuple[Tuple[int, ...], int], ...]
@@ -66,13 +69,14 @@ class LotteryResult:
             raise InvalidInstanceError("a lottery needs at least one outcome")
         n = len(self.outcomes[0][0])
         items = _indices(n)
-        for item_of, _ in self.outcomes:
+        for item_of, c in self.outcomes:
             if len(item_of) != n or set(item_of) != items:
                 raise InvalidInstanceError(f"lottery outcome {item_of} is not a matching of {n} items")
-        rows = _receipt_rows(self.outcomes, n)
-        object.__setattr__(self, "rows", rows)
-        if any(sum(line) != self.order_count for line in rows + tuple(zip(*rows))):
-            raise InvalidInstanceError(f"lottery rows and columns must each sum to {self.order_count}")
+            if c < 1:
+                raise InvalidInstanceError(f"lottery outcome {item_of} needs a count >= 1, got {c}")
+        if sum(c for _, c in self.outcomes) != self.order_count:
+            raise InvalidInstanceError(f"lottery counts must sum to {self.order_count}")
+        object.__setattr__(self, "rows", _receipt_rows(self.outcomes, n))
 
     @functools.cached_property
     def assignment(self) -> FractionalAssignment:
@@ -86,12 +90,13 @@ class LotteryResult:
 
 
 class Runner:
-    """A matching mechanism ``run(profile, order)`` that carries an optional
-    ``stepper``, which ``exact_counts`` uses to merge order prefixes."""
+    """A matching mechanism ``run(profile, order)`` that carries its
+    ``stepper``, which ``exact_counts`` walks instead of running every order;
+    ``run`` must treat agents anonymously, as every registry code's does."""
 
     __slots__ = ("run", "stepper")
 
-    def __init__(self, run: MatchingMechanism, stepper: Optional[Stepper] = None):
+    def __init__(self, run: MatchingMechanism, stepper: Stepper):
         self.run = run
         self.stepper = stepper
 
@@ -154,23 +159,6 @@ def outcome_counts(
     return Counter(mechanism(profile, order).item_of for order in orders)
 
 
-def _replay(mechanism: MatchingMechanism) -> Stepper:
-    """The stepper of a plain callable with none of its own (every registry
-    code carries one): its state is the admitted prefix itself, so no two
-    prefixes merge, and ``settle`` runs the mechanism on that whole order."""
-
-    def begin(profile: Profile):
-        def admit(prefix, work, agent):
-            return prefix + (agent,), work
-
-        def settle(prefix, work):
-            return mechanism(profile, AgentOrder(prefix)).item_of
-
-        return (), admit, settle
-
-    return begin
-
-
 def order_free(mechanism: MatchingMechanism) -> Stepper:
     """The stepper of a mechanism that never reads the order: every prefix
     reaches the one state, and its one ``settle`` runs the mechanism once."""
@@ -191,11 +179,12 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
     """How often each outcome ``item_of`` tuple occurs over all n! initial
     orders: the ``Counter`` of ``outcome_counts`` over ``order_stream(n)``.
 
-    Orders are walked as prefixes, one admitted agent per layer, by the
-    mechanism's stepper (``Runner.stepper``, which every registry code has;
-    a plain callable replays every order).  Layer k maps each pair (members
-    admitted per class, state after k admits) to the number of prefixes
-    reaching it, so prefixes that reach one state run on, and settle, once.
+    A callable without a stepper is counted by exactly that definition, one
+    run per order.  A ``Runner`` (every registry code's ``run`` is one) is
+    instead walked as order prefixes, one admitted agent per layer, by its
+    stepper.  Layer k maps each pair (members admitted per class, state after
+    k admits) to the number of prefixes reaching it, so prefixes that reach
+    one state run on, and settle, once.
 
     On a one-sided profile, agents with identical preferences form classes of
     sizes k1, k2, ..., and a class admits its members in index order: the
@@ -204,11 +193,14 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
     every permutation of those items within the classes: renaming agents who
     have identical preferences only renames the outcome, so each of those
     matchings occurs that often among all n! orders.  This needs a mechanism
-    that treats agents anonymously, as every registry code does.  On a
-    two-sided profile, whose item preferences can tell identical agents
-    apart, every agent is its own class.
+    that treats agents anonymously, which a ``Runner`` promises and a plain
+    callable need not.  On a two-sided profile, whose item preferences can
+    tell identical agents apart, every agent is its own class.
     """
     n = profile.n
+    stepper = getattr(mechanism, "stepper", None)
+    if stepper is None:
+        return outcome_counts(mechanism, profile, order_stream(n))
     _check_limit(n)
     if profile.two_sided:
         classes = [[a] for a in range(n)]
@@ -217,7 +209,6 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
         for a, prefs in enumerate(profile.agent_prefs):
             by_prefs.setdefault(prefs, []).append(a)
         classes = list(by_prefs.values())
-    stepper = getattr(mechanism, "stepper", None) or _replay(mechanism)
     per_class = _walk(stepper(profile), classes)
     if len(classes) == n:
         return per_class
@@ -283,8 +274,8 @@ def _receipt_rows(outcomes: Iterable[Tuple[Tuple[int, ...], int]], n: int) -> Tu
 
 def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
     """The lottery over all n! initial orders, each with weight 1/n!: the
-    outcome counts of ``exact_counts``, which states how orders are walked,
-    the anonymity it relies on, and the ``ENUMERATION_LIMIT`` on n.
+    outcome counts of ``exact_counts``, which states its two paths, the
+    anonymity a ``Runner`` promises and the ``ENUMERATION_LIMIT`` on n.
     """
     counts = exact_counts(mechanism, profile)
     return LotteryResult(tuple(sorted(counts.items())), sum(counts.values()))

@@ -242,7 +242,11 @@ def campaign(
     Each base mechanism then runs once per order, and once on the identity
     order for bias cells; a ``+G`` cell trades the outcomes of its ``base``.
     Statistics are accumulated in integers: a cell keeps each profile's value
-    as a numerator and a denominator until the end."""
+    as a numerator and a denominator until the end.  ``profiles="orbits"`` is
+    refused: an orbit's least profile stands for orbits of different sizes, so
+    their plain mean is not the uniform-profile mean."""
+    if profiles == "orbits":
+        raise ValueError('a campaign averages over "all" or k drawn profiles, not "orbits"')
     stream = profile_stream(n, profiles, seed)  # refuses a bad n or count on the call
     for _, metric in cells:
         if metric not in METRICS:

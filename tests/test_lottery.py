@@ -34,7 +34,7 @@ from propmatch.lottery import (
     randomized_equivalent_on,
     sampled_lottery,
 )
-from propmatch.mechanisms import naive_boston_stepper
+from propmatch.mechanisms import naive_boston_stepper, serial_dictatorship_stepper
 from propmatch.registry import resolve
 from propmatch.sampling import (
     ProfileSampler,
@@ -342,13 +342,40 @@ class TestOrbitLottery:
             orders.append(order.order)
             return serial_dictatorship(pr, order)
 
+        # A plain callable promises no anonymity, so it runs every order.
         lot = exact_lottery(sd, p)
-        # Classes {0, 2} and {1, 3}: the 4!/(2! 2!) label sequences AABB ... BBAA.
-        assert sorted(orders) == [
-            (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3), (1, 0, 3, 2), (1, 3, 0, 2)
-        ]
+        assert sorted(orders) == list(itertools.permutations(range(4)))
         assert lot.order_count == 24
         assert lot == brute_force_lottery(serial_dictatorship, p)
+
+        # A stepper is walked over classes {0, 2} and {1, 3}: the 4!/(2! 2!)
+        # label sequences AABB ... BBAA reach at most six final states, and
+        # folding spreads them over the lottery's 16 outcomes.
+        settled = []
+
+        def recording(pr):
+            start, admit, settle = serial_dictatorship_stepper(pr)
+
+            def counted(state, work):
+                settled.append(state)
+                return settle(state, work)
+
+            return start, admit, counted
+
+        stepped = exact_lottery(Runner(serial_dictatorship, recording), p)
+        assert len(settled) <= 6 < len(lot.outcomes)
+        assert stepped == lot
+
+    def test_plain_callable_that_is_not_anonymous_runs_every_order(self):
+        # Agent 0 always picks first, so agents 0 and 1, who share a list,
+        # are not interchangeable: agent 0 gets item 0 on every order.
+        def zero_first(pr, order):
+            return serial_dictatorship(pr, AgentOrder((0,) + tuple(a for a in order.order if a != 0)))
+
+        p = profile([[0, 1, 2], [0, 1, 2], [1, 0, 2]])
+        lot = exact_lottery(zero_first, p)
+        assert dict(lot.outcomes) == outcome_counts(zero_first, p, order_stream(3))
+        assert lot.rows[0] == (6, 0, 0)
 
 
 @st.composite
@@ -421,6 +448,7 @@ class TestSteppedCounts:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_nb_stepper_equals_replay_on_every_orbit(self, n):
+        # The plain ``naive_boston_one_sided`` is run on every order.
         stepped = Runner(naive_boston_one_sided, naive_boston_stepper)
         for p in orbit_profiles(n):
             assert exact_counts(stepped, p) == exact_counts(naive_boston_one_sided, p), p
@@ -486,6 +514,17 @@ class TestSteppedCounts:
     def test_lottery_without_outcomes_refused(self):
         with pytest.raises(InvalidInstanceError, match="at least one outcome"):
             LotteryResult((), 0)
+
+    @pytest.mark.parametrize("order_count", [1, 3])
+    def test_counts_not_summing_to_the_order_count_refused(self, order_count):
+        with pytest.raises(InvalidInstanceError, match=f"counts must sum to {order_count}"):
+            LotteryResult((((0, 1), 1), ((1, 0), 1)), order_count)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_refused(self, count):
+        # Rows and columns of these counts still sum to the order count.
+        with pytest.raises(InvalidInstanceError, match=f"needs a count >= 1, got {count}"):
+            LotteryResult((((0, 1), 2 - count), ((1, 0), count)), 2)
 
     @pytest.mark.parametrize("first, other", [
         ((0, 0), (1, 1)),  # balanced rows and columns, but no matching

@@ -380,6 +380,21 @@ class TestCampaignPass:
         with pytest.raises(ValueError, match="unknown metric"):
             campaign([(resolve("RSD")[0], "nash")], 4, 5, 0)
 
+    def test_orbit_profiles_refused_on_the_call(self, monkeypatch):
+        # Orbits differ in size, so the mean over their least profiles is not
+        # the uniform-profile mean: exact RSD loss at n = 3 would read 1/25
+        # over the 10 orbits against 19/360 over all 216 profiles.
+        monkeypatch.setattr(welfare, "profile_stream", None)  # reached only after the check
+        rsd, sd = resolve("RSD")[0], resolve("SD")[0]
+        for refused in (
+            lambda: campaign([(rsd, "egal"), (sd, "order_bias")], 3, "orbits", 0),
+            lambda: utilitarian_loss(rsd, 3, "orbits", 0, orders="all"),
+            lambda: expected_egalitarian(rsd, 3, "orbits", 0),
+            lambda: order_bias(sd, 3, "orbits", 0),
+        ):
+            with pytest.raises(ValueError, match='not "orbits"'):
+                refused()
+
 
 def fraction_stats(values):
     """Mean and standard error with ``Fraction`` sums: the accounting the
