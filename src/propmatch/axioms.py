@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .lottery import MatchingMechanism, exact_lottery, order_stream
 from .mechanisms import top_trading_cycles
 from .model import FractionalAssignment, Matching, Profile
-from .sampling import Prefs, canonical
+from .sampling import Prefs, _anchored, canonical
 from .welfare import _hungarian_max
 
 
@@ -116,7 +116,8 @@ class SPReport:
         return None
 
 
-LotteryMemo = Dict[Tuple[Prefs, Optional[Prefs]], Tuple[Tuple[int, ...], ...]]
+# an anchored form to one row, or (agent_prefs, item_prefs) to every row
+LotteryMemo = Dict[tuple, tuple]
 
 
 def _receipt_row(
@@ -128,23 +129,35 @@ def _receipt_row(
 ) -> Tuple[int, ...]:
     """The agent's exact-lottery row as receipt counts over n!.
 
-    With ``memo``, a one-sided profile's rows are kept under its orbit's
-    least member (``canonical``) and renamed back to the caller's agents and
-    items, so each orbit's lottery is built once; a two-sided profile's rows
-    are kept under its own preferences.
+    With ``memo``, a one-sided row is kept under the agent's anchored form
+    (``sampling._anchored``), in the anchored item names, and renamed back
+    to the caller's items.  A form met for the first time goes through its
+    orbit's least member (``canonical``), whose lottery is kept under
+    ``(least, None)``, so each orbit's lottery is built once.  A two-sided
+    profile's rows are kept under its own preferences, ``(agent_prefs,
+    item_prefs)``.  The two kinds of key cannot collide: a form is a tuple of
+    n - 1 lists of item numbers, and the first entry of a pair is a tuple
+    of such lists.
     """
     if memo is None:
         return exact_lottery(mechanism, Profile(agent_prefs, item_prefs)).rows[agent]
-    items = None
-    if item_prefs is None:
-        agent_prefs, agents, items = canonical(agent_prefs)
-        agent = agents.index(agent)
-    key = (agent_prefs, item_prefs)
-    rows = memo.get(key)
-    if rows is None:
-        rows = memo[key] = exact_lottery(mechanism, Profile(*key)).rows
-    row = rows[agent]
-    return row if items is None else tuple([row[y] for y in items])
+    if item_prefs is not None:
+        key = (agent_prefs, item_prefs)
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = exact_lottery(mechanism, Profile(*key)).rows
+        return rows[agent]
+    form, items = _anchored(agent_prefs, agent)
+    row = memo.get(form)
+    if row is None:
+        least, agents, renamed = canonical((tuple(range(len(items))),) + form)
+        key = (least, None)
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = exact_lottery(mechanism, Profile(least)).rows
+        least_row = rows[agents.index(0)]
+        row = memo[form] = tuple([least_row[y] for y in renamed])
+    return tuple([row[y] for y in items])
 
 
 def check_strategyproofness(
@@ -155,17 +168,17 @@ def check_strategyproofness(
     fixed.  Dominance verdicts are relative to the *true* preferences.  The
     rows are receipt counts over n!, the exact lotteries' ``rows``.
 
-    ``memo`` maps the preferences of a profile, ``(agent_prefs,
-    item_prefs)``, to every agent's receipt counts under ``mechanism``; pass
-    one dict only with one mechanism.  A lottery is then built once however
-    often it comes up.  A one-sided profile is kept under the least profile
-    of its orbit under renaming agents and items
-    (``sampling.canonical``), so a memo assumes anonymity and neutrality:
-    pass one only for a mechanism whose outcomes are equivariant under
-    renaming, as every registry code's are.  An exhaustive sweep that keeps
-    one memo throughout builds each orbit's lottery once; a sampled sweep
-    keeps a memo for one profile, so its agents and the misreports that
-    reach one orbit share a lottery.
+    ``memo`` keeps receipt counts under ``mechanism`` (``_receipt_row``);
+    pass one dict only with one mechanism.  A lottery is then built once
+    however often it comes up.  A one-sided row is kept under the reporting
+    agent's anchored form, and its lottery under the least profile of its
+    orbit under renaming agents and items (``sampling.canonical``), so a
+    memo assumes anonymity and neutrality: pass one only for a mechanism
+    whose outcomes are equivariant under renaming, as every registry code's
+    are.  An exhaustive sweep that keeps one memo throughout builds each
+    orbit's lottery once and computes one canonical form per anchored form;
+    a sampled sweep keeps a memo for one profile, so its agents and the
+    misreports that reach one orbit share a lottery.
     """
     n = profile.n
     truth = profile.agent_prefs[agent]

@@ -7,6 +7,7 @@ Every draw is exactly the one ``random.shuffle`` makes from the same generator
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -53,6 +54,24 @@ def all_profiles(n: int) -> Iterator[Profile]:
 Prefs = Tuple[Tuple[int, ...], ...]
 
 
+def _anchored(agent_prefs: Prefs, a: int) -> Tuple[Prefs, List[int]]:
+    """Agent ``a``'s anchored form, with the item renaming that reaches it:
+    ``(form, items)``.  Every item x is renamed ``items[x]``, its rank in a's
+    list, so that a's list becomes the identity; ``form`` is the other
+    agents' renamed lists, sorted.
+
+    Renaming agents and items leaves each agent's anchored form as it is, so
+    a profile's anchored forms, one per agent, are the same for every member
+    of its orbit.
+    """
+    items = [0] * len(agent_prefs)
+    for rank, x in enumerate(agent_prefs[a]):
+        items[x] = rank
+    rest = [tuple([items[x] for x in row]) for j, row in enumerate(agent_prefs) if j != a]
+    rest.sort()
+    return tuple(rest), items
+
+
 def canonical(agent_prefs: Prefs) -> Tuple[Prefs, Tuple[int, ...], Tuple[int, ...]]:
     """The lexicographically least preferences reachable from ``agent_prefs``
     by renaming agents and items, with a renaming that reaches them:
@@ -60,28 +79,44 @@ def canonical(agent_prefs: Prefs) -> Tuple[Prefs, Tuple[int, ...], Tuple[int, ..
     list with each item x renamed ``items[x]``.
 
     The least member of an orbit puts the identity first and sorts the other
-    rows, so it is found by trying each agent as the one whose list is renamed
-    to the identity.
+    rows, so it is the identity followed by the least anchored form over all
+    agents (``_anchored``).  Ties go to the lowest such agent, and agents with
+    equal lists follow in their order.
     """
-    best = None
-    for a, top in enumerate(agent_prefs):
-        items = [0] * len(top)
-        for rank, x in enumerate(top):
-            items[x] = rank
-        rest = sorted(
-            (tuple([items[x] for x in row]), j) for j, row in enumerate(agent_prefs) if j != a
-        )
-        key = tuple(row for row, _ in rest)
-        if best is None or key < best[0]:
-            best = key, (a,) + tuple(j for _, j in rest), tuple(items)
-    key, agents, items = best
-    return (tuple(range(len(agents))),) + key, agents, items
+    n = len(agent_prefs)
+    forms = [_anchored(agent_prefs, a) for a in range(n)]
+    a = min(range(n), key=lambda i: forms[i][0])
+    form, items = forms[a]
+    others = sorted(
+        (j for j in range(n) if j != a), key=lambda j: tuple([items[x] for x in agent_prefs[j]])
+    )
+    return (tuple(range(n)),) + form, (a, *others), tuple(items)
+
+
+@functools.cache
+def _orbit_list(n: int) -> Tuple[Profile, ...]:
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    orbits = []
+    for rest in itertools.combinations_with_replacement(perms, n - 1):
+        if rest not in seen:
+            prefs = (perms[0],) + rest
+            orbits.append(_trusted(Profile, prefs, None))
+            seen.update([_anchored(prefs, a)[0] for a in range(n)])
+    return tuple(orbits)
 
 
 def orbit_profiles(n: int) -> Iterator[Profile]:
     """The lexicographically least profile of each orbit of one-sided
     profiles under renaming agents and items (1, 2, 10 and 762 orbits for
     n = 1..4), in lexicographic order.
+
+    The candidates are the identity followed by n - 1 sorted lists, in
+    lexicographic order.  Every anchored form of an orbit is such a
+    candidate's tail, so the first candidate met of each orbit is its least
+    member; it is listed, and its n anchored forms, the orbit's, are marked
+    so that no later candidate of the orbit is.  The list is built once per
+    n in a process; each call iterates it afresh.
 
     Sweeping these in place of ``all_profiles(n)`` assumes anonymity and
     neutrality: the property swept must hold on a profile exactly when it
@@ -90,11 +125,7 @@ def orbit_profiles(n: int) -> Iterator[Profile]:
     the full sweep is then the least of its orbit, so both sweeps stop at
     the same profile.
     """
-    perms = list(itertools.permutations(range(n)))
-    for rest in itertools.combinations_with_replacement(perms, n - 1):
-        prefs = (perms[0],) + rest
-        if canonical(prefs)[0] == prefs:
-            yield _trusted(Profile, prefs, None)
+    return iter(_orbit_list(n))
 
 
 def all_orders(n: int) -> List[AgentOrder]:

@@ -3,6 +3,7 @@ each validated against an independent brute-force oracle where one exists."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from propmatch.axioms import (
 )
 from propmatch.lottery import exact_lottery
 from propmatch.registry import resolve
-from propmatch.sampling import all_profiles
+from propmatch.sampling import all_profiles, orbit_profiles
 
 from conftest import random_permutation, random_profile
 
@@ -196,6 +197,60 @@ class TestStrategyproofness:
         p = profile([[0, 1, 2, 3], [0, 1, 2, 3], [2, 0, 1, 3], [0, 2, 1, 3]])
         report = check_strategyproofness(nb.run, p, 3)
         assert report.overall is SPVerdict.NOT_WEAKLY_SP
+
+    def test_identical_lists_weakly_sp_only_under_naive_boston(self):
+        """Under NB on three identical lists, agent 0 gets each item with
+        probability 1/3 when truthful and b for sure when it reports b first.
+        Neither row dominates the other, and no misreport's row dominates the
+        truthful one."""
+        nb, _ = resolve("NB")
+        identical = profile([[0, 1, 2]] * 3)
+        swept = {}
+        for p in orbit_profiles(3):
+            for agent in range(3):
+                check_strategyproofness(nb.run, p, agent, swept)
+        for memo in (None, {}, swept):
+            report = check_strategyproofness(nb.run, identical, 0, memo)
+            assert report.overall is SPVerdict.WEAKLY_SP_ONLY
+
+    @pytest.mark.parametrize("code, counts", [
+        ("NB", {"STRATEGYPROOF": 30, "WEAKLY_SP_ONLY": 5}),
+        ("TFS", {"STRATEGYPROOF": 25, "NOT_WEAKLY_SP": 1, "WEAKLY_SP_ONLY": 9}),
+        ("PLS+G", {"STRATEGYPROOF": 25, "NOT_WEAKLY_SP": 5, "WEAKLY_SP_ONLY": 5}),
+    ])
+    def test_verdict_counts_over_small_orbits(self, code, counts):
+        """Verdicts of every agent of every n <= 3 orbit, one memo shared over
+        the sweep.  The one n = 1 agent has no misreport and counts as
+        strategyproof."""
+        mech, _ = resolve(code)
+        memo = {}
+        verdicts = Counter(
+            check_strategyproofness(mech.run, p, agent, memo).overall.name
+            for n in (1, 2, 3) for p in orbit_profiles(n) for agent in range(n)
+        )
+        assert verdicts == counts
+
+    @pytest.mark.parametrize("code", ["SD", "NB", "PFQ", "TLQ", "PLS", "TLS+G", "TFS+G"])
+    def test_memo_leaves_every_report_unchanged(self, code):
+        """A memo shared over every n <= 3 orbit, and a fresh memo for each
+        seeded n = 4 and n = 5 profile, give the reports built without one.
+        The n = 5 profile repeats lists, so agents share anchored forms."""
+        mech, _ = resolve(code)
+        memo = {}
+        for n in (1, 2, 3):
+            for p in orbit_profiles(n):
+                for agent in range(n):
+                    assert check_strategyproofness(mech.run, p, agent, memo) == (
+                        check_strategyproofness(mech.run, p, agent))
+        rng = random.Random(41)
+        lists = [random_permutation(rng, 5) for _ in range(3)]
+        seeded = [random_profile(rng, 4) for _ in range(3)]
+        seeded.append(profile([lists[0], lists[1], lists[0], lists[2], lists[1]]))
+        for p in seeded:
+            memo = {}
+            for agent in range(p.n):
+                assert check_strategyproofness(mech.run, p, agent, memo) == (
+                    check_strategyproofness(mech.run, p, agent))
 
     def test_gale_shapley_strategyproof_for_proposers(self):
         """Misreports keep the item side, and agent-proposing deferred

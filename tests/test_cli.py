@@ -263,7 +263,6 @@ class TestAxioms:
         assert main(["axioms", code, "--n", "4", "--exhaustive", "--axioms", axiom]) == 0
         assert capsys.readouterr().out == line + "\n"
 
-    @pytest.mark.slow
     def test_n4_sd_sp_passes(self, capsys):
         assert main(["axioms", "SD", "--n", "4", "--exhaustive", "--axioms", "sp"]) == 0
         assert capsys.readouterr().out == "sp, SD, 4, PASS, -, -, -\n"

@@ -188,6 +188,34 @@ def renamed_prefs(draw):
     return prefs, tuple(renamed)
 
 
+def oracle_canonical(agent_prefs):
+    """``sampling.canonical`` as it was before anchored forms: each agent's
+    list in turn renamed to the identity, with the other rows sorted."""
+    best = None
+    for a, top in enumerate(agent_prefs):
+        items = [0] * len(top)
+        for rank, x in enumerate(top):
+            items[x] = rank
+        rest = sorted(
+            (tuple([items[x] for x in row]), j) for j, row in enumerate(agent_prefs) if j != a
+        )
+        key = tuple(row for row, _ in rest)
+        if best is None or key < best[0]:
+            best = key, (a,) + tuple(j for _, j in rest), tuple(items)
+    key, agents, items = best
+    return (tuple(range(len(agents))),) + key, agents, items
+
+
+def oracle_orbit_profiles(n):
+    """``sampling.orbit_profiles`` as it was before anchored forms: every
+    candidate that is its own canonical form."""
+    perms = list(itertools.permutations(range(n)))
+    for rest in itertools.combinations_with_replacement(perms, n - 1):
+        prefs = (perms[0],) + rest
+        if oracle_canonical(prefs)[0] == prefs:
+            yield prefs
+
+
 class TestOrbits:
     @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 10), (4, 762)])
     def test_one_least_profile_per_orbit(self, n, count):
@@ -195,11 +223,30 @@ class TestOrbits:
         assert len(orbits) == count
         assert orbits == sorted(orbits)
         assert all(canonical(prefs)[0] == prefs for prefs in orbits)
+        assert orbits == list(oracle_orbit_profiles(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_profile_reaches_a_listed_orbit(self, n):
         least = {canonical(p.agent_prefs)[0] for p in all_profiles(n)}
         assert sorted(least) == [p.agent_prefs for p in orbit_profiles(n)]
+
+    def test_each_call_lists_every_orbit(self):
+        first = orbit_profiles(3)
+        read = [next(first) for _ in range(4)]
+        again = list(orbit_profiles(3))
+        assert len(again) == 10 and again[:4] == read
+        assert list(first) == again[4:]
+        assert list(orbit_profiles(3)) == again
+
+    def test_canonical_matches_oracle(self):
+        cases = [p.agent_prefs for n in (1, 2, 3) for p in all_profiles(n)]
+        rng = random.Random(15)
+        for n in range(4, 9):
+            for _ in range(40):
+                lists = [tuple(random_permutation(rng, n)) for _ in range(rng.randint(1, n))]
+                cases.append(tuple(rng.choice(lists) for _ in range(n)))
+        for prefs in cases:
+            assert canonical(prefs) == oracle_canonical(prefs), prefs
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(renamed_prefs())
