@@ -170,36 +170,46 @@ def _run(
     if len(order.order) != n:
         raise InvalidInstanceError("order length must equal agent count")
     pending = deque(order.order)
-    item_of: List[Optional[int]] = [None] * n
-    state = ([None] * n, item_of, [0] * n, memory, pending)
-    count, trace = _propose(profile, config, state, pending, 0, record)
-    return EngineResult(_trusted(Matching, tuple(item_of)), count, tuple(trace))  # complete by construction
+    holder: List[Optional[int]] = [None] * n
+    count, trace = _propose(profile, config, (holder, [0] * n, memory, pending), pending, 0, record)
+    return EngineResult(_trusted(Matching, _item_of(holder)), count, tuple(trace))  # complete by construction
+
+
+def _item_of(holder) -> Tuple[int, ...]:
+    """The matching of a run that ended with every item held: each agent's
+    item, ``holder`` inverted."""
+    item_of = [0] * len(holder)
+    for o, a in enumerate(holder):
+        item_of[a] = o
+    return tuple(item_of)
 
 
 def _propose(
     profile: Profile,
     config: EngineConfig,
-    state: Tuple[list, list, list, list, deque],
+    state: Tuple[list, list, list, deque],
     pending: deque,
     count: int,
     record: bool,
 ) -> Tuple[int, List[TraceEvent]]:
     """The proposal loop behind every engine entry point.
 
-    ``state`` is ``(holder, item_of, rank, memory, waiting)``, updated in
-    place: ``holder[o]`` is the agent holding item o, ``item_of[j]`` the item
-    agent j holds, ``rank[j]`` agent j's next position in its list (it
-    approached the items above it since the last reset), ``memory[o]`` item
-    o's recorded preference as a tuple, most-preferred first, and ``waiting``
-    the deque that queue discipline sends rejected and displaced agents to.  The loop proposes until
-    ``pending`` is empty.  A whole run passes one deque as both ``pending``
-    and ``waiting``.  An exact lottery admits one agent at a time instead:
-    ``pending`` holds just that agent, so under queue discipline it makes one
-    proposal, and the agents it sends back wait for the later admits.
-    ``count`` is the number of proposals made before; the new count is
-    returned, with the TraceEvents of the proposals when ``record`` is set.
+    ``state`` is ``(holder, rank, memory, waiting)``, updated in place:
+    ``holder[o]`` is the agent holding item o (None while o is free),
+    ``rank[j]`` agent j's next position in its list (it approached the items
+    above it since the last reset), ``memory[o]`` item o's recorded
+    preference as a tuple, most-preferred first, and ``waiting`` the deque
+    that queue discipline sends rejected and displaced agents to.  The loop
+    reads no agent's item, so it keeps none: callers invert ``holder`` once
+    the run is over.  The loop proposes until ``pending`` is empty.  A whole
+    run passes one deque as both ``pending`` and ``waiting``.  An exact
+    lottery admits one agent at a time instead: ``pending`` holds just that
+    agent, so under queue discipline it makes one proposal, and the agents it
+    sends back wait for the later admits.  ``count`` is the number of
+    proposals made before; the new count is returned, with the TraceEvents of
+    the proposals when ``record`` is set.
     """
-    holder, item_of, rank, memory, waiting = state
+    holder, rank, memory, waiting = state
     prefs = profile.agent_prefs
     n = len(prefs)
     temporary, accept_last, stack = config.switches
@@ -218,7 +228,6 @@ def _propose(
         mem = memory[o]
         if h is None:
             holder[o] = j
-            item_of[j] = o
             if temporary:
                 # Global reset: every item loses its memory and every agent may
                 # approach items that rejected it before.
@@ -243,8 +252,6 @@ def _propose(
                 wins = False
             if wins:
                 holder[o] = j
-                item_of[j] = o
-                item_of[h] = None
                 reenter(h)
                 outcome = Outcome.DISPLACED_HOLDER
             else:
@@ -262,16 +269,16 @@ def _propose(
 def engine_stepper(config: EngineConfig) -> Stepper:
     """The engine admitting one agent at a time, for ``lottery.exact_counts``.
 
-    A state is ``_propose``'s ``(holder, item_of, rank, memory, waiting)`` as
-    tuples; the work is the proposal count.  Under stack discipline an
-    admitted agent proposes until every agent admitted so far holds an item;
-    under queue discipline it makes one proposal, and the agents it sends
-    back wait behind the agents not yet admitted.  Once every agent is
-    admitted, ``settle`` lets those still waiting propose from the merged
-    count, as in a whole run; under stack discipline nothing waits.  A whole
-    run of an order passes through the same states, so it makes the same
-    proposals in the same sequence, and the proposal bound fires on the same
-    orders.
+    A state is ``_propose``'s ``(holder, rank, memory, waiting)`` as tuples;
+    the work is the proposal count.  Under stack discipline an admitted agent
+    proposes until every agent admitted so far holds an item; under queue
+    discipline it makes one proposal, and the agents it sends back wait
+    behind the agents not yet admitted.  Once every agent is admitted,
+    ``settle`` lets those still waiting propose from the merged count, as in
+    a whole run, and inverts the holders into the outcome; under stack
+    discipline nothing waits, and it only inverts.  A whole run of an order
+    passes through the same states, so it makes the same proposals in the
+    same sequence, and the proposal bound fires on the same orders.
     """
     stack = config.switches[2]
 
@@ -279,26 +286,21 @@ def engine_stepper(config: EngineConfig) -> Stepper:
         n = profile.n
 
         def admit(state, count, agent):
-            holder, item_of, rank, memory, waiting = state
-            holder, item_of, rank, memory = list(holder), list(item_of), list(rank), list(memory)
+            holder, rank, memory, waiting = state
+            holder, rank, memory = list(holder), list(rank), list(memory)
             pending = deque((agent,))
             waiting = pending if stack else deque(waiting)  # nothing waits under stack
-            count, _ = _propose(
-                profile, config, (holder, item_of, rank, memory, waiting), pending, count, False
-            )
-            return (tuple(holder), tuple(item_of), tuple(rank), tuple(memory), tuple(waiting)), count
+            count, _ = _propose(profile, config, (holder, rank, memory, waiting), pending, count, False)
+            return (tuple(holder), tuple(rank), tuple(memory), tuple(waiting)), count
 
         def settle(state, count):
-            holder, item_of, rank, memory, waiting = state
-            item_of = list(item_of)
-            pending = deque(waiting)
-            _propose(
-                profile, config, (list(holder), item_of, list(rank), list(memory), pending),
-                pending, count, False,
-            )
-            return tuple(item_of)
+            holder, rank, memory, waiting = state
+            if waiting:
+                holder, pending = list(holder), deque(waiting)
+                _propose(profile, config, (holder, list(rank), list(memory), pending), pending, count, False)
+            return _item_of(holder)
 
-        return ((None,) * n, (None,) * n, (0,) * n, ((),) * n, ()), admit, settle
+        return ((None,) * n, (0,) * n, ((),) * n, ()), admit, settle
 
     return begin
 

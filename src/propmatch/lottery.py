@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _indices, _trusted
 
@@ -22,9 +23,11 @@ MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 # ``admit(state, work, agent)`` returns the state and work after ``agent``
 # joins the agents admitted so far, every agent the last included, and
 # ``settle(state, work)`` the outcome ``item_of`` of a state reached once all
-# n have joined.  A state must depend on nothing but the admitted agents'
-# order, and ``work`` is what the mechanism counts towards a bound it enforces
-# by raising; prefix walks that meet in one state go on, or settle, from the
+# n have joined, which ``exact_counts`` then folds by class.  A state must be
+# hashable, is hashed once per admit that reaches it, and must depend on
+# nothing but the admitted agents' order, so keep it to what later admits
+# read; ``work`` is what the mechanism counts towards a bound it enforces by
+# raising; prefix walks that meet in one state go on, or settle, from the
 # largest work among them.
 Stepper = Callable[[Profile], tuple]
 
@@ -45,38 +48,142 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"need a seed >= 0, got {seed}")
 
 
-@dataclass(frozen=True)
+class ClassCounts(NamedTuple):
+    """Outcome counts kept folded by classes of interchangeable agents.
+
+    ``classes`` lists every agent 0..n-1 once, each class in ascending order.
+    ``counts`` maps each folded outcome to a count c: the outcome is the
+    representative ``item_of`` that gives each class its items in ascending
+    order of agent (``fold_outcome``), and it stands for every outcome that
+    permutes those items within the classes, each of them given by c orders.
+    With every agent its own class, these are plain outcome counts."""
+
+    classes: Tuple[Tuple[int, ...], ...]
+    counts: Counter
+
+
+@functools.lru_cache(maxsize=None)
+def singleton_classes(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every agent its own class: no folding."""
+    return tuple((a,) for a in range(n))
+
+
+def spread_size(classes: Iterable[Tuple[int, ...]]) -> int:
+    """How many outcomes one folded outcome stands for: k1! k2! ... for
+    classes of sizes k1, k2, ..."""
+    return math.prod(math.factorial(len(members)) for members in classes)
+
+
+def fold_outcome(item_of: Tuple[int, ...], classes) -> Tuple[int, ...]:
+    """The representative of ``item_of`` under ``classes``: the items of
+    each class given to its members in ascending order."""
+    folded = list(item_of)
+    for members in classes:
+        if len(members) > 1:
+            for a, o in zip(members, sorted([item_of[a] for a in members])):
+                folded[a] = o
+    return tuple(folded)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class LotteryResult:
     """Exact uniform-order lottery, as integer counts over ``order_count`` (n!).
 
-    ``outcomes`` pairs each distinct outcome ``item_of`` with the number of
-    orders giving it, sorted by outcome, and ``rows[i][o]`` counts the orders
-    giving agent i item o.  There must be at least one outcome, every outcome
-    must be a permutation of 0..n-1 with a count of at least 1, and the
-    counts must sum to ``order_count``; each row and column of ``rows`` then
-    sums to ``order_count`` too.  ``assignment`` and ``support`` are the same
-    lottery in exact ``Fraction`` probabilities, built on first read:
+    ``LotteryResult(outcomes, order_count)`` takes each distinct outcome
+    ``item_of`` paired with the number of orders giving it, sorted by
+    outcome.  ``exact_lottery`` passes its counts folded instead, with the
+    ``classes`` of ``ClassCounts``: each outcome is then a representative
+    standing for its permutations within the classes, and ``folded`` keeps
+    them as passed (``classes`` is every agent alone when not given).  There
+    must be at least one outcome, every outcome must be a permutation of
+    0..n-1 with a count of at least 1, a representative must give each class
+    its items in ascending order, and the counts times ``spread_size`` must
+    sum to ``order_count``.
+
+    ``rows[i][o]`` counts the orders giving agent i item o, read from the
+    folded form: agent i of class C gets item o from each folded outcome
+    whose items for C include o, its count c times (|C| - 1)! and times k!
+    for each other class of size k.  Each row and column sums to
+    ``order_count``.
+    ``outcomes`` is the lottery spread over every outcome, sorted by outcome,
+    and ``assignment`` and ``support`` are the same lottery in exact
+    ``Fraction`` probabilities; all three are built on first read.
     ``support`` pairs each distinct matching with its probability, and the
-    weighted permutation matrices sum to ``assignment``.
+    weighted permutation matrices sum to ``assignment``.  Results are equal
+    when their order counts and spread outcomes are, folded or not.
     """
 
-    outcomes: Tuple[Tuple[Tuple[int, ...], int], ...]
+    folded: Tuple[Tuple[Tuple[int, ...], int], ...]
     order_count: int
-    rows: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False)
+    classes: Tuple[Tuple[int, ...], ...]
+    rows: Tuple[Tuple[int, ...], ...] = field(repr=False)
 
-    def __post_init__(self):
-        if not self.outcomes:
+    def __init__(self, outcomes, order_count: int, classes=None):
+        if not outcomes:
             raise InvalidInstanceError("a lottery needs at least one outcome")
-        n = len(self.outcomes[0][0])
+        n = len(outcomes[0][0])
+        classes = singleton_classes(n) if classes is None else classes
+        groups = [members for members in classes if len(members) > 1]
+        if sorted(itertools.chain(*classes)) != list(range(n)) or any(
+            list(members) != sorted(members) for members in groups
+        ):
+            raise InvalidInstanceError(f"lottery classes {classes} must list agents 0..{n - 1} once, ascending")
         items = _indices(n)
-        for item_of, c in self.outcomes:
+        for item_of, c in outcomes:
             if len(item_of) != n or set(item_of) != items:
                 raise InvalidInstanceError(f"lottery outcome {item_of} is not a matching of {n} items")
             if c < 1:
                 raise InvalidInstanceError(f"lottery outcome {item_of} needs a count >= 1, got {c}")
-        if sum(c for _, c in self.outcomes) != self.order_count:
-            raise InvalidInstanceError(f"lottery counts must sum to {self.order_count}")
-        object.__setattr__(self, "rows", _receipt_rows(self.outcomes, n))
+            if any(item_of[a] > item_of[b] for members in groups for a, b in zip(members, members[1:])):
+                raise InvalidInstanceError(
+                    f"lottery outcome {item_of} does not give each class its items in ascending order"
+                )
+        spread = spread_size(groups)
+        if sum(c for _, c in outcomes) * spread != order_count:
+            raise InvalidInstanceError(f"lottery counts must sum to {order_count}")
+        rows = _receipt_rows(outcomes, n)
+        if groups:
+            for members in classes:
+                share = spread // len(members)
+                row = tuple(share * sum(col) for col in zip(*[rows[a] for a in members]))
+                for a in members:
+                    rows[a] = row
+        else:
+            self.__dict__["outcomes"] = outcomes
+        object.__setattr__(self, "folded", outcomes)
+        object.__setattr__(self, "order_count", order_count)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LotteryResult):
+            return NotImplemented
+        if (self.order_count, self.rows) != (other.order_count, other.rows):
+            return False
+        if self.classes == other.classes:
+            return self.folded == other.folded
+        return self.outcomes == other.outcomes
+
+    def __hash__(self) -> int:
+        return hash((self.order_count, self.rows))
+
+    @functools.cached_property
+    def outcomes(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+        classes = self.classes
+        # Items laid out class after class go back to agents in index order.
+        # Only a lottery with a class of two or more gets here (the others
+        # keep what they were given), so n >= 2 and ``unshuffle`` gives tuples.
+        slots = [a for members in classes for a in members]
+        unshuffle = operator.itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
+        every = []
+        for item_of, c in self.folded:
+            per_class = [itertools.permutations([item_of[a] for a in members]) for members in classes]
+            every += [
+                (unshuffle(tuple(itertools.chain.from_iterable(parts))), c)
+                for parts in itertools.product(*per_class)
+            ]
+        every.sort()
+        return tuple(every)
 
     @functools.cached_property
     def assignment(self) -> FractionalAssignment:
@@ -85,7 +192,7 @@ class LotteryResult:
     @functools.cached_property
     def support(self) -> Tuple[Tuple[Matching, Fraction], ...]:
         total = self.order_count
-        weight = {c: Fraction(c, total) for c in {c for _, c in self.outcomes}}
+        weight = {c: Fraction(c, total) for c in {c for _, c in self.folded}}
         return tuple((_trusted(Matching, item_of), weight[c]) for item_of, c in self.outcomes)
 
 
@@ -175,23 +282,25 @@ def order_free(mechanism: MatchingMechanism) -> Stepper:
     return begin
 
 
-def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
-    """How often each outcome ``item_of`` tuple occurs over all n! initial
-    orders: the ``Counter`` of ``outcome_counts`` over ``order_stream(n)``.
+def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
+    """How often each outcome ``item_of`` occurs over all n! initial orders,
+    kept folded by class: spread, the ``Counter`` of ``outcome_counts`` over
+    ``order_stream(n)``.
 
     A callable without a stepper is counted by exactly that definition, one
-    run per order.  A ``Runner`` (every registry code's ``run`` is one) is
-    instead walked as order prefixes, one admitted agent per layer, by its
-    stepper.  Layer k maps each pair (members admitted per class, state after
-    k admits) to the number of prefixes reaching it, so prefixes that reach
-    one state run on, and settle, once.
+    run per order, with every agent its own class.  A ``Runner`` (every
+    registry code's ``run`` is one) is instead walked as order prefixes, one
+    admitted agent per layer, by its stepper.  Layer k maps each pair
+    (members admitted per class, state after k admits) to the number of
+    prefixes reaching it, so prefixes that reach one state run on, and
+    settle, once.
 
     On a one-sided profile, agents with identical preferences form classes of
     sizes k1, k2, ..., and a class admits its members in index order: the
     n!/(k1! k2! ...) sequences of class labels stand for all n! orders.  Each
-    outcome is counted under its items per class, and the count then goes to
-    every permutation of those items within the classes: renaming agents who
-    have identical preferences only renames the outcome, so each of those
+    outcome is counted under its ``fold_outcome``, which stands for every
+    permutation of its items within the classes: renaming agents who have
+    identical preferences only renames the outcome, so each of those
     matchings occurs that often among all n! orders.  This needs a mechanism
     that treats agents anonymously, which a ``Runner`` promises and a plain
     callable need not.  On a two-sided profile, whose item preferences can
@@ -200,29 +309,22 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> Counter:
     n = profile.n
     stepper = getattr(mechanism, "stepper", None)
     if stepper is None:
-        return outcome_counts(mechanism, profile, order_stream(n))
+        return ClassCounts(singleton_classes(n), outcome_counts(mechanism, profile, order_stream(n)))
     _check_limit(n)
     if profile.two_sided:
-        classes = [[a] for a in range(n)]
+        classes = singleton_classes(n)
     else:
         by_prefs: dict = {}
         for a, prefs in enumerate(profile.agent_prefs):
             by_prefs.setdefault(prefs, []).append(a)
-        classes = list(by_prefs.values())
-    per_class = _walk(stepper(profile), classes)
-    if len(classes) == n:
-        return per_class
-    folded = Counter()
-    for item_of, c in per_class.items():
-        folded[tuple(tuple(sorted(item_of[a] for a in members)) for members in classes)] += c
-    # Items laid out class after class go back to agents in index order.
-    slots = [a for members in classes for a in members]
-    unshuffle = operator.itemgetter(*sorted(range(n), key=slots.__getitem__))
-    counts = Counter()
-    for items, c in folded.items():
-        for parts in itertools.product(*map(itertools.permutations, items)):
-            counts[unshuffle(tuple(itertools.chain.from_iterable(parts)))] = c
-    return counts
+        classes = tuple(map(tuple, by_prefs.values()))
+    counts = _walk(stepper(profile), classes)
+    if len(classes) < n:
+        folded = Counter()
+        for item_of, c in counts.items():
+            folded[fold_outcome(item_of, classes)] += c
+        counts = folded
+    return ClassCounts(classes, counts)
 
 
 def _walk(stepped: tuple, classes) -> Counter:
@@ -230,7 +332,8 @@ def _walk(stepped: tuple, classes) -> Counter:
 
     A layer maps the members admitted per class to the states reached, and
     each state to [prefixes, work], the work being the largest among the
-    merged prefixes.  Each state of the last layer is settled once."""
+    merged prefixes; each reached state is hashed once.  Each state of the
+    last layer is settled once."""
     start, admit, settle = stepped
     sizes = [len(members) for members in classes]
     layer = {(0,) * len(classes): {start: [1, 0]}}
@@ -241,19 +344,13 @@ def _walk(stepped: tuple, classes) -> Counter:
                 if k == sizes[c]:
                     continue
                 agent = classes[c][k]
-                key = taken[:c] + (k + 1,) + taken[c + 1:]
-                merged = nxt.get(key)
-                if merged is None:
-                    merged = nxt[key] = {}
+                merged = nxt.setdefault(taken[:c] + (k + 1,) + taken[c + 1:], {})
                 for state, (prefixes, work) in states.items():
                     after, done = admit(state, work, agent)
-                    entry = merged.get(after)
-                    if entry is None:
-                        merged[after] = [prefixes, done]
-                    else:
-                        entry[0] += prefixes
-                        if done > entry[1]:
-                            entry[1] = done
+                    entry = merged.setdefault(after, [0, done])
+                    entry[0] += prefixes
+                    if done > entry[1]:
+                        entry[1] = done
         layer = nxt
     counts = Counter()
     (states,) = layer.values()
@@ -263,22 +360,25 @@ def _walk(stepped: tuple, classes) -> Counter:
     return counts
 
 
-def _receipt_rows(outcomes: Iterable[Tuple[Tuple[int, ...], int]], n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Per agent and item, how many of the counted runs give the agent that item."""
+def _receipt_rows(outcomes: Iterable[Tuple[Tuple[int, ...], int]], n: int) -> list:
+    """Per agent and item, how many of the counted runs give the agent that
+    item: one tuple per agent."""
     rows = [[0] * n for _ in range(n)]
     for item_of, c in outcomes:
         for row, o in zip(rows, item_of):
             row[o] += c
-    return tuple(map(tuple, rows))
+    return list(map(tuple, rows))
 
 
 def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
     """The lottery over all n! initial orders, each with weight 1/n!: the
     outcome counts of ``exact_counts``, which states its two paths, the
-    anonymity a ``Runner`` promises and the ``ENUMERATION_LIMIT`` on n.
+    anonymity a ``Runner`` promises and the ``ENUMERATION_LIMIT`` on n.  The
+    result keeps them folded by class until ``outcomes`` or ``support`` is
+    read.
     """
-    counts = exact_counts(mechanism, profile)
-    return LotteryResult(tuple(sorted(counts.items())), sum(counts.values()))
+    classes, counts = exact_counts(mechanism, profile)
+    return LotteryResult(tuple(sorted(counts.items())), math.factorial(profile.n), classes)
 
 
 def sampled_lottery(

@@ -15,10 +15,13 @@ def serial_dictatorship(profile: Profile, order: AgentOrder) -> Matching:
     n = profile.n
     if len(order.order) != n:
         raise InvalidInstanceError("order length must equal agent count")
+    prefs = profile.agent_prefs
     taken = [False] * n
     item_of: List[Optional[int]] = [None] * n
     for j in order.order:
-        o = next(x for x in profile.agent_prefs[j] if not taken[x])
+        for o in prefs[j]:
+            if not taken[o]:
+                break
         taken[o] = True
         item_of[j] = o
     return _trusted(Matching, tuple(item_of))
@@ -31,7 +34,9 @@ def serial_dictatorship_stepper(profile: Profile):
     prefs = profile.agent_prefs
 
     def admit(item_of, work, j):
-        o = next(x for x in prefs[j] if x not in item_of)
+        for o in prefs[j]:
+            if o not in item_of:
+                break
         return item_of[:j] + (o,) + item_of[j + 1:], work
 
     def settle(item_of, work):

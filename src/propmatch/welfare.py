@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .lottery import exact_counts, order_stream, outcome_counts
+from .lottery import (
+    ClassCounts, exact_counts, fold_outcome, order_stream, outcome_counts, singleton_classes, spread_size,
+)
 from .mechanisms import top_trading_cycles
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
 from .sampling import profile_stream
@@ -171,24 +173,32 @@ def _bias_stats(sums: List[int], squares: List[int], count: int) -> WelfareStats
     return WelfareStats(bias, math.sqrt(se(hi) ** 2 + se(lo) ** 2) / n)
 
 
-def _outcomes(mechanism, profile: Profile, orders, runs: dict) -> Counter:
+def _outcomes(mechanism, profile: Profile, orders, runs: dict) -> ClassCounts:
     """How often each outcome ``item_of`` of a matching mechanism occurs on
-    ``profile`` over ``orders``, ``"all"`` (by ``exact_counts``) or a list.
-    ``runs`` keeps by ``id`` the counts of each base already run on these
-    orders.  A mechanism with a ``base`` (a ``+G`` form) runs no orders: it
-    trades each distinct outcome of its base by top trading cycles."""
+    ``profile`` over ``orders``: ``"all"``, by ``exact_counts`` and folded by
+    class, or a list, with every agent its own class.  ``runs`` keeps by
+    ``id`` the counts of each base already run on these orders.  A mechanism
+    with a ``base`` (a ``+G`` form) runs no orders: it trades each folded
+    outcome of its base by top trading cycles, which treats agents
+    anonymously, so the trade of a representative folds to the
+    representative of the trades it stands for."""
     base = getattr(mechanism, "base", None)
     own = base or mechanism
     counts = runs.get(id(own))
     if counts is None:
-        counts = runs[id(own)] = (exact_counts(own.run, profile) if orders == "all"
-                                  else outcome_counts(own.run, profile, orders))
+        counts = runs[id(own)] = (
+            exact_counts(own.run, profile) if orders == "all"
+            else ClassCounts(singleton_classes(profile.n), outcome_counts(own.run, profile, orders))
+        )
     if base is None:
         return counts
+    classes = counts.classes
+    folding = len(classes) < profile.n
     traded = Counter()
-    for item_of, c in counts.items():
-        traded[top_trading_cycles(profile, _trusted(Matching, item_of)).item_of] += c
-    return traded
+    for item_of, c in counts.counts.items():
+        out = top_trading_cycles(profile, _trusted(Matching, item_of)).item_of
+        traded[fold_outcome(out, classes) if folding else out] += c
+    return ClassCounts(classes, traded)
 
 
 def _utility_sums(
@@ -199,13 +209,17 @@ def _utility_sums(
     expects ``sums[i] / total`` and the worst-off agent of a run gets
     ``worst / total`` in expectation.
 
-    Matching mechanisms count outcomes by ``_outcomes``.  Fractional ones run
-    no orders: their sums are ``_utility_rows`` of the assignment, over its
-    ``scale``, and their worst-off value is the minimum expectation."""
+    Matching mechanisms count outcomes by ``_outcomes``.  A folded outcome
+    stands for ``spread_size`` outcomes: agents of one class share one
+    utility row, so the worst-off value is the same for each of them, and
+    each member of class C expects the class's sum over |C|.  Fractional
+    mechanisms run no orders: their sums are ``_utility_rows`` of the
+    assignment, over its ``scale``, and their worst-off value is the minimum
+    expectation."""
     if mechanism.kind == "fractional":
         sums, scale = _utility_rows(mechanism.assignment(profile), u)
         return sums, scale, min(sums)
-    counts = _outcomes(mechanism, profile, orders, runs)
+    classes, counts = _outcomes(mechanism, profile, orders, runs)
     sums = [0] * profile.n
     worst = 0
     for item_of, c in counts.items():
@@ -213,7 +227,15 @@ def _utility_sums(
         worst += c * min(values)
         for i, v in enumerate(values):
             sums[i] += c * v
-    return sums, sum(counts.values()), worst
+    total = sum(counts.values())
+    if len(classes) < profile.n:
+        spread = spread_size(classes)
+        for members in classes:
+            each = spread // len(members) * sum(sums[a] for a in members)
+            for a in members:
+                sums[a] = each
+        total, worst = total * spread, worst * spread
+    return sums, total, worst
 
 
 def campaign(
@@ -288,7 +310,7 @@ def campaign(
                 dens[i].append(total * n)
         fixed = {}  # by id(mechanism): base outcome counts on the identity order
         for i in biased:
-            (item_of,) = _outcomes(cells[i][0], profile, identity, fixed)
+            (item_of,) = _outcomes(cells[i][0], profile, identity, fixed).counts
             sums, squares = pos_sums[i], pos_squares[i]
             for pos, prefs in enumerate(profile.agent_prefs):  # agent i holds position i
                 w = n - 1 - prefs.index(item_of[pos])

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from propmatch import registry
 from propmatch.axioms import satisfies_conditional_bound
 from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.lottery import (
+    ClassCounts,
     EnumerationLimitError,
     Runner,
     equivalent_on,
@@ -33,6 +35,7 @@ from propmatch.lottery import (
     permutation_drawer,
     randomized_equivalent_on,
     sampled_lottery,
+    singleton_classes,
 )
 from propmatch.mechanisms import naive_boston_stepper, serial_dictatorship_stepper
 from propmatch.registry import resolve
@@ -443,7 +446,8 @@ class TestSteppedCounts:
     def test_two_sided_equals_every_order(self, p):
         for code in ("GS", "BOS-SEQ", "BOS-SIM"):
             mech, _ = resolve(code)
-            assert exact_counts(mech.run, p) == outcome_counts(mech.run, p, order_stream(p.n)), code
+            want = ClassCounts(singleton_classes(p.n), outcome_counts(mech.run, p, order_stream(p.n)))
+            assert exact_counts(mech.run, p) == want, code
 
     @pytest.mark.parametrize(
         "code", ALL_ENGINE_CODES + ("SD", "NB", "PLS+G", "TLQ+G", "NB+G", "BOS-SEQ")
@@ -498,21 +502,21 @@ class TestSteppedCounts:
         # The plain ``naive_boston_one_sided`` is run on every order.
         stepped = Runner(naive_boston_one_sided, naive_boston_stepper)
         for p in orbit_profiles(n):
-            assert exact_counts(stepped, p) == exact_counts(naive_boston_one_sided, p), p
+            assert exact_lottery(stepped, p) == exact_lottery(naive_boston_one_sided, p), p
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(class_profiles())
     def test_nb_stepper_equals_replay(self, p):
         stepped = Runner(naive_boston_one_sided, naive_boston_stepper)
-        assert exact_counts(stepped, p) == exact_counts(naive_boston_one_sided, p)
+        assert exact_lottery(stepped, p) == exact_lottery(naive_boston_one_sided, p)
 
     @pytest.mark.slow
     def test_nb_at_n8_equals_every_order_and_pfq(self):
         p = random_profile(random.Random(8), 8)
         assert len(set(p.agent_prefs)) == 8  # every agent its own class
         nb, pfq = resolve("NB")[0].run, resolve("PFQ")[0].run
-        counts = exact_counts(nb, p)
-        assert len(counts) > 1
+        classes, counts = exact_counts(nb, p)
+        assert classes == singleton_classes(8) and len(counts) > 1
         assert counts == outcome_counts(naive_boston_one_sided, p, order_stream(8))
         assert exact_lottery(nb, p) == exact_lottery(pfq, p)
 
@@ -534,7 +538,7 @@ class TestSteppedCounts:
             return None, admit, settle
 
         p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
-        counts = exact_counts(Runner(serial_dictatorship, stepper), p)
+        counts = exact_counts(Runner(serial_dictatorship, stepper), p).counts
         assert counts == {(0, 1, 2): 6}
         # The states of {0, 1}, {0, 2} and {1, 2} go on from 21, 31 and 32,
         # and the one final state settles from the largest of 213, 312, 321.
@@ -592,6 +596,72 @@ class TestSteppedCounts:
         p = profile([[0, 1], [1, 0]])
         with pytest.raises(InvalidInstanceError, match="is not a matching of 2 items"):
             exact_lottery(Runner(serial_dictatorship, stepper), p)
+
+
+def spread_lottery(run, p):
+    """The lottery built from the counts of every one of the n! orders,
+    unfolded."""
+    counts = outcome_counts(run, p, order_stream(p.n))
+    return LotteryResult(tuple(sorted(counts.items())), math.factorial(p.n))
+
+
+class TestFoldedResult:
+    """``exact_lottery`` keeps its counts folded by class; every view of it
+    is the one the spread counts give."""
+
+    @pytest.mark.parametrize("code", STEPPED_CODES)
+    def test_equals_spread_counts_on_every_orbit(self, code):
+        mech, _ = resolve(code)
+        folded = 0
+        for n in (1, 2, 3, 4):
+            for p in orbit_profiles(n):
+                if mech.needs_item_prefs:  # BOS-SEQ: give the items the agents' lists
+                    p = profile(p.agent_prefs, p.agent_prefs)
+                lot, spread = exact_lottery(mech.run, p), spread_lottery(mech.run, p)
+                folded += len(lot.classes) < n
+                assert lot == spread and spread == lot, p
+                assert lot.rows == spread.rows, p
+                assert lot.outcomes == spread.outcomes, p
+                assert lot.support == spread.support, p
+        assert folded == (0 if mech.needs_item_prefs else 300)  # orbits with a shared list
+
+    def test_fold_spreads_over_permutations_within_classes(self):
+        # Agents 0 and 2 share a list, as do 1 and 3: the six label sequences
+        # AABB ... BBAA give four folded outcomes, each standing for 2! 2!.
+        p = profile([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 2, 3], [1, 0, 2, 3]])
+        lot = exact_lottery(resolve("SD")[0].run, p)
+        assert lot.classes == ((0, 2), (1, 3))
+        assert lot.folded == (((0, 1, 2, 3), 2), ((0, 1, 3, 2), 2), ((0, 2, 1, 3), 1), ((2, 0, 3, 1), 1))
+        assert lot.rows == ((10, 2, 6, 6), (2, 10, 6, 6)) * 2
+        assert len(lot.outcomes) == 16
+        assert dict(lot.outcomes)[(0, 3, 1, 2)] == 1  # (0, 2, 1, 3) with the second class's items swapped
+        assert lot == spread_lottery(serial_dictatorship, p)
+
+    def test_representative_out_of_order_refused(self):
+        with pytest.raises(InvalidInstanceError, match="ascending order"):
+            LotteryResult((((1, 0), 1),), 2, ((0, 1),))
+        with pytest.raises(InvalidInstanceError, match="once, ascending"):
+            LotteryResult((((0, 1), 1),), 2, ((1, 0),))
+        with pytest.raises(InvalidInstanceError, match="counts must sum to 1"):
+            LotteryResult((((0, 1), 1),), 1, ((0, 1),))
+
+    @pytest.mark.parametrize("code", ["SD", "NB", "TLQ", "TLQ+G"])
+    def test_n8_one_class_builds_nothing_of_8_factorial_size_until_read(self, code):
+        p = profile([[3, 1, 4, 0, 5, 2, 7, 6]] * 8)
+        run = resolve(code)[0].run
+        tracemalloc.start()
+        try:
+            lot = exact_lottery(run, p)
+            rows, assignment = lot.rows, lot.assignment
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert all(c == 5040 for row in rows for c in row)
+        assert assignment.scale == 8
+        assert len(lot.folded) == 1
+        assert len(lot.support) == len(lot.outcomes) == 40320
+        assert {c for _, c in lot.outcomes} == {1}
 
 
 class TestSampledLottery:

@@ -119,6 +119,21 @@ class TestMechanismOutcomes:
             for m, _ in support:
                 checked(m)
 
+    @pytest.mark.parametrize("code", ["SD", "NB", "TFS", "TLQ+G", "PLS+G"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_folded_lottery_support(self, code, n):
+        """On profiles whose agents share lists the lottery is folded by
+        class, and ``support`` is spread from it on first read."""
+        mech, _ = resolve(code)
+        for p in profiles(n, 3):
+            shared = Profile(tuple(p.agent_prefs[a % 2] for a in range(n)))  # two classes at most
+            lot = exact_lottery(mech.run, shared)
+            assert len(lot.classes) < n
+            support = lot.support
+            assert sum(w for _, w in support) == 1
+            for m, _ in support:
+                checked(m)
+
     @pytest.mark.parametrize("n", SIZES)
     def test_campaign_trades(self, n):
         """The base outcomes a campaign's ``+G`` cell trades, sampled or from
@@ -128,8 +143,8 @@ class TestMechanismOutcomes:
             for p in profiles(n, 3):
                 for drawn in [orders(n, 4)] + (["all"] if n <= 6 else []):
                     runs = {}
-                    outcomes = list(_outcomes(mech, p, drawn, runs))
-                    for counts in runs.values():
+                    outcomes = list(_outcomes(mech, p, drawn, runs).counts)
+                    for _, counts in runs.values():
                         outcomes += counts
                     for item_of in outcomes:
                         Matching(item_of)  # checked

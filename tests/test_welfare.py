@@ -18,12 +18,15 @@ from propmatch import (
 from propmatch.axioms import is_pareto_efficient
 from propmatch.experiments import ExperimentConfig, run_experiment
 from propmatch import registry, welfare
+from propmatch.lottery import exact_counts, exact_lottery, fold_outcome, order_stream
 from propmatch.registry import resolve
-from propmatch.sampling import ProfileSampler
+from propmatch.sampling import ProfileSampler, orbit_profiles, profile_stream
 from propmatch.welfare import (
     _bias_stats,
     _hungarian_max,
+    _outcomes,
     _ratio_stats,
+    _utility_sums,
     borda_utilities,
     campaign,
     egalitarian_welfare,
@@ -354,6 +357,36 @@ class TestCampaignPass:
         calls.clear()
         campaign(loss + bias, 5, 20, 3, orders=3)
         assert len(calls) == 2 * 20 * 4
+
+    def test_all_orders_trade_each_folded_base_outcome_once(self, monkeypatch):
+        calls = []
+        real = welfare.top_trading_cycles
+
+        def counted(profile, endowment):
+            calls.append(endowment)
+            return real(profile, endowment)
+
+        monkeypatch.setattr(welfare, "top_trading_cycles", counted)
+        bases = [resolve(code)[0] for code in ("SD", "TLQ")]
+        cells = [(resolve(code)[0], "util_loss") for code in ("R-SD+G", "R-TLQ+G")]
+        campaign(cells, 4, 40, 3, orders="all")
+        profiles = list(profile_stream(4, 40, 3))
+        folded = sum(len(exact_counts(b.run, p).counts) for b in bases for p in profiles)
+        spread = sum(len(exact_lottery(b.run, p).outcomes) for b in bases for p in profiles)
+        assert len(calls) == folded < spread
+
+    @pytest.mark.parametrize("code", ["RSD", "R-NB", "R-TFS", "R-SD+G", "R-NB+G", "R-TLQ+G"])
+    def test_folded_sums_equal_those_of_every_order(self, code):
+        """Utility sums read from the folded counts are the integers that
+        running every order gives."""
+        mech, _ = resolve(code)
+        for n in (2, 3, 4):
+            for p in orbit_profiles(n):
+                u = borda_utilities(p)
+                every = list(order_stream(n))
+                assert _utility_sums(mech, p, u, "all", {}) == _utility_sums(mech, p, u, every, {}), p
+                classes, counts = _outcomes(mech, p, "all", {})
+                assert all(fold_outcome(item_of, classes) == item_of for item_of in counts), p
 
     def test_optimum_once_per_profile_and_only_for_loss(self, monkeypatch):
         calls = []
