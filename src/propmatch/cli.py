@@ -44,10 +44,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_profile(path: str) -> Profile:
-    text = Path(path).read_text()
     try:
-        return textio.parse_profile(text)
-    except (ProfileParseError, InvalidInstanceError) as exc:
+        return textio.parse_profile(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, ProfileParseError) as exc:
         _fail(f"bad profile {path}: {exc}", INPUT_ERROR)
 
 

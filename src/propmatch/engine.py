@@ -32,7 +32,7 @@ import enum
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .lottery import Stepper
 from .mechanisms import immediate_acceptance, serial_dictatorship, serial_dictatorship_stepper
@@ -103,15 +103,16 @@ class Outcome(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One proposal: who approached what, and what happened.
 
     ``displaced`` is the previous holder when ``outcome`` is DISPLACED_HOLDER.
     ``reset_occurred`` is True only for a MATCHED_UNASSIGNED event under
     temporary memory.  ``pending`` is the pending queue after the proposal
     (next proposer first) and ``memory`` the proposed item's recorded
-    preference after it (most-preferred first).
+    preference after it (most-preferred first).  A NamedTuple, so an event
+    is immutable and also equals the plain tuple of its fields; change one
+    with ``._replace``.
     """
 
     proposer: int
@@ -216,6 +217,7 @@ def _propose(
     bound = n**3 if temporary else n**2
     reenter = pending.appendleft if stack else waiting.append
     trace: List[TraceEvent] = []
+    event = tuple.__new__  # an event from the tuple of its fields, as TraceEvent._make does
 
     while pending:
         j = pending.popleft()
@@ -258,11 +260,11 @@ def _propose(
                 reenter(j)
                 outcome = Outcome.REJECTED
         if record:
-            trace.append(TraceEvent(
+            trace.append(event(TraceEvent, (
                 j, o, outcome,
                 h if outcome is Outcome.DISPLACED_HOLDER else None,
                 temporary and h is None, tuple(pending), mem,
-            ))
+            )))
     return count, trace
 
 
@@ -372,27 +374,30 @@ def format_trace_table(
     """
     n = len(order.order)
     agents, items = names(n)
+    agent = agents.__getitem__
     # Kept tokens: "agent:item" per matched agent and "item:agent>agent" per
-    # item with a recorded preference; an event rewrites only those it changes.
+    # item with a recorded preference; an event rewrites only those it changes,
+    # and a rejection leaves the matching column as it was.
     held: List[Optional[str]] = [None] * n
     mems: List[Optional[str]] = [None] * n
-    mem_s = "-"
+    matching_s = mem_s = "-"
     out = []
-    for idx, e in enumerate(_replay([None] * n, result.trace), start=1):
-        j, o, outcome = e.proposer, e.item, e.outcome.value
-        if e.outcome is Outcome.DISPLACED_HOLDER:
-            held[e.displaced] = None
-            outcome = f"{agents[e.displaced]} {outcome}"
-        if e.outcome is not Outcome.REJECTED:
+    events = enumerate(_replay([None] * n, result.trace), start=1)
+    for idx, (j, o, outcome, displaced, reset, pending, memory) in events:
+        word = outcome._value_  # what ``.value`` reads, without the property
+        if outcome is not Outcome.REJECTED:
+            if outcome is Outcome.DISPLACED_HOLDER:
+                held[displaced] = None
+                word = f"{agents[displaced]} {word}"
             held[j] = f"{agents[j]}:{items[o]}"
+            matching_s = " ".join(filter(None, held))
         if config is not None:
-            if e.reset_occurred:
+            if reset:
                 mems = [None] * n
-            mems[o] = f"{items[o]}:" + ">".join([agents[a] for a in e.memory]) if e.memory else None
+            mems[o] = f"{items[o]}:" + ">".join(map(agent, memory)) if memory else None
             mem_s = " ".join(filter(None, mems)) or "none"
-        pending_s = ",".join([agents[a] for a in e.pending]) or "-"
-        matching_s = " ".join(filter(None, held)) or "-"
+        pending_s = ",".join(map(agent, pending)) or "-"
         out.append(
-            f"{idx} | {agents[j]} -> {items[o]} | {outcome} | {pending_s} | {matching_s} | {mem_s}"
+            f"{idx} | {agents[j]} -> {items[o]} | {word} | {pending_s} | {matching_s} | {mem_s}"
         )
     return "\n".join(out) + "\n"

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .model import FractionalAssignment, InvalidInstanceError, Matching, Profile, _row_fault
+from .model import FractionalAssignment, InvalidInstanceError, Matching, Profile, _row_fault, _trusted
 
 
 class ProfileParseError(ValueError):
@@ -45,7 +45,11 @@ def _split_line(line: str, lineno: int) -> Tuple[str, List[str]]:
 
 
 def parse_profile(text: str) -> Profile:
-    """Parse profile text into a :class:`Profile` (names become dense indices)."""
+    """Parse profile text into a :class:`Profile` (names become dense indices).
+
+    Each row is checked once, here: ``to_indices`` passes only n distinct
+    known names, and an opened ``@items`` section must give every item one
+    line, so the result is built without ``Profile``'s own checks."""
     agent_lines: List[Tuple[int, str, List[str]]] = []
     item_lines: List[Tuple[int, str, List[str]]] = []
     in_items = False
@@ -91,7 +95,7 @@ def parse_profile(text: str) -> Profile:
         to_indices(entries, items, lineno, "item") for lineno, _, entries in agent_lines
     )
     item_prefs = None
-    if item_lines:
+    if in_items:
         if len(item_lines) != n:
             raise ProfileParseError(f"@items section has {len(item_lines)} lines, expected {n}")
         by_item = {}
@@ -102,7 +106,7 @@ def parse_profile(text: str) -> Profile:
         if len(by_item) != n:
             raise ProfileParseError("duplicate item line in @items section")
         item_prefs = tuple(by_item[o] for o in range(n))
-    return Profile(agent_prefs, item_prefs)
+    return _trusted(Profile, agent_prefs, item_prefs)
 
 
 def format_profile(p: Profile) -> str:
@@ -122,7 +126,8 @@ def format_profile(p: Profile) -> str:
 
 
 def format_matching(m: Matching) -> str:
-    return " ".join(f"{agent_name(a)}:{item_name(o, m.n)}" for a, o in enumerate(m.item_of))
+    agents, items = names(m.n)
+    return " ".join([f"{agents[a]}:{items[o]}" for a, o in enumerate(m.item_of)])
 
 
 def format_matrix(assignment: FractionalAssignment) -> str:

@@ -58,6 +58,14 @@ class TestRun:
         golden = (DATA / f"trace_{code}.txt").read_text()
         assert out.split("\n", 1)[1] == golden
 
+    @pytest.mark.parametrize("code", ["TLS", "PLQ"])
+    def test_trace_golden_past_26_items(self, capsys, code):
+        """The whole output, header line included, at n = 27: items are
+        named ``o01``..."""
+        status, out, err = main_result(capsys, "run", str(DATA / "trace27.txt"), code, "--trace")
+        assert (status, err) == (0, "")
+        assert out == (DATA / f"trace27_{code}.txt").read_text()
+
     def test_gale_shapley(self):
         out = cli("run", TWO_SIDED, "GS")
         assert out.splitlines()[0] == "1:c 2:d 3:a 4:b; proposals=9"
@@ -75,6 +83,13 @@ class TestRun:
 
     def test_gs_needs_two_sided_profile(self):
         cli("run", BENCH, "GS", expect=2)
+
+    def test_empty_item_section_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "empty_items.txt"
+        path.write_text("1: a,b\n2: b,a\n@items\n")
+        status, out, err = main_result(capsys, "run", str(path), "GS")
+        assert (status, out) == (2, "")
+        assert err == f"error: bad profile {path}: @items section has 0 lines, expected 2\n"
 
     def test_fractional_mechanism_is_usage_error(self):
         cli("run", BENCH, "PS", expect=1)
@@ -474,6 +489,20 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run", "lottery"])
+    def test_undecodable_profile_names_the_file(self, tmp_path, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1: a,b\n2: b,\xe9\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "propmatch.cli", command, str(path), "SD"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: bad profile {path}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_repeated_order_name_refused_by_name(self):
         proc = subprocess.run(

@@ -28,6 +28,7 @@ from propmatch.engine import (
     EngineConfig,
     ModeError,
     Outcome,
+    TraceEvent,
     format_trace_table,
     _replay,
     replay_trace,
@@ -177,7 +178,7 @@ class TestEngineInvariants:
         config = EngineConfig.from_code("TLS")
         r = run_engine(bench4, IDENT4, config)
         i = next(i for i, e in enumerate(r.trace) if e.outcome is Outcome.DISPLACED_HOLDER)
-        bad = r.trace[:i] + (dataclasses.replace(r.trace[i], displaced=r.trace[i].proposer),)
+        bad = r.trace[:i] + (r.trace[i]._replace(displaced=r.trace[i].proposer),)
         with pytest.raises(InvalidInstanceError, match="non-holder"):
             replay_trace(bench4, IDENT4, bad)
         with pytest.raises(InvalidInstanceError, match="non-holder"):
@@ -420,6 +421,40 @@ TABLE_DIGESTS = {
     ("TLQ", 16): "25dfdc7f3ff02e418784940d1393ee279e292c1eb781bb6b1a54ccd942568b70",
     ("GS", 8): "77ea60b79ea2d9993155c9c67af3116fb393f8bdedb5778d4182c2b9bf7b876c",
 }
+
+
+class TestTraceEvent:
+    """``TraceEvent`` is a NamedTuple: its fields, their order and defaults
+    are part of the interface, and an event is immutable and hashable."""
+
+    def test_fields_order_and_defaults(self):
+        assert TraceEvent._fields == (
+            "proposer", "item", "outcome", "displaced", "reset_occurred", "pending", "memory"
+        )
+        assert TraceEvent._field_defaults == {
+            "displaced": None, "reset_occurred": False, "pending": (), "memory": ()
+        }
+        e = TraceEvent(0, 1, Outcome.REJECTED)
+        assert (e.displaced, e.reset_occurred, e.pending, e.memory) == (None, False, (), ())
+
+    def test_attributes_cannot_be_assigned(self):
+        e = TraceEvent(0, 1, Outcome.MATCHED_UNASSIGNED, pending=(1,), memory=(0,))
+        for name in TraceEvent._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 2)
+        assert e == (0, 1, Outcome.MATCHED_UNASSIGNED, None, False, (1,), (0,))
+
+    @pytest.mark.parametrize("code", ALL_ENGINE_CODES + ("GS",))
+    def test_equal_events_compare_and_hash_equal(self, code, bench4, two_sided4):
+        if code == "GS":
+            first, second = (run_gale_shapley(two_sided4, IDENT4).trace for _ in range(2))
+        else:
+            first, second = (run(bench4, IDENT4, code).trace for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        for e, f in zip(first, second):
+            rebuilt = TraceEvent(*f)  # through the constructor, not the recording path
+            assert e == f == rebuilt == tuple(f)
+            assert hash(e) == hash(f) == hash(rebuilt) == hash(tuple(f))
 
 
 class TestTraceTable:

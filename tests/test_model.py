@@ -19,7 +19,14 @@ from propmatch.axioms import is_ordinally_efficient
 from propmatch.lottery import exact_lottery
 from propmatch.mechanisms import probabilistic_serial
 from propmatch.registry import resolve
-from propmatch.textio import ProfileParseError, format_matrix, parse_matrix
+from propmatch.textio import (
+    ProfileParseError,
+    agent_name,
+    format_matching,
+    format_matrix,
+    item_name,
+    parse_matrix,
+)
 from propmatch.welfare import campaign
 
 from conftest import random_permutation, random_prefs
@@ -230,6 +237,13 @@ class TestProfileText:
         with pytest.raises(ProfileParseError):
             parse_profile("1: a,b\n2: b,a\n@items\na: 1,2\n")
 
+    @pytest.mark.parametrize("tail", ["", "# no item lines yet\n\n"])
+    def test_empty_item_section_refused(self, tail):
+        # an opened section is two-sided: it must list every item
+        with pytest.raises(ProfileParseError) as excinfo:
+            parse_profile(f"1: a,b\n2: b,a\n@items\n{tail}")
+        assert str(excinfo.value) == "@items section has 0 lines, expected 2"
+
     def test_round_trip_random_profiles(self):
         rng = random.Random(20240817)
         for _ in range(100):
@@ -238,6 +252,18 @@ class TestProfileText:
             item_prefs = random_prefs(rng, n) if rng.random() < 0.5 else None
             p = profile(prefs, item_prefs)
             assert parse_profile(format_profile(p)) == p
+
+
+class TestMatchingText:
+    @pytest.mark.parametrize("n", [26, 27, 32])
+    def test_matches_per_agent_names(self, n):
+        """Past 26 items the names are ``o01``...; the oracle names each
+        agent and item on its own."""
+        rng = random.Random(n)
+        for _ in range(5):
+            m = Matching(tuple(random_permutation(rng, n)))
+            expected = " ".join(f"{agent_name(a)}:{item_name(o, n)}" for a, o in enumerate(m.item_of))
+            assert format_matching(m) == expected
 
 
 class TestMatrixText:

@@ -5,6 +5,7 @@ and compared, so a producer that breaks that promise fails a test instead of
 handing an invalid object on."""
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from propmatch.lottery import exact_lottery, order_stream
 from propmatch.model import Matching, Profile
 from propmatch.registry import resolve
 from propmatch.sampling import ProfileSampler, all_profiles, orbit_profiles
+from propmatch.textio import ProfileParseError, format_profile, parse_profile
 from propmatch.welfare import _outcomes, optimal_utilitarian, utilitarian_welfare
 
 SIZES = range(1, 9)
@@ -148,3 +150,30 @@ class TestMechanismOutcomes:
                         outcomes += counts
                     for item_of in outcomes:
                         Matching(item_of)  # checked
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestParsedProfiles:
+    """``parse_profile`` builds its result without ``Profile``'s checks: each
+    row passed its own parse check, so the checked constructor must agree."""
+
+    def test_data_profiles(self):
+        # the golden outputs beside them are not profiles and do not parse
+        parsed = {}
+        for path in sorted(DATA.glob("*.txt")):
+            try:
+                parsed[path.name] = parse_profile(path.read_text())
+            except ProfileParseError:
+                continue
+        assert {"bench4.txt", "lottery4.txt", "two_sided4.txt", "trace27.txt"} <= parsed.keys()
+        for p in parsed.values():
+            checked(p)
+
+    @pytest.mark.parametrize("n", [1, 5, 26, 27, 32])
+    def test_round_trips(self, n):
+        for p in profiles(n, 4) + two_sided(n, 13)[:4]:
+            parsed = parse_profile(format_profile(p))
+            assert checked(parsed) == p
+            assert parsed.two_sided == p.two_sided
