@@ -103,6 +103,11 @@ class Outcome(enum.Enum):
     REJECTED = "rejected"
 
 
+# The members, in definition order, as module globals: a read through the enum
+# class costs about ten times a global's, and the trace paths read some per event.
+_MATCHED, _DISPLACED, _REJECTED = Outcome
+
+
 class TraceEvent(NamedTuple):
     """One proposal: who approached what, and what happened.
 
@@ -208,7 +213,8 @@ def _propose(
     agent, so under queue discipline it makes one proposal, and the agents it
     sends back wait for the later admits.  ``count`` is the number of
     proposals made before; the new count is returned, with the TraceEvents of
-    the proposals when ``record`` is set.
+    the proposals when ``record`` is set.  Only a recorded run works out each
+    proposal's outcome, from item o's holder before and after it.
     """
     holder, rank, memory, waiting = state
     prefs = profile.agent_prefs
@@ -238,7 +244,6 @@ def _propose(
                 mem = ()
             elif not mem:
                 memory[o] = mem = (j,)
-            outcome = Outcome.MATCHED_UNASSIGNED
         else:
             if not mem:
                 # No recorded preference: the item prefers the proposer (both policies).
@@ -255,15 +260,17 @@ def _propose(
             if wins:
                 holder[o] = j
                 reenter(h)
-                outcome = Outcome.DISPLACED_HOLDER
             else:
                 reenter(j)
-                outcome = Outcome.REJECTED
         if record:
+            if h is None:
+                outcome, displaced = _MATCHED, None
+            elif holder[o] == j:
+                outcome, displaced = _DISPLACED, h
+            else:
+                outcome, displaced = _REJECTED, None
             trace.append(event(TraceEvent, (
-                j, o, outcome,
-                h if outcome is Outcome.DISPLACED_HOLDER else None,
-                temporary and h is None, tuple(pending), mem,
+                j, o, outcome, displaced, temporary and h is None, tuple(pending), mem,
             )))
     return count, trace
 
@@ -345,11 +352,11 @@ def _replay(item_of: List[Optional[int]], trace: Tuple[TraceEvent, ...]) -> Iter
     """Apply each event to the partial matching ``item_of`` in place, then
     yield it; raises if an event does not apply to the state before it."""
     for e in trace:
-        if e.outcome is Outcome.DISPLACED_HOLDER:
+        if e.outcome is _DISPLACED:
             if item_of[e.displaced] != e.item:
                 raise InvalidInstanceError("trace displaces a non-holder")
             item_of[e.displaced] = None
-        if e.outcome is not Outcome.REJECTED:
+        if e.outcome is not _REJECTED:
             item_of[e.proposer] = e.item
         yield e
 
@@ -385,8 +392,8 @@ def format_trace_table(
     events = enumerate(_replay([None] * n, result.trace), start=1)
     for idx, (j, o, outcome, displaced, reset, pending, memory) in events:
         word = outcome._value_  # what ``.value`` reads, without the property
-        if outcome is not Outcome.REJECTED:
-            if outcome is Outcome.DISPLACED_HOLDER:
+        if outcome is not _REJECTED:
+            if outcome is _DISPLACED:
                 held[displaced] = None
                 word = f"{agents[displaced]} {word}"
             held[j] = f"{agents[j]}:{items[o]}"

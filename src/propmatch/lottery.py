@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _indices, _trusted
 
@@ -59,7 +59,7 @@ class ClassCounts(NamedTuple):
     With every agent its own class, these are plain outcome counts."""
 
     classes: Tuple[Tuple[int, ...], ...]
-    counts: Counter
+    counts: Dict[Tuple[int, ...], int]
 
 
 @functools.lru_cache(maxsize=None)

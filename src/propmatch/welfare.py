@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .lottery import (
-    ClassCounts, exact_counts, fold_outcome, order_stream, outcome_counts, singleton_classes, spread_size,
+    ClassCounts, exact_counts, fold_outcome, order_stream, permutation_drawer, singleton_classes, spread_size,
 )
 from .mechanisms import top_trading_cycles
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
@@ -76,13 +75,26 @@ def _hungarian_max(weight: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...
     start and ``d`` that of the column last reached, so the potentials are
     settled once per augmentation: each tree column by ``d`` less the distance
     at which it joined.  It makes the comparisons and tie-breaks of the form
-    that shifts every potential on every step, so it finds the same witness."""
+    that shifts every potential on every step, so it finds the same witness.
+
+    A row whose first maximum is in a free column t takes t at once, with
+    potential minus that maximum, as its phase would: columns have potential
+    at most 0, free ones 0, so none is nearer than t or, before t, as near, and
+    the first scan ends there.  The ``way`` entries left unset go stale unread:
+    a phase sets ``way`` for each column it relaxes."""
     n = len(weight)
     INF = 1 << 60
     u, v = [0] * n, [0] * (n + 1)
     p = [-1] * (n + 1)  # p[j] = row matched to column j, -1 if none; column n roots each phase
     way = [n] * (n + 1)
     for i in range(n):
+        row = weight[i]
+        top = max(row)
+        t = row.index(top)
+        if p[t] < 0:
+            u[i] = -top
+            p[t] = i
+            continue
         p[n] = i
         j0, d = n, 0
         minv = [INF] * n + [0]
@@ -186,18 +198,24 @@ def _outcomes(mechanism, profile: Profile, orders, runs: dict) -> ClassCounts:
     own = base or mechanism
     counts = runs.get(id(own))
     if counts is None:
-        counts = runs[id(own)] = (
-            exact_counts(own.run, profile) if orders == "all"
-            else ClassCounts(singleton_classes(profile.n), outcome_counts(own.run, profile, orders))
-        )
+        if orders == "all":
+            counts = exact_counts(own.run, profile)
+        else:
+            run, tally = own.run, {}
+            for order in orders:
+                out = run(profile, order).item_of
+                tally[out] = tally.get(out, 0) + 1
+            counts = ClassCounts(singleton_classes(profile.n), tally)
+        runs[id(own)] = counts
     if base is None:
         return counts
     classes = counts.classes
     folding = len(classes) < profile.n
-    traded = Counter()
+    traded = {}
     for item_of, c in counts.counts.items():
         out = top_trading_cycles(profile, _trusted(Matching, item_of)).item_of
-        traded[fold_outcome(out, classes) if folding else out] += c
+        key = fold_outcome(out, classes) if folding else out
+        traded[key] = traded.get(key, 0) + c
     return ClassCounts(classes, traded)
 
 
@@ -260,7 +278,9 @@ def campaign(
     Each profile's Borda table is built once if a loss or egalitarian cell
     reads it, and its optimum once if some cell measures loss.  A one-cell pass of a matching mechanism draws k
     orders per profile from ``random.Random(seed ^ 0x9E3779B97F4A7C15)``, so
-    every cell would draw the same orders: they are drawn once per profile.
+    every cell would draw the same orders: they are drawn once per profile,
+    by one ``permutation_drawer`` for the pass.  A count k below 1 is refused
+    on the call, before any profile, whatever the cells.
     Each base mechanism then runs once per order, and once on the identity
     order for bias cells; a ``+G`` cell trades the outcomes of its ``base``.
     Statistics are accumulated in integers: a cell keeps each profile's value
@@ -273,6 +293,8 @@ def campaign(
     for _, metric in cells:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
+    if orders != "all":
+        order_stream(n, orders)  # refuses a count below 1 on the call, whatever the cells
     ratios = [i for i, (_, metric) in enumerate(cells) if metric != "order_bias"]
     biased = [i for i, (m, metric) in enumerate(cells) if metric == "order_bias" and m.uses_order]
     results = [WelfareStats(Fraction(0), 0.0)] * len(cells)
@@ -281,8 +303,8 @@ def campaign(
     need_opt = any(metric == "util_loss" for _, metric in cells)
     if need_opt and n < 2:
         raise ValueError("util_loss needs n >= 2: with one agent the optimum is 0")
-    rng = random.Random(seed ^ _ORDER_SEED)
-    draw = orders != "all" and any(cells[i][0].kind == "matching" for i in ratios)
+    sampled = orders != "all" and any(cells[i][0].kind == "matching" for i in ratios)
+    draw = permutation_drawer(random.Random(seed ^ _ORDER_SEED), n) if sampled else None
     nums = {i: [] for i in ratios}
     dens = {i: [] for i in ratios}
     pos_sums = {i: [0] * n for i in biased}
@@ -294,7 +316,7 @@ def campaign(
         u = borda_utilities(profile) if ratios else None  # bias cells read ranks instead
         if need_opt:
             opt = optimal_utilitarian(profile, u)[0].numerator
-        drawn = list(order_stream(n, orders, rng)) if draw else orders
+        drawn = [_trusted(AgentOrder, draw()) for _ in range(orders)] if sampled else orders
         got, runs = {}, {}  # by id(mechanism): utility sums; base outcome counts
         for i in ratios:
             mech, metric = cells[i]

@@ -420,6 +420,30 @@ TABLE_DIGESTS = {
     ("TLS", 16): "720c7bfbc5a9fffb7de46800e14a5c5e6a3362965c416d4476d9d793898158d2",
     ("TLQ", 16): "25dfdc7f3ff02e418784940d1393ee279e292c1eb781bb6b1a54ccd942568b70",
     ("GS", 8): "77ea60b79ea2d9993155c9c67af3116fb393f8bdedb5778d4182c2b9bf7b876c",
+    ("GS", 16): "49e95e53cc04783138ecc7b68fcc774dfc5bb650cdc30bcb2132f3982fa18d93",
+}
+
+# The same for ``seeded_case(n, seed=100 + n)``: a second profile per size,
+# so a change to the recorded outcomes cannot hide behind one profile.
+SECOND_TABLE_DIGESTS = {
+    ("PFS", 8): "7ed50589df108763d2485abcd1652361e00f36152e27fe8d40b1389ffbb43bcf",
+    ("PFQ", 8): "c846d500650289535447b74437e383ef2de443abe310c8ebf27462567c3c2ffb",
+    ("PLS", 8): "f9d7dd7476d0b3446dab3908ae0ebda1c611b088827ef2b65ad1e8533f3e5916",
+    ("PLQ", 8): "3f4a81ef6eb8e1c1131ed4559a13966edbffad1fd698b0046b8c57417a58a8b3",
+    ("TFS", 8): "d275f192e2f72ae598681334d89ef5df323e943ee1d56ff89b76321016e54d7e",
+    ("TFQ", 8): "4e80d6978c11c4a9badcd1ae8cea8a9607affeda897108b9c07811ab5e556c74",
+    ("TLS", 8): "e14a80df3baf7c3c4ce4bec5fac110a76d80a294ca45df0a58ede75e5955cdca",
+    ("TLQ", 8): "88023439591077817611015b755f3bfa5fb5643a68840d65df2fb77fdd8b149c",
+    ("GS", 8): "a780a7338ce88596648f302bf24fcce5fefc4fc8c94db31e837b938fb961a2d1",
+    ("PFS", 16): "2c2e7d4f46fdc4bdf0c90e9e7e69e0ab2048ef36a748c8c3950d69283c205cd2",
+    ("PFQ", 16): "8191c64bff6f0c36b8865f05b5429269bd365e2610f0d39598a0cc24a3004d1c",
+    ("PLS", 16): "824f4e5841c53783b8e6e1f0a0e105e3c5e0f0ffe9613f838a8a3a6ae59b31d9",
+    ("PLQ", 16): "602186579a528d11c7d6e2b75879ca9c278dc4bbe047e50e28a12d3cde663765",
+    ("TFS", 16): "c7aa1db236cce856ba1dfb55f784064442444663e9908d764277f5c03b284910",
+    ("TFQ", 16): "1c10ffddff1af19ae034bb4fbada513f17226a05b1707c840dc2f7a8ddb3dd90",
+    ("TLS", 16): "414304759a433aff4e6f72647ddfb190ba8df4ddd9d954278627315a066d3908",
+    ("TLQ", 16): "79d9183e9988c4c2adaf3f0f7f44f96012589160c6aa60a645726ae1710ea688",
+    ("GS", 16): "5dd0bcee2dd3f57e6abafc6a184b76411812ad66f29045702b6fb5069e299495",
 }
 
 
@@ -457,17 +481,24 @@ class TestTraceEvent:
             assert hash(e) == hash(f) == hash(rebuilt) == hash(tuple(f))
 
 
+def seeded_table_digest(code, n, seed):
+    p, order = seeded_case(n, seed, two_sided=code == "GS")
+    if code == "GS":
+        config, r = None, run_gale_shapley(p, order)
+    else:
+        config = EngineConfig.from_code(code)
+        r = run_engine(p, order, config)
+    return hashlib.sha256(format_trace_table(order, r, config).encode()).hexdigest()
+
+
 class TestTraceTable:
     @pytest.mark.parametrize("code, n", list(TABLE_DIGESTS))
     def test_pinned_table_digests(self, code, n):
-        p, order = seeded_case(n, seed=n, two_sided=code == "GS")
-        if code == "GS":
-            config, r = None, run_gale_shapley(p, order)
-        else:
-            config = EngineConfig.from_code(code)
-            r = run_engine(p, order, config)
-        table = format_trace_table(order, r, config)
-        assert hashlib.sha256(table.encode()).hexdigest() == TABLE_DIGESTS[code, n]
+        assert seeded_table_digest(code, n, seed=n) == TABLE_DIGESTS[code, n]
+
+    @pytest.mark.parametrize("code, n", list(SECOND_TABLE_DIGESTS))
+    def test_second_seed_table_digests(self, code, n):
+        assert seeded_table_digest(code, n, seed=100 + n) == SECOND_TABLE_DIGESTS[code, n]
 
     def test_columns_and_shape(self, bench4):
         config = EngineConfig.from_code("TLS")

@@ -125,6 +125,71 @@ class TestOptimalUtilitarian:
             assert sum(row[o] for row, o in zip(weight, item_of)) == best
 
 
+def oracle_hungarian(weight):
+    """``welfare._hungarian_max`` before it took a row's free best column at
+    once: every phase runs its full search."""
+    n = len(weight)
+    INF = 1 << 60
+    u, v = [0] * n, [0] * (n + 1)
+    p = [-1] * (n + 1)
+    way = [n] * (n + 1)
+    for i in range(n):
+        p[n] = i
+        j0, d = n, 0
+        minv = [INF] * n + [0]
+        used = [n]
+        free = list(range(n))
+        while True:
+            row, h = weight[p[j0]], u[p[j0]] - d
+            d = INF
+            for j in free:
+                m = minv[j]
+                cur = -row[j] - h - v[j]
+                if cur < m:
+                    minv[j] = m = cur
+                    way[j] = j0
+                if m < d:
+                    d = m
+                    j1 = j
+            j0 = j1
+            if p[j0] < 0:
+                break
+            free.remove(j0)
+            used.append(j0)
+        for j in used:
+            shift = d - minv[j]
+            u[p[j]] += shift
+            v[j] -= shift
+        while j0 != n:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    item_of = sorted(range(n), key=p.__getitem__)
+    return sum(row[o] for row, o in zip(weight, item_of)), tuple(item_of)
+
+
+class TestHungarianShortcut:
+    """Taking a row's first best column at once when it is free changes no
+    value and no witness: the same ``(value, item_of)`` as ``oracle_hungarian``,
+    also where a row's maximum ties."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_same_value_and_witness(self, n):
+        rng = random.Random(900 + n)
+        for _ in range(60):
+            top = rng.sample(range(n), n)
+            for weight in (
+                [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)],
+                [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)],  # tied maxima
+                [list(row) for row in borda_utilities(random_profile(rng, n))],
+                # one unique best column for all: row 0 takes it, the rest find it taken
+                [top[:] for _ in range(n)],
+                # unique best column 0 or 1 by row parity: from row 2 on, it is taken
+                [[rng.randint(0, 2) + (j == i % 2) * 3 for j in range(n)] for i in range(n)],
+            ):
+                assert _hungarian_max(weight) == oracle_hungarian(weight), weight
+
+
 class TestOptimumWitnesses:
     """Pinned witnesses: optimal matchings often tie, so these lock the
     Hungarian search's tie-breaking as well as its value."""
@@ -255,6 +320,25 @@ class TestCountsRefused:
         with pytest.raises(ValueError, match="order count"):
             campaign(mech, 4, 5, 0, orders=count)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize(
+        "codes, metric",
+        [
+            (("PS",), "util_loss"),
+            (("PS",), "egal"),
+            (("SD", "PS"), "order_bias"),
+            (("R-TLQ", "R-TLQ+G"), "util_loss"),
+            (("R-TLQ",), "egal_realized"),
+        ],
+    )
+    def test_order_count_whatever_the_cells(self, codes, metric, count, monkeypatch):
+        """Refused before any profile is drawn, also by cells that run no
+        orders (PS, bias cells) or run them only after the optimum."""
+        monkeypatch.setattr(welfare, "profile_stream", lambda *a: iter(()))
+        cells = [(resolve(code)[0], metric) for code in codes]
+        with pytest.raises(ValueError, match="order count"):
+            campaign(cells, 4, 10, 7, orders=count)
+
 
 class TestPinnedSampledEstimates:
     """Exact outputs of the sampled-order branches, recorded before the order
@@ -292,6 +376,35 @@ class TestPinnedSampledEstimates:
 
 def _exact(stats):
     return str(stats.mean), repr(stats.stderr)
+
+
+# ``campaign`` at n = 5, 40 profiles, seed 31, three drawn orders a profile:
+# (code, metric, mean as Fraction text, stderr as repr(float)).
+SAMPLED_ORDERS = [
+    ("RSD", "util_loss", "165367/2790720", "0.0074493477952552855"),
+    ("RSD", "egal", "1/2", "0.0217470566499118"),
+    ("RSD", "egal_realized", "113/300", "0.028299376333316976"),
+    ("R-TLQ", "util_loss", "103991/1395360", "0.012985727515700454"),
+    ("R-TLQ", "egal", "67/120", "0.01949322330928764"),
+    ("R-TLQ", "egal_realized", "79/150", "0.021589276645984833"),
+    ("R-TLQ+G", "util_loss", "704/43605", "0.004004886431810981"),
+    ("R-TLQ+G", "egal", "343/600", "0.01634519018443169"),
+    ("R-TLQ+G", "egal_realized", "323/600", "0.02058787018757402"),
+    ("PS", "util_loss", "5535379/89303040", "0.005213337254017463"),
+    ("PS", "egal", "6557/10800", "0.011365932340853356"),
+    ("PS", "egal_realized", "6557/10800", "0.011365932340853356"),
+]
+
+
+class TestPinnedSampledOrders:
+    """Several drawn orders a profile, which the pinned C10 campaign (one
+    order) does not reach.  One-cell calls give what the pass gives
+    (``TestCampaignPass``)."""
+
+    def test_one_pass(self):
+        cells = [(resolve(code)[0], metric) for code, metric, _, _ in SAMPLED_ORDERS]
+        got = [_exact(s) for s in campaign(cells, 5, 40, 31, orders=3)]
+        assert got == [(mean, stderr) for _, _, mean, stderr in SAMPLED_ORDERS]
 
 
 class TestCampaignPass:
