@@ -23,7 +23,8 @@ MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 # ``admit(state, work, agent)`` returns the state and work after ``agent``
 # joins the agents admitted so far, every agent the last included, and
 # ``settle(state, work)`` the outcome ``item_of`` of a state reached once all
-# n have joined, which ``exact_counts`` then folds by class.  A state must be
+# n have joined, which ``exact_counts`` then folds by class and, for a
+# ``Runner`` with a ``trade``, trades once per folded outcome.  A state must be
 # hashable, is hashed once per admit that reaches it, and must depend on
 # nothing but the admitted agents' order, so keep it to what later admits
 # read; ``work`` is what the mechanism counts towards a bound it enforces by
@@ -83,6 +84,22 @@ def fold_outcome(item_of: Tuple[int, ...], classes) -> Tuple[int, ...]:
             for a, o in zip(members, sorted([item_of[a] for a in members])):
                 folded[a] = o
     return tuple(folded)
+
+
+def refold(counts: ClassCounts, outcome: Optional[Callable] = None) -> ClassCounts:
+    """``counts`` with each outcome mapped through ``outcome``, if given, and
+    folded by its classes, summing the counts of outcomes that meet.  An
+    ``outcome`` that treats agents anonymously maps a representative for all
+    it stands for: renaming agents of one class only renames its result."""
+    classes, tally = counts
+    folded = {}
+    for item_of, c in tally.items():
+        if outcome is not None:
+            item_of = outcome(item_of)
+        if len(classes) < len(item_of):
+            item_of = fold_outcome(item_of, classes)
+        folded[item_of] = folded.get(item_of, 0) + c
+    return ClassCounts(classes, folded)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -199,13 +216,17 @@ class LotteryResult:
 class Runner:
     """A matching mechanism ``run(profile, order)`` that carries its
     ``stepper``, which ``exact_counts`` walks instead of running every order;
-    ``run`` must treat agents anonymously, as every registry code's does."""
+    ``run`` must treat agents anonymously, as every registry code's does.
+    With a ``trade`` (a ``+G`` code's), ``run`` is the stepped mechanism and
+    then ``trade(profile, item_of)``, anonymous too, which ``exact_counts``
+    applies once per folded outcome."""
 
-    __slots__ = ("run", "stepper")
+    __slots__ = ("run", "stepper", "trade")
 
-    def __init__(self, run: MatchingMechanism, stepper: Stepper):
+    def __init__(self, run: MatchingMechanism, stepper: Stepper, trade: Optional[Callable] = None):
         self.run = run
         self.stepper = stepper
+        self.trade = trade
 
     def __call__(self, profile: Profile, order: AgentOrder) -> Matching:
         return self.run(profile, order)
@@ -297,14 +318,15 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
 
     On a one-sided profile, agents with identical preferences form classes of
     sizes k1, k2, ..., and a class admits its members in index order: the
-    n!/(k1! k2! ...) sequences of class labels stand for all n! orders.  Each
-    outcome is counted under its ``fold_outcome``, which stands for every
-    permutation of its items within the classes: renaming agents who have
-    identical preferences only renames the outcome, so each of those
-    matchings occurs that often among all n! orders.  This needs a mechanism
-    that treats agents anonymously, which a ``Runner`` promises and a plain
-    callable need not.  On a two-sided profile, whose item preferences can
-    tell identical agents apart, every agent is its own class.
+    n!/(k1! k2! ...) sequences of class labels stand for all n! orders.
+    ``refold`` counts each settled outcome under its ``fold_outcome``, which
+    stands for every permutation of its items within the classes: renaming
+    agents who have identical preferences only renames the outcome, so each
+    of those matchings occurs that often among all n! orders.  This needs a
+    mechanism that treats agents anonymously, which a ``Runner`` promises and
+    a plain callable need not.  On a two-sided profile, whose item
+    preferences can tell identical agents apart, every agent is its own
+    class.  A ``Runner``'s ``trade`` then maps each folded outcome once.
     """
     n = profile.n
     stepper = getattr(mechanism, "stepper", None)
@@ -318,13 +340,10 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
         for a, prefs in enumerate(profile.agent_prefs):
             by_prefs.setdefault(prefs, []).append(a)
         classes = tuple(map(tuple, by_prefs.values()))
-    counts = _walk(stepper(profile), classes)
-    if len(classes) < n:
-        folded = Counter()
-        for item_of, c in counts.items():
-            folded[fold_outcome(item_of, classes)] += c
-        counts = folded
-    return ClassCounts(classes, counts)
+    counts = refold(ClassCounts(classes, _walk(stepper(profile), classes)))
+    if mechanism.trade is not None:
+        counts = refold(counts, functools.partial(mechanism.trade, profile))
+    return counts
 
 
 def _walk(stepped: tuple, classes) -> Counter:
@@ -373,9 +392,9 @@ def _receipt_rows(outcomes: Iterable[Tuple[Tuple[int, ...], int]], n: int) -> li
 def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
     """The lottery over all n! initial orders, each with weight 1/n!: the
     outcome counts of ``exact_counts``, which states its two paths, the
-    anonymity a ``Runner`` promises and the ``ENUMERATION_LIMIT`` on n.  The
-    result keeps them folded by class until ``outcomes`` or ``support`` is
-    read.
+    anonymity a ``Runner`` promises and the ``ENUMERATION_LIMIT`` on n (a
+    ``+G`` code trades each folded outcome of its base once).  The result
+    keeps them folded by class until ``outcomes`` or ``support`` is read.
     """
     classes, counts = exact_counts(mechanism, profile)
     return LotteryResult(tuple(sorted(counts.items())), math.factorial(profile.n), classes)

@@ -4,9 +4,9 @@ Probabilistic Serial, Top Trading Cycles, and the trade-on-output composition.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .lottery import MatchingMechanism, Stepper
+from .lottery import MatchingMechanism
 from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _trusted
 
 
@@ -199,6 +199,13 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
     return _trusted(Matching, tuple(item_of))
 
 
+def trade(profile: Profile, item_of: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Top trading cycles from the endowment ``item_of``, as an ``item_of``:
+    the trade of a ``+G`` code, which ``exact_counts`` applies to each folded
+    outcome of its base."""
+    return top_trading_cycles(profile, _trusted(Matching, item_of)).item_of
+
+
 def compose_ttc(mechanism: MatchingMechanism) -> MatchingMechanism:
     """Feed a mechanism's output to top trading cycles as the endowment.
 
@@ -210,23 +217,3 @@ def compose_ttc(mechanism: MatchingMechanism) -> MatchingMechanism:
         return top_trading_cycles(profile, mechanism(profile, order))
 
     return composed
-
-
-def ttc_stepper(stepper: Stepper) -> Stepper:
-    """``stepper`` followed by top trading cycles, run once per distinct
-    outcome of ``stepper``."""
-
-    def begin(profile: Profile):
-        start, admit, settle = stepper(profile)
-        traded: dict = {}
-
-        def settle_traded(state, work):
-            base = settle(state, work)
-            out = traded.get(base)
-            if out is None:
-                out = traded[base] = top_trading_cycles(profile, _trusted(Matching, base)).item_of
-            return out
-
-        return start, admit, settle_traded
-
-    return begin

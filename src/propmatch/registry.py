@@ -13,8 +13,10 @@ settles each distinct final state once (NB's is ``naive_boston_stepper``,
 not PFQ's engine stepper); the others get ``order_free``.
 
 Modifiers: a trailing ``+G`` reruns the output through top trading cycles
-(invalid on PS); a leading ``R-`` marks randomization over the initial order
-(an evaluation mode, not a different base mechanism).  ``RSD`` means ``R-SD``.
+(invalid on PS); it walks its base's stepper, so an exact lottery folds the
+base's outcomes first, then trades each folded outcome once.  A leading
+``R-`` marks randomization over the initial order (an evaluation mode, not a
+different base mechanism).  ``RSD`` means ``R-SD``.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .mechanisms import (
     probabilistic_serial,
     serial_dictatorship,
     serial_dictatorship_stepper,
-    ttc_stepper,
+    trade,
 )
 from .model import AgentOrder, FractionalAssignment, Matching, Profile
 
@@ -57,9 +59,10 @@ class Mechanism:
     a fractional outcome, or ``_trace`` for the proposal codes (the eight
     engine codes and GS).  ``_stepper`` admits one agent at a time and
     settles each final state once, for exact lotteries; only the codes that
-    read the order (``uses_order``) have one.  A ``+G`` form names its
-    ``base``, whose outcome it trades by top trading cycles, so a campaign
-    runs the base once for both.
+    read the order (``uses_order``) have one.  A ``+G`` form sets only its
+    ``base``: its ``run`` is ``compose_ttc`` of the base's, carrying the
+    base's stepper and ``mechanisms.trade``, so a campaign runs the base
+    once for both.
     """
 
     code: str
@@ -72,7 +75,7 @@ class Mechanism:
 
     @property
     def uses_order(self) -> bool:
-        return self._stepper is not None
+        return (self.base or self)._stepper is not None
 
     @property
     def kind(self) -> str:
@@ -81,7 +84,11 @@ class Mechanism:
 
     @functools.cached_property
     def run(self) -> Runner:
-        """The matching mechanism, ``run(profile, order)``, carrying its stepper."""
+        """The matching mechanism, ``run(profile, order)``, carrying its
+        stepper and, for a ``+G`` form, the trade."""
+        if self.base is not None:
+            base = self.base.run
+            return Runner(compose_ttc(base.run), base.stepper, trade)
         run = self._run
         if run is None:
             trace = self._trace
@@ -156,12 +163,6 @@ def resolve(code: str) -> Tuple[Mechanism, bool]:
     if with_ttc:
         if mech.kind != "matching":
             raise ValueError(f"+G is invalid on {code}: no discrete output to trade from")
-        mech = Mechanism(
-            code + "+G",
-            mech.needs_item_prefs,
-            _run=compose_ttc(mech.run.run),
-            _stepper=mech._stepper and ttc_stepper(mech._stepper),
-            base=mech,
-        )
+        mech = Mechanism(code + "+G", mech.needs_item_prefs, base=mech)
     return mech, randomized
 

@@ -6,6 +6,7 @@ n - r, so the top choice is worth n - 1 and the last 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -13,9 +14,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .lottery import (
-    ClassCounts, exact_counts, fold_outcome, order_stream, permutation_drawer, singleton_classes, spread_size,
+    ClassCounts, exact_counts, order_stream, permutation_drawer, refold, singleton_classes, spread_size,
 )
-from .mechanisms import top_trading_cycles
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
 from .sampling import profile_stream
 
@@ -190,10 +190,9 @@ def _outcomes(mechanism, profile: Profile, orders, runs: dict) -> ClassCounts:
     ``profile`` over ``orders``: ``"all"``, by ``exact_counts`` and folded by
     class, or a list, with every agent its own class.  ``runs`` keeps by
     ``id`` the counts of each base already run on these orders.  A mechanism
-    with a ``base`` (a ``+G`` form) runs no orders: it trades each folded
-    outcome of its base by top trading cycles, which treats agents
-    anonymously, so the trade of a representative folds to the
-    representative of the trades it stands for."""
+    with a ``base`` (a ``+G`` form) runs no orders: ``refold`` trades each
+    folded outcome of its base once by its run's ``trade``, as
+    ``exact_counts`` does."""
     base = getattr(mechanism, "base", None)
     own = base or mechanism
     counts = runs.get(id(own))
@@ -207,16 +206,7 @@ def _outcomes(mechanism, profile: Profile, orders, runs: dict) -> ClassCounts:
                 tally[out] = tally.get(out, 0) + 1
             counts = ClassCounts(singleton_classes(profile.n), tally)
         runs[id(own)] = counts
-    if base is None:
-        return counts
-    classes = counts.classes
-    folding = len(classes) < profile.n
-    traded = {}
-    for item_of, c in counts.counts.items():
-        out = top_trading_cycles(profile, _trusted(Matching, item_of)).item_of
-        key = fold_outcome(out, classes) if folding else out
-        traded[key] = traded.get(key, 0) + c
-    return ClassCounts(classes, traded)
+    return counts if base is None else refold(counts, functools.partial(mechanism.run.trade, profile))
 
 
 def _utility_sums(
@@ -280,9 +270,10 @@ def campaign(
     orders per profile from ``random.Random(seed ^ 0x9E3779B97F4A7C15)``, so
     every cell would draw the same orders: they are drawn once per profile,
     by one ``permutation_drawer`` for the pass.  A count k below 1 is refused
-    on the call, before any profile, whatever the cells.
+    on the call, before any profile, whatever the cells, as is ``"all"``
+    past ``ENUMERATION_LIMIT`` if a loss or egalitarian cell runs orders.
     Each base mechanism then runs once per order, and once on the identity
-    order for bias cells; a ``+G`` cell trades the outcomes of its ``base``.
+    order for bias cells; a ``+G`` cell trades each folded base outcome.
     Statistics are accumulated in integers: a cell keeps each profile's value
     as a numerator and a denominator until the end.  ``profiles="orbits"`` is
     refused: an orbit's least profile stands for orbits of different sizes, so
@@ -293,17 +284,18 @@ def campaign(
     for _, metric in cells:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
-    if orders != "all":
-        order_stream(n, orders)  # refuses a count below 1 on the call, whatever the cells
     ratios = [i for i, (_, metric) in enumerate(cells) if metric != "order_bias"]
     biased = [i for i, (m, metric) in enumerate(cells) if metric == "order_bias" and m.uses_order]
+    matching = any(cells[i][0].kind == "matching" for i in ratios)  # cells that run ``orders``
+    if orders != "all" or matching:
+        order_stream(n, orders)  # refuses a count below 1, or n past the limit for "all", on the call
     results = [WelfareStats(Fraction(0), 0.0)] * len(cells)
     if not ratios and not biased:
         return results
     need_opt = any(metric == "util_loss" for _, metric in cells)
     if need_opt and n < 2:
         raise ValueError("util_loss needs n >= 2: with one agent the optimum is 0")
-    sampled = orders != "all" and any(cells[i][0].kind == "matching" for i in ratios)
+    sampled = orders != "all" and matching
     draw = permutation_drawer(random.Random(seed ^ _ORDER_SEED), n) if sampled else None
     nums = {i: [] for i in ratios}
     dens = {i: [] for i in ratios}

@@ -20,7 +20,7 @@ from propmatch import (
     profile,
     serial_dictatorship,
 )
-from propmatch import registry
+from propmatch import mechanisms, registry
 from propmatch.axioms import satisfies_conditional_bound
 from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.lottery import (
@@ -30,6 +30,7 @@ from propmatch.lottery import (
     equivalent_on,
     exact_counts,
     exact_lottery,
+    fold_outcome,
     order_stream,
     outcome_counts,
     permutation_drawer,
@@ -362,6 +363,11 @@ def fold(stepped, order):
     return settle(state, work)
 
 
+def traded(run, p, item_of):
+    """``item_of`` after ``run``'s trade, if it has one (a ``+G`` code)."""
+    return item_of if run.trade is None else run.trade(p, item_of)
+
+
 class TestOrbitLottery:
     """One run per arrangement of identical-agent classes rebuilds the lottery
     of all n! runs."""
@@ -459,7 +465,7 @@ class TestSteppedCounts:
         def refuse(profile, order):
             raise AssertionError("a whole run")
 
-        stepped = exact_lottery(Runner(refuse, mech.run.stepper), p)
+        stepped = exact_lottery(Runner(refuse, mech.run.stepper, mech.run.trade), p)
         assert stepped == brute_force_lottery(mech.run, p)
 
     @pytest.mark.parametrize("code", STEPPED_CODES)
@@ -471,7 +477,7 @@ class TestSteppedCounts:
                     p = profile(p.agent_prefs, p.agent_prefs)
                 stepped = mech.run.stepper(p)
                 for order in order_stream(n):
-                    assert fold(stepped, order) == mech.run(p, order).item_of, (p, order)
+                    assert traded(mech.run, p, fold(stepped, order)) == mech.run(p, order).item_of, (p, order)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(class_profiles(), st.data())
@@ -480,7 +486,7 @@ class TestSteppedCounts:
         for code in STEPPED_CODES:
             mech, _ = resolve(code)
             q = profile(p.agent_prefs, p.agent_prefs) if mech.needs_item_prefs else p
-            assert fold(mech.run.stepper(q), order) == mech.run(q, order).item_of, code
+            assert traded(mech.run, q, fold(mech.run.stepper(q), order)) == mech.run(q, order).item_of, code
 
     def test_only_codes_with_a_stepper_read_the_order(self):
         shared = profile([[0, 1, 2]] * 3)
@@ -662,6 +668,49 @@ class TestFoldedResult:
         assert len(lot.folded) == 1
         assert len(lot.support) == len(lot.outcomes) == 40320
         assert {c for _, c in lot.outcomes} == {1}
+
+
+class TestOneTrade:
+    """A ``+G`` lottery trades each folded outcome of its base once."""
+
+    @pytest.mark.parametrize("code, name, calls", [
+        ("TLQ+G", "lottery4", 2),
+        ("PLS+G", "lottery4", 3),
+        ("SD+G", "lottery4", 3),
+        ("GS+G", "two_sided4", 1),  # order-free bases settle once
+        ("BOS-SIM+G", "two_sided4", 1),
+    ])
+    def test_ttc_calls_are_the_folded_base_outcomes(self, code, name, calls, request, monkeypatch):
+        p = request.getfixturevalue(name)
+        mech, _ = resolve(code)
+        endowments = []
+        real = mechanisms.top_trading_cycles
+
+        def counted(profile, endowment):
+            endowments.append(endowment.item_of)
+            return real(profile, endowment)
+
+        monkeypatch.setattr(mechanisms, "top_trading_cycles", counted)
+        exact_lottery(mech.run, p)
+        assert endowments == list(exact_counts(mech.base.run, p).counts)
+        assert len(endowments) == calls
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(class_profiles(), st.data())
+    def test_trade_commutes_with_renaming_within_classes(self, p, data):
+        """The fold of a trade depends only on the fold of its endowment, so
+        trading one representative stands for trading each outcome it folds."""
+        by_prefs = {}
+        for a, prefs in enumerate(p.agent_prefs):
+            by_prefs.setdefault(prefs, []).append(a)
+        classes = tuple(map(tuple, by_prefs.values()))
+        endowment = tuple(data.draw(st.permutations(range(p.n))))
+
+        def ttc(item_of):
+            return mechanisms.top_trading_cycles(p, Matching(item_of)).item_of
+
+        folded = fold_outcome(endowment, classes)
+        assert fold_outcome(ttc(endowment), classes) == fold_outcome(ttc(folded), classes)
 
 
 class TestSampledLottery:

@@ -17,8 +17,10 @@ from propmatch import (
 )
 from propmatch.axioms import is_pareto_efficient
 from propmatch.experiments import ExperimentConfig, run_experiment
-from propmatch import registry, welfare
-from propmatch.lottery import exact_counts, exact_lottery, fold_outcome, order_stream
+from propmatch import mechanisms, registry, welfare
+from propmatch.lottery import (
+    ENUMERATION_LIMIT, EnumerationLimitError, exact_counts, exact_lottery, fold_outcome, order_stream,
+)
 from propmatch.registry import resolve
 from propmatch.sampling import ProfileSampler, orbit_profiles, profile_stream
 from propmatch.welfare import (
@@ -339,6 +341,28 @@ class TestCountsRefused:
         with pytest.raises(ValueError, match="order count"):
             campaign(cells, 4, 10, 7, orders=count)
 
+    @pytest.mark.parametrize(
+        "codes, metric",
+        [
+            (("RSD",), "util_loss"),
+            (("PS", "R-TLQ+G"), "egal"),
+            (("R-NB",), "egal_realized"),
+        ],
+    )
+    def test_all_orders_past_the_limit(self, codes, metric, monkeypatch):
+        """Refused before any profile is drawn when a loss or egalitarian
+        cell runs every order of n > ENUMERATION_LIMIT agents."""
+        monkeypatch.setattr(welfare, "profile_stream", lambda *a: iter(()))
+        cells = [(resolve(code)[0], metric) for code in codes]
+        with pytest.raises(EnumerationLimitError, match=f"n={ENUMERATION_LIMIT + 1}"):
+            campaign(cells, ENUMERATION_LIMIT + 1, 10, 7, orders="all")
+
+    @pytest.mark.parametrize("code, metric", [("PS", "util_loss"), ("PS", "egal"), ("SD", "order_bias")])
+    def test_all_orders_past_the_limit_run_no_order(self, code, metric):
+        """Cells that run no orders (PS, bias cells) still run to a mean."""
+        (stats,) = campaign([(resolve(code)[0], metric)], ENUMERATION_LIMIT + 1, 2, 7, orders="all")
+        assert stats.mean > 0
+
 
 class TestPinnedSampledEstimates:
     """Exact outputs of the sampled-order branches, recorded before the order
@@ -473,13 +497,13 @@ class TestCampaignPass:
 
     def test_all_orders_trade_each_folded_base_outcome_once(self, monkeypatch):
         calls = []
-        real = welfare.top_trading_cycles
+        real = mechanisms.top_trading_cycles
 
         def counted(profile, endowment):
             calls.append(endowment)
             return real(profile, endowment)
 
-        monkeypatch.setattr(welfare, "top_trading_cycles", counted)
+        monkeypatch.setattr(mechanisms, "top_trading_cycles", counted)
         bases = [resolve(code)[0] for code in ("SD", "TLQ")]
         cells = [(resolve(code)[0], "util_loss") for code in ("R-SD+G", "R-TLQ+G")]
         campaign(cells, 4, 40, 3, orders="all")
