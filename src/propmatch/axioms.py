@@ -10,9 +10,9 @@ import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lottery import MatchingMechanism, exact_lottery, order_stream
+from .lottery import MatchingMechanism, exact_counts, exact_lottery, order_stream
 from .mechanisms import top_trading_cycles
-from .model import FractionalAssignment, Matching, Profile
+from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
 from .sampling import Prefs, _anchored, canonical
 from .welfare import _hungarian_max
 
@@ -62,6 +62,25 @@ def is_pareto_efficient(m: Matching, profile: Profile) -> bool:
     return top_trading_cycles(profile, m) == m
 
 
+def first_inefficient_order(mechanism: MatchingMechanism, profile: Profile) -> Optional[AgentOrder]:
+    """The first order of ``order_stream(n)`` whose run is not Pareto
+    efficient, or None when every run is; refused beyond the enumeration
+    limit on the call.
+
+    Decided once per folded outcome of ``exact_counts``: swapping the items
+    of agents with identical lists keeps a matching efficient or not, and a
+    ``Runner`` promises that such swaps give every outcome a folded one
+    stands for.  Only when a folded outcome fails are the orders run again,
+    one by one, to find the first failing one.
+    """
+    _, counts = exact_counts(mechanism, profile)
+    if all(is_pareto_efficient(_trusted(Matching, item_of), profile) for item_of in counts):
+        return None
+    return next(
+        order for order in order_stream(profile.n) if not is_pareto_efficient(mechanism(profile, order), profile)
+    )
+
+
 def is_ordinally_efficient(assignment: FractionalAssignment, profile: Profile) -> bool:
     """True iff no other random assignment stochastically dominates this one.
 
@@ -69,15 +88,36 @@ def is_ordinally_efficient(assignment: FractionalAssignment, profile: Profile) -
     some agent with positive probability of y ranks x above y; the assignment
     is ordinally efficient iff this relation is acyclic.
     """
+    held = [{y for y, c in enumerate(row) if c > 0} for row in assignment.nums]
+    return _wanted_over_acyclic(held, profile)
+
+
+def is_lottery_ordinally_efficient(mechanism: MatchingMechanism, profile: Profile) -> bool:
+    """``is_ordinally_efficient`` of the mechanism's exact lottery, read from
+    the folded outcomes of ``exact_counts`` without building the lottery.
+
+    An agent gets an item with positive probability when some outcome gives
+    it.  A folded outcome gives the items of a class of identical lists in
+    ascending order, so one member may hold fewer items in the folded
+    outcomes than in the lottery; but the class's members together hold the
+    same items, and they rank them alike, so "x is wanted over y" is the
+    same relation.
+    """
+    _, counts = exact_counts(mechanism, profile)
+    return _wanted_over_acyclic([set(items) for items in zip(*counts)], profile)
+
+
+def _wanted_over_acyclic(held: Sequence[set], profile: Profile) -> bool:
+    """Whether "x is wanted over y" is acyclic, where ``held[i]`` is the set
+    of items agent i gets with positive probability."""
     n = profile.n
     edges: List[set] = [set() for _ in range(n)]
-    for i, row in enumerate(assignment.nums):
-        for y in range(n):
-            if row[y] > 0:
-                for x in profile.agent_prefs[i]:
-                    if x == y:
-                        break
-                    edges[x].add(y)
+    for items, prefs in zip(held, profile.agent_prefs):
+        for y in items:
+            for x in prefs:
+                if x == y:
+                    break
+                edges[x].add(y)
     # cycle detection over the item graph
     color = [0] * n  # 0 unseen, 1 on stack, 2 done
     def dfs(u: int) -> bool:
@@ -166,7 +206,9 @@ def check_strategyproofness(
     """Compare the agent's exact randomized outcome under truth against every
     misreport, the other agents' preferences and any item preferences held
     fixed.  Dominance verdicts are relative to the *true* preferences.  The
-    rows are receipt counts over n!, the exact lotteries' ``rows``.
+    rows are receipt counts over n!, the exact lotteries' ``rows``.  An
+    ``agent`` outside 0..n-1 is refused with a ValueError before any lottery
+    is built.
 
     ``memo`` keeps receipt counts under ``mechanism`` (``_receipt_row``);
     pass one dict only with one mechanism.  A lottery is then built once
@@ -181,6 +223,8 @@ def check_strategyproofness(
     misreports that reach one orbit share a lottery.
     """
     n = profile.n
+    if not 0 <= agent < n:
+        raise ValueError(f"agent {agent} is not one of the n={n} agents 0..{n - 1}")
     truth = profile.agent_prefs[agent]
     truthful_row = _receipt_row(mechanism, profile.agent_prefs, profile.item_prefs, agent, memo)
     before, after = profile.agent_prefs[:agent], profile.agent_prefs[agent + 1:]
@@ -218,12 +262,20 @@ def satisfies_conditional_bound(
 ) -> bool:
     """Whenever some matching gives everyone a top-k item, the mechanism must
     do so for *every* initial order (the randomized version then succeeds with
-    probability 1).  Vacuously true when no such matching exists."""
-    orders = order_stream(profile.n)  # refuses n beyond the enumeration limit
+    probability 1).  Vacuously true when no such matching exists.
+
+    n beyond the enumeration limit is refused on the call, before the
+    feasibility check.  The orders' outcomes are then checked once per
+    folded outcome of ``exact_counts``: swapping the items of agents with
+    identical lists keeps every agent within its top k or not, and a
+    ``Runner`` promises that such swaps give every outcome a folded one
+    stands for.  ``exact_counts`` walks the orders to the end, so a
+    mechanism that fails on an early order still pays for the whole walk;
+    a plain callable without a stepper runs every order.
+    """
+    order_stream(profile.n)  # refuses n beyond the enumeration limit
     if not feasible_top_k(profile, k):
         return True
-    for order in orders:
-        m = mechanism(profile, order)
-        if any(profile.rank(j, o) >= k for j, o in enumerate(m.item_of)):
-            return False
-    return True
+    tops = [set(prefs[:k]) for prefs in profile.agent_prefs]
+    _, counts = exact_counts(mechanism, profile)
+    return all(o in top for item_of in counts for o, top in zip(item_of, tops))

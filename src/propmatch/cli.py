@@ -14,8 +14,9 @@ from . import textio
 from .axioms import (
     SPVerdict,
     check_strategyproofness,
+    first_inefficient_order,
+    is_lottery_ordinally_efficient,
     is_ordinally_efficient,
-    is_pareto_efficient,
     satisfies_conditional_bound,
 )
 from .engine import format_trace_table
@@ -160,6 +161,16 @@ def _run_axiom_sweep(axiom, mech, profiles, k, exhaustive):
     An exhaustive sweep runs over ``sampling.orbit_profiles``: every registry
     code is equivariant under renaming agents and items, so each verdict
     holds on a whole orbit and the first failing profile is its orbit's least.
+
+    ``expost``, ``topk`` and a matching code's ``ordinal`` are decided on the
+    folded outcomes of ``lottery.exact_counts``, once per outcome class
+    rather than once per order.  This rests on the anonymity a ``Runner``
+    promises: renaming agents with identical lists only renames the outcome,
+    and none of the three properties changes when such agents swap items.
+    The ``expost`` witness is the first failing order of ``order_stream(n)``,
+    found by running the orders only once some folded outcome fails.  The
+    walk goes to the end, so a code that fails ``topk`` on an early order
+    pays for the whole walk.
     """
     # sp: lottery rows by orbit; an exhaustive sweep meets every misreport's
     # orbit again, a sampled one keeps them for one profile
@@ -175,20 +186,26 @@ def _run_axiom_sweep(axiom, mech, profiles, k, exhaustive):
 
 def _axiom_witness(axiom, mech, profile, k, lotteries):
     """The witness ``(profile, order, misreport)`` by which ``profile`` fails
-    ``axiom`` under ``mech``, or None if it passes: the first order of a
-    failing ``expost`` run, the first strict-gain misreport of the first
-    agent that has one for ``sp``.  ``k`` is the ``topk`` bound and
-    ``lotteries`` the ``sp`` memo of ``check_strategyproofness``."""
-    n = profile.n
+    ``axiom`` under ``mech``, or None if it passes: the first order of
+    ``order_stream(n)`` whose run is inefficient for ``expost``, the first
+    strict-gain misreport of the first agent that has one for ``sp``.  ``k``
+    is the ``topk`` bound and ``lotteries`` the ``sp`` memo of
+    ``check_strategyproofness``.  ``expost``, ``topk`` and a matching code's
+    ``ordinal`` read the folded outcomes of ``exact_counts``; PS's
+    ``ordinal`` reads its eating outcome."""
     if axiom == "expost":
-        for order in order_stream(n):
-            if not is_pareto_efficient(mech.run(profile, order), profile):
-                return profile, order.order, None
+        order = first_inefficient_order(mech.run, profile)
+        if order is not None:
+            return profile, order.order, None
     elif axiom == "ordinal":
-        if not is_ordinally_efficient(mech.assignment(profile), profile):
+        if mech.kind == "fractional":
+            efficient = is_ordinally_efficient(mech.assignment(profile), profile)
+        else:
+            efficient = is_lottery_ordinally_efficient(mech.run, profile)
+        if not efficient:
             return profile, None, None
     elif axiom == "sp":
-        for agent in range(n):
+        for agent in range(profile.n):
             report = check_strategyproofness(mech.run, profile, agent, lotteries)
             if report.overall is SPVerdict.NOT_WEAKLY_SP:
                 return profile, None, report.best_deviation()

@@ -14,12 +14,15 @@ from propmatch.axioms import (
     SPVerdict,
     check_strategyproofness,
     feasible_top_k,
+    first_inefficient_order,
+    is_lottery_ordinally_efficient,
     is_ordinally_efficient,
     is_pareto_efficient,
     satisfies_conditional_bound,
     sd_dominates,
 )
-from propmatch.lottery import exact_lottery
+from propmatch.engine import ALL_ENGINE_CODES
+from propmatch.lottery import EnumerationLimitError, exact_lottery, order_stream
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles, orbit_profiles
 
@@ -252,6 +255,18 @@ class TestStrategyproofness:
                 assert check_strategyproofness(mech.run, p, agent, memo) == (
                     check_strategyproofness(mech.run, p, agent))
 
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_agent_outside_the_profile_refused(self, agent):
+        """Refused by name before any lottery is built: agent -1 would splice
+        the profile into 2n - 1 lists, agent n index past its end."""
+        def never(profile, order):
+            raise AssertionError("ran the mechanism")
+
+        memo = {}
+        with pytest.raises(ValueError, match=f"agent {agent} is not one of the n=3 agents"):
+            check_strategyproofness(never, profile([[0, 1, 2]] * 3), agent, memo)
+        assert memo == {}
+
     def test_gale_shapley_strategyproof_for_proposers(self):
         """Misreports keep the item side, and agent-proposing deferred
         acceptance is strategyproof for the agents."""
@@ -329,3 +344,102 @@ class TestConditionalBound:
         assert not satisfies_conditional_bound(sd.run, p, 2)
         tls, _ = resolve("TLS")
         assert satisfies_conditional_bound(tls.run, p, 2)
+
+
+def oracle_inefficient_order(mechanism, p: Profile):
+    """Oracle: the first order of ``order_stream`` whose run is not Pareto
+    efficient, running the mechanism on every order until one fails."""
+    for order in order_stream(p.n):
+        if not is_pareto_efficient(mechanism(p, order), p):
+            return order
+    return None
+
+
+def oracle_conditional_bound(mechanism, p: Profile, k: int) -> bool:
+    """Oracle: the worst-off guarantee checked on every order's run."""
+    if not feasible_top_k(p, k):
+        return True
+    for order in order_stream(p.n):
+        m = mechanism(p, order)
+        if any(p.rank(j, o) >= k for j, o in enumerate(m.item_of)):
+            return False
+    return True
+
+
+STEPPED_CODES = ALL_ENGINE_CODES + ("SD", "NB")
+FOLDED_CODES = STEPPED_CODES + tuple(code + "+G" for code in STEPPED_CODES)
+
+
+def assert_folded_matches_per_order(mechanism, profiles):
+    """The folded ``expost`` witness, ``topk`` verdicts for every k and
+    ``ordinal`` verdict equal the per-order oracles' on every profile;
+    returns how many profiles fail ``expost`` and how many fail some ``topk``,
+    so a caller can see that both verdicts were met."""
+    expost_fails = topk_fails = 0
+    for p in profiles:
+        runs = {order: mechanism(p, order) for order in order_stream(p.n)}
+        replay = lambda _p, order: runs[order]  # the oracles share one run per order
+        witness = first_inefficient_order(mechanism, p)
+        assert witness == oracle_inefficient_order(replay, p), p
+        expost_fails += witness is not None
+        ks = range(1, p.n + 1)
+        verdicts = [satisfies_conditional_bound(mechanism, p, k) for k in ks]
+        assert verdicts == [oracle_conditional_bound(replay, p, k) for k in ks], p
+        topk_fails += not all(verdicts)
+        assert is_lottery_ordinally_efficient(mechanism, p) == is_ordinally_efficient(
+            exact_lottery(mechanism, p).assignment, p), p
+    return expost_fails, topk_fails
+
+
+class TestFoldedOutcomesAgainstPerOrder:
+    """``first_inefficient_order``, ``satisfies_conditional_bound`` and
+    ``is_lottery_ordinally_efficient`` decide on the folded outcomes of
+    ``exact_counts``; the oracles run every order, or build the lottery."""
+
+    @pytest.mark.parametrize("code", FOLDED_CODES)
+    def test_every_small_orbit(self, code):
+        mech, _ = resolve(code)
+        profiles = [p for n in (1, 2, 3) for p in orbit_profiles(n)]
+        expost_fails, topk_fails = assert_folded_matches_per_order(mech.run, profiles)
+        if code in ("PLS", "PLQ", "TLS", "TLQ"):  # accept-last fails on TRIO
+            assert expost_fails > 0
+        if code not in ("TLS", "TLQ", "TLS+G", "TLQ+G"):
+            assert topk_fails > 0
+
+    @pytest.mark.parametrize("code", ["TLS", "PLQ+G", "NB"])
+    def test_plain_callable_runs_every_order(self, code):
+        """Without a stepper every agent is its own class: the same answers
+        from one run per order."""
+        run = resolve(code)[0].run.run
+        assert not hasattr(run, "stepper")
+        profiles = [p for n in (1, 2, 3) for p in orbit_profiles(n)]
+        assert_folded_matches_per_order(run, profiles)
+
+    @pytest.mark.parametrize("code", FOLDED_CODES)
+    def test_seeded_n4_orbits(self, code):
+        mech, _ = resolve(code)
+        assert_folded_matches_per_order(mech.run, random.Random(4).sample(list(orbit_profiles(4)), 25))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("code", FOLDED_CODES)
+    def test_every_n4_orbit(self, code):
+        mech, _ = resolve(code)
+        assert_folded_matches_per_order(mech.run, orbit_profiles(4))
+
+    def test_refused_beyond_the_limit_on_the_call(self):
+        """At n = 9 with no top-1 matching, the limit is refused before the
+        feasibility check and before any order runs."""
+        identical = profile([list(range(9))] * 9)
+        assert not feasible_top_k(identical, 1)
+
+        def never(p, order):
+            raise AssertionError("ran an order")
+
+        sd, _ = resolve("SD")
+        for mechanism in (sd.run, never):
+            with pytest.raises(EnumerationLimitError):
+                satisfies_conditional_bound(mechanism, identical, 1)
+            with pytest.raises(EnumerationLimitError):
+                first_inefficient_order(mechanism, identical)
+            with pytest.raises(EnumerationLimitError):
+                is_lottery_ordinally_efficient(mechanism, identical)

@@ -278,6 +278,15 @@ class TestAxioms:
         assert main(["axioms", code, "--n", "4", "--exhaustive", "--axioms", axiom]) == 0
         assert capsys.readouterr().out == line + "\n"
 
+    def test_n4_golden(self, capsys):
+        """The ``expost``, ``ordinal`` and ``topk2`` lines of every one-sided
+        matching code but ``SD+G`` and ``NB+G`` over every n = 4 orbit,
+        witnesses included, as the per-order checks print them."""
+        codes = ",".join(ENGINE_CODES + ("SD", "NB") + tuple(code + "+G" for code in ENGINE_CODES))
+        args = ["axioms", codes, "--n", "4", "--exhaustive", "--axioms", "expost,ordinal,topk", "--k", "2"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (DATA / "axioms4.txt").read_text()
+
     def test_n4_sd_sp_passes(self, capsys):
         assert main(["axioms", "SD", "--n", "4", "--exhaustive", "--axioms", "sp"]) == 0
         assert capsys.readouterr().out == "sp, SD, 4, PASS, -, -, -\n"
