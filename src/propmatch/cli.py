@@ -38,6 +38,8 @@ USAGE_ERROR, INPUT_ERROR, LIMIT_ERROR = 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict  # on the top-level parser: subcommand name -> its parser
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -261,9 +263,11 @@ def cmd_compare(args) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     """Built on first use and reused by every ``main`` call; it holds no
-    ``cmd_*`` function, so ``main`` looks the subcommand's up at call time."""
+    ``cmd_*`` function, so ``main`` looks the subcommand's up at call time.
+    ``commands`` maps each subcommand to its own parser."""
     parser = _Parser(prog="propmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("run", help="run one mechanism on one profile")
     p.add_argument("profile")
@@ -312,8 +316,20 @@ def main(argv=None) -> int:
     """Parse ``argv`` and run the subcommand.  Library errors end the run here:
     order enumeration beyond the limit exits 3, any other ``ValueError`` (a
     rejected input) and any ``OSError`` (a path that cannot be read or
-    written) exit 2, each with one ``error:`` line on stderr."""
-    args = build_parser().parse_args(argv)
+    written) exit 2, each with one ``error:`` line on stderr.
+
+    When ``argv`` starts with a subcommand, its parser reads the rest
+    directly and gives the Namespace the top-level parser would; everything
+    else (no arguments, ``-h``, an unknown command) goes to the top level."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:])
+        args.command = argv[0]
     try:
         return globals()[f"cmd_{args.command}"](args)
     except EnumerationLimitError as exc:

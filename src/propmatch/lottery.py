@@ -356,6 +356,7 @@ def _walk(stepped: tuple, classes) -> Counter:
     start, admit, settle = stepped
     sizes = [len(members) for members in classes]
     layer = {(0,) * len(classes): {start: [1, 0]}}
+    spare = [0, 0]  # the entry of the next new state: one lookup per admit
     for _ in range(sum(sizes)):
         nxt = {}
         for taken, states in layer.items():
@@ -366,10 +367,14 @@ def _walk(stepped: tuple, classes) -> Counter:
                 merged = nxt.setdefault(taken[:c] + (k + 1,) + taken[c + 1:], {})
                 for state, (prefixes, work) in states.items():
                     after, done = admit(state, work, agent)
-                    entry = merged.setdefault(after, [0, done])
-                    entry[0] += prefixes
-                    if done > entry[1]:
-                        entry[1] = done
+                    entry = merged.setdefault(after, spare)
+                    if entry is spare:
+                        entry[0], entry[1] = prefixes, done
+                        spare = [0, 0]
+                    else:
+                        entry[0] += prefixes
+                        if done > entry[1]:
+                            entry[1] = done
         layer = nxt
     counts = Counter()
     (states,) = layer.values()

@@ -9,6 +9,7 @@ colons; internally everything is mapped to dense indices, and canonical names
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -28,9 +29,10 @@ def item_name(o: int, n: int) -> str:
         return "abcdefghijklmnopqrstuvwxyz"[o]
     return f"o{o + 1:0{len(str(n))}d}"
 
-def names(n: int) -> Tuple[List[str], List[str]]:
-    """The canonical agent and item names of indices 0..n-1."""
-    return [agent_name(i) for i in range(n)], [item_name(o, n) for o in range(n)]
+@functools.cache
+def names(n: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The canonical agent and item names of indices 0..n-1, built once per n."""
+    return tuple(map(agent_name, range(n))), tuple(item_name(o, n) for o in range(n))
 
 
 def _split_line(line: str, lineno: int) -> Tuple[str, List[str]]:
@@ -49,18 +51,30 @@ def parse_profile(text: str) -> Profile:
 
     Each row is checked once, here: ``to_indices`` passes only n distinct
     known names, and an opened ``@items`` section must give every item one
-    line, so the result is built without ``Profile``'s own checks."""
+    line, so the result is built without ``Profile``'s own checks.
+
+    A row's list is stripped and split on commas once.  Any other line (no
+    name, whitespace inside the list, an empty entry, no colon, blank or
+    ``@items``) is stripped whole and a row goes to ``_split_line``, which
+    strips each entry: both paths read a row alike."""
     agent_lines: List[Tuple[int, str, List[str]]] = []
     item_lines: List[Tuple[int, str, List[str]]] = []
     in_items = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "@items":
-            in_items = True
-            continue
-        name, entries = _split_line(line, lineno)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        head, _, tail = line.partition(":")
+        name = head.strip()
+        tail = tail.strip()
+        entries = tail.split(",")
+        if not name or len(tail.split()) != 1 or "" in entries:
+            line = line.strip()
+            if not line:
+                continue
+            if line == "@items":
+                in_items = True
+                continue
+            name, entries = _split_line(line, lineno)
         (item_lines if in_items else agent_lines).append((lineno, name, entries))
 
     if not agent_lines:
@@ -78,7 +92,8 @@ def parse_profile(text: str) -> Profile:
 
     def to_indices(entries: List[str], table: dict, lineno: int, kind: str) -> Tuple[int, ...]:
         row = tuple(map(table.get, entries))
-        if len(row) == n == len(set(row)) and None not in row:
+        distinct = set(row)  # an unknown name maps to None; look for it in the set
+        if len(row) == n == len(distinct) and None not in distinct:
             return row
         # a malformed row: report its first fault; a row without one has the wrong length
         seen = set()

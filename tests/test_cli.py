@@ -155,6 +155,67 @@ class TestParserReuse:
         assert main(["run", BENCH, "SD"]) == 7
 
 
+# Valid argv for every subcommand, each option given at least once; none is run.
+VALID_ARGV = [
+    ("run", BENCH, "TLS"),
+    ("run", BENCH, "TLS", "--trace", "--order", "4,3,2,1"),
+    ("run", "--trace", BENCH, "TLS"),
+    ("run", BENCH, "TLS", "--tr"),
+    ("lottery", BENCH, "RSD"),
+    ("lottery", BENCH, "RSD", "--samples", "5", "--seed", "3"),
+    ("axioms", "SD,TLQ", "--n", "3"),
+    ("axioms", "SD", "--n=3", "--exhaustive", "--samples", "4", "--seed", "1",
+     "--axioms", "topk", "--k", "2"),
+    ("experiment", EXPERIMENT),
+    ("experiment", EXPERIMENT, "--out", "rows.csv"),
+    ("generate", "--n", "3", "--out", "corpus"),
+    ("generate", "--out", "corpus", "--n", "3", "--count", "4", "--seed", "2", "--exhaustive"),
+    ("compare", "PFS", "SD", "--n", "3"),
+    ("compare", "PFS", "SD", "--n", "3", "--exhaustive", "--samples", "5", "--orders", "2",
+     "--seed", "9"),
+]
+
+
+class TestDispatch:
+    """``main`` hands the arguments after a subcommand straight to its
+    parser; the top-level parser reads the rest."""
+
+    @pytest.mark.parametrize("argv", VALID_ARGV)
+    def test_command_gets_the_top_level_namespace(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli_module, f"cmd_{argv[0]}", seen.append)
+        main(list(argv))
+        assert seen == [cli_module.build_parser().parse_args(list(argv))]
+        assert seen[0].command == argv[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv + ("--bogus",) for argv in VALID_ARGV[::2]]
+        + [
+            ("axioms", "SD"),
+            ("generate", "--out", "corpus"),
+            ("axioms", "SD", "--n", "3", "--k", "two"),
+            ("frobnicate",),
+            (),
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        status, out, err = main_result(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        # every fault after a subcommand, an unknown option too, is reported
+        # under the subcommand's usage line
+        command = f" {argv[0]}" if argv and argv[0] != "frobnicate" else ""
+        assert err.startswith(f"usage: propmatch{command} [-h]")
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("run", "-h"), ("axioms", "--help")])
+    def test_help(self, capsys, argv):
+        status, out, err = main_result(capsys, *argv)
+        assert (status, err) == (0, "")
+        command = f" {argv[0]}" if len(argv) == 2 else ""
+        assert out.startswith(f"usage: propmatch{command} [-h]")
+
+
 class TestLottery:
     def test_exact_matrix(self):
         out = cli("lottery", str(DATA / "lottery4.txt"), "RSD")

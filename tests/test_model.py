@@ -25,6 +25,7 @@ from propmatch.textio import (
     format_matching,
     format_matrix,
     item_name,
+    names,
     parse_matrix,
 )
 from propmatch.welfare import campaign
@@ -254,6 +255,198 @@ class TestProfileText:
             assert parse_profile(format_profile(p)) == p
 
 
+def _oracle_split_line(line, lineno):
+    if ":" not in line:
+        raise ProfileParseError(f"line {lineno}: expected '<name>: <list>', got {line!r}")
+    head, _, tail = line.partition(":")
+    name = head.strip()
+    entries = list(map(str.strip, tail.split(",")))
+    if not name or "" in entries:
+        raise ProfileParseError(f"line {lineno}: empty name or list entry in {line!r}")
+    return name, entries
+
+
+def oracle_parse_profile(text):
+    """``textio.parse_profile`` as it was before rows were split once: every
+    row stripped entry by entry, unknown names found in the mapped tuple."""
+    agent_lines = []
+    item_lines = []
+    in_items = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == "@items":
+            in_items = True
+            continue
+        name, entries = _oracle_split_line(line, lineno)
+        (item_lines if in_items else agent_lines).append((lineno, name, entries))
+
+    if not agent_lines:
+        raise ProfileParseError("no agent lines found")
+    n = len(agent_lines)
+    agents = {name: i for i, (_, name, _) in enumerate(agent_lines)}
+    if len(agents) != n:
+        raise ProfileParseError("duplicate agent name")
+    item_names = sorted(set(agent_lines[0][2]))
+    if len(item_names) != n:
+        raise ProfileParseError(
+            f"line {agent_lines[0][0]}: expected {n} distinct items, got {len(item_names)}"
+        )
+    items = {name: o for o, name in enumerate(item_names)}
+
+    def to_indices(entries, table, lineno, kind):
+        row = tuple(map(table.get, entries))
+        if len(row) == n == len(set(row)) and None not in row:
+            return row
+        seen = set()
+        for tok in entries:
+            if tok not in table:
+                raise ProfileParseError(f"line {lineno}: unknown {kind} name {tok!r}")
+            ix = table[tok]
+            if ix in seen:
+                raise ProfileParseError(f"line {lineno}: duplicate entry {tok!r}")
+            seen.add(ix)
+        raise ProfileParseError(f"line {lineno}: expected {n} entries, got {len(entries)}")
+
+    agent_prefs = tuple(
+        to_indices(entries, items, lineno, "item") for lineno, _, entries in agent_lines
+    )
+    item_prefs = None
+    if in_items:
+        if len(item_lines) != n:
+            raise ProfileParseError(f"@items section has {len(item_lines)} lines, expected {n}")
+        by_item = {}
+        for lineno, name, entries in item_lines:
+            if name not in items:
+                raise ProfileParseError(f"line {lineno}: unknown item name {name!r}")
+            by_item[items[name]] = to_indices(entries, agents, lineno, "agent")
+        if len(by_item) != n:
+            raise ProfileParseError("duplicate item line in @items section")
+        item_prefs = tuple(by_item[o] for o in range(n))
+    return profile(agent_prefs, item_prefs)
+
+
+# Whitespace that str.strip removes: space, tab, no-break space, em space.
+_PADS = (" ", "\t", "\u00a0", "\u2003")
+
+
+def _pad(rng):
+    return "".join(rng.choice(_PADS) for _ in range(rng.choice((0, 0, 1, 2))))
+
+
+def _no_pad(rng):
+    return ""
+
+
+def _rows(rng, n):
+    """``[name, ":", entries]`` per row of ``format_profile`` of a seeded
+    profile, one-sided or two-sided, with ``None`` for the ``@items`` line."""
+    p = profile(random_prefs(rng, n), random_prefs(rng, n) if rng.random() < 0.5 else None)
+    rows = []
+    for line in format_profile(p).splitlines():
+        name, _, tail = line.partition(": ")
+        rows.append(None if line == "@items" else [name, ":", tail.split(",")])
+    return rows
+
+
+def _render(rng, rows):
+    """Profile text of ``rows``: random whitespace round names and entries
+    (none inside the list on about half the rows), ``#`` comments, blank and
+    whitespace-only lines, LF or CRLF line ends."""
+    lines = []
+    for row in rows:
+        while rng.random() < 0.15:
+            lines.append(rng.choice(("", _pad(rng), f"{_pad(rng)}# a: b,c")))
+        if row is None:
+            line = f"{_pad(rng)}@items{_pad(rng)}"
+        else:
+            name, colon, entries = row
+            inner = rng.choice((_pad, _no_pad))
+            line = (
+                f"{_pad(rng)}{name}{_pad(rng)}{colon}{_pad(rng)}"
+                + ",".join(f"{inner(rng)}{e}{inner(rng)}" for e in entries)
+                + _pad(rng)
+            )
+        if rng.random() < 0.2:
+            line += f"{_pad(rng)}# 1: a,b"
+        lines.append(line)
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n"))
+
+
+def _malformed(rng, rows):
+    """The text of ``rows`` with one seeded fault, of a kind that the
+    profile's size allows; each kind leaves the text refused."""
+    split = rows.index(None) if None in rows else len(rows)
+    agent_rows = list(range(split))
+    item_rows = list(range(split + 1, len(rows)))
+    n = len(agent_rows)
+    kinds = ["colon", "name", "entry", "short", "long"]
+    if n > 1:
+        kinds += ["unknown", "duplicate", "agent twice"]
+    if item_rows:
+        kinds += ["item", "no items", "short items"]
+        if n > 1:
+            kinds += ["item twice"]
+    kind = rng.choice(kinds)
+    # past the first row, whose names fix the item names, when there is one
+    row = rows[rng.choice(agent_rows[n > 1:] + item_rows)]
+    entries = row[2]
+    if kind == "colon":
+        row[1] = rng.choice(("", " ", ";"))
+    elif kind == "name":
+        row[0] = rng.choice(("", " ", "\t"))
+    elif kind == "entry":
+        entries.insert(rng.randint(0, n), rng.choice(("", " ", "\u00a0")))
+    elif kind == "short":
+        entries.pop(rng.randrange(n))
+    elif kind == "long":
+        entries.insert(rng.randint(0, n), rng.choice(entries))
+    elif kind == "unknown":
+        entries[rng.randrange(n)] = rng.choice(("zz", "0", "A", "o", "a b"))
+    elif kind == "duplicate":
+        i, j = rng.sample(range(n), 2)
+        entries[i] = entries[j]
+    elif kind in ("agent twice", "item twice"):
+        i, j = rng.sample(agent_rows if kind == "agent twice" else item_rows, 2)
+        rows[i][0] = rows[j][0]
+    elif kind == "item":
+        rows[rng.choice(item_rows)][0] = "zz"
+    elif kind == "no items":
+        del rows[split + 1:]
+    else:  # short items
+        del rows[rng.choice(item_rows)]
+    return _render(rng, rows)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ProfileParseError as exc:
+        return f"refused: {exc}"
+
+
+class TestParserAgainstOracle:
+    """``parse_profile`` splits each row once; ``oracle_parse_profile`` strips
+    every entry.  Both must accept the same texts with the same result and
+    refuse the same texts with the same message."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_padded_profiles(self, n):
+        rng = random.Random(2700 + n)
+        for _ in range(12):
+            text = _render(rng, _rows(rng, n))
+            assert parse_profile(text) == oracle_parse_profile(text), text
+
+    def test_malformed_profiles(self):
+        rng = random.Random(27)
+        for _ in range(3000):
+            text = _malformed(rng, _rows(rng, rng.randint(1, 9)))
+            expected = _outcome(oracle_parse_profile, text)
+            assert str(expected).startswith("refused: "), text
+            assert _outcome(parse_profile, text) == expected, text
+
+
 class TestMatchingText:
     @pytest.mark.parametrize("n", [26, 27, 32])
     def test_matches_per_agent_names(self, n):
@@ -264,6 +457,13 @@ class TestMatchingText:
             m = Matching(tuple(random_permutation(rng, n)))
             expected = " ".join(f"{agent_name(a)}:{item_name(o, n)}" for a, o in enumerate(m.item_of))
             assert format_matching(m) == expected
+
+    @pytest.mark.parametrize("n", [1, 26, 27])
+    def test_names_built_once_per_n(self, n):
+        agents, items = names(n)
+        assert names(n) is names(n)
+        assert agents == tuple(map(agent_name, range(n)))
+        assert items == tuple(item_name(o, n) for o in range(n))
 
 
 class TestMatrixText:
