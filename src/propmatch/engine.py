@@ -175,9 +175,11 @@ def _run(
     n = profile.n
     if len(order.order) != n:
         raise InvalidInstanceError("order length must equal agent count")
-    pending = deque(order.order)
+    pending = list(order.order)
     holder: List[Optional[int]] = [None] * n
-    count, trace = _propose(profile, config, (holder, [0] * n, memory, pending), pending, 0, record)
+    count, trace = _propose(
+        _setup(profile, config), (holder, [0] * n, memory, pending), pending, 0, record
+    )
     return EngineResult(_trusted(Matching, _item_of(holder)), count, tuple(trace))  # complete by construction
 
 
@@ -190,43 +192,71 @@ def _item_of(holder) -> Tuple[int, ...]:
     return tuple(item_of)
 
 
+def _setup(profile: Profile, config: EngineConfig) -> tuple:
+    """What the proposal loop reads of a profile and a configuration, worked
+    out once: ``(prefs, temporary, accept_last, stack, bound, no_memory,
+    no_rank)``.  The switches are those of ``EngineConfig.switches``, the
+    bound n^3 under temporary memory and n^2 under permanent, and
+    ``no_memory`` and ``no_rank`` the lists a temporary-memory reset copies
+    in (None under permanent memory, which never resets)."""
+    prefs = profile.agent_prefs
+    n = len(prefs)
+    temporary, accept_last, stack = config.switches
+    if temporary:
+        return prefs, True, accept_last, stack, n**3, [()] * n, [0] * n
+    return prefs, False, accept_last, stack, n**2, None, None
+
+
+# A queue-discipline whole run appends every re-entry to the list it reads.
+# Once the head index has passed this many slots, the consumed head is
+# dropped, so the list stays within 2n + 1 + _CONSUMED_LIMIT slots however
+# many proposals the run makes; dropping seldom keeps the cost off small runs.
+_CONSUMED_LIMIT = 1024
+
+
 def _propose(
-    profile: Profile,
-    config: EngineConfig,
-    state: Tuple[list, list, list, deque],
-    pending: deque,
+    setup: tuple,
+    state: Tuple[list, list, list, Optional[list]],
+    pending: list,
     count: int,
     record: bool,
 ) -> Tuple[int, List[TraceEvent]]:
     """The proposal loop behind every engine entry point.
 
+    ``setup`` is ``_setup``'s, which callers work out once per profile.
     ``state`` is ``(holder, rank, memory, waiting)``, updated in place:
     ``holder[o]`` is the agent holding item o (None while o is free),
     ``rank[j]`` agent j's next position in its list (it approached the items
     above it since the last reset), ``memory[o]`` item o's recorded
-    preference as a tuple, most-preferred first, and ``waiting`` the deque
-    that queue discipline sends rejected and displaced agents to.  The loop
-    reads no agent's item, so it keeps none: callers invert ``holder`` once
-    the run is over.  The loop proposes until ``pending`` is empty.  A whole
-    run passes one deque as both ``pending`` and ``waiting``.  An exact
-    lottery admits one agent at a time instead: ``pending`` holds just that
-    agent, so under queue discipline it makes one proposal, and the agents it
-    sends back wait for the later admits.  ``count`` is the number of
-    proposals made before; the new count is returned, with the TraceEvents of
-    the proposals when ``record`` is set.  Only a recorded run works out each
-    proposal's outcome, from item o's holder before and after it.
+    preference as a tuple, most-preferred first, and ``waiting`` the list
+    that queue discipline appends rejected and displaced agents to (stack
+    discipline never reads it).  The loop reads no agent's item, so it keeps
+    none: callers invert ``holder`` once the run is over.
+
+    ``pending`` is a list read from a head index i, and the loop proposes
+    until i reaches its end.  The agent in slot i proposes; the slot is
+    consumed (i moves on) once that agent holds an item or, under queue
+    discipline, once the agent sent back is appended to ``waiting``.  Under
+    stack discipline the agent sent back overwrites slot i instead, so it
+    proposes next.  A whole run passes one list as both ``pending`` and
+    ``waiting``, so a queue re-entry lines up behind every agent pending,
+    and the consumed head is dropped now and then (``_CONSUMED_LIMIT``).  An
+    exact lottery admits one agent at a time instead: ``pending`` holds just
+    that agent, so under queue discipline it makes one proposal, and the
+    agents it sends back wait for the later admits.  ``count`` is the number
+    of proposals made before; the new count is returned, with the
+    TraceEvents of the proposals when ``record`` is set.  Only a recorded
+    run works out each proposal's outcome, from item o's holder before and
+    after it.
     """
+    prefs, temporary, accept_last, stack, bound, no_memory, no_rank = setup
     holder, rank, memory, waiting = state
-    prefs = profile.agent_prefs
-    n = len(prefs)
-    temporary, accept_last, stack = config.switches
-    bound = n**3 if temporary else n**2
-    reenter = pending.appendleft if stack else waiting.append
     trace: List[TraceEvent] = []
     event = tuple.__new__  # an event from the tuple of its fields, as TraceEvent._make does
+    i = 0
 
-    while pending:
-        j = pending.popleft()
+    while i < len(pending):
+        j = pending[i]
         o = prefs[j][rank[j]]
         rank[j] += 1
         count += 1
@@ -235,12 +265,13 @@ def _propose(
         h = holder[o]
         mem = memory[o]
         if h is None:
+            i += 1
             holder[o] = j
             if temporary:
                 # Global reset: every item loses its memory and every agent may
                 # approach items that rejected it before.
-                memory[:] = [()] * n
-                rank[:] = [0] * n
+                memory[:] = no_memory
+                rank[:] = no_rank
                 mem = ()
             elif not mem:
                 memory[o] = mem = (j,)
@@ -259,9 +290,17 @@ def _propose(
                 wins = False
             if wins:
                 holder[o] = j
-                reenter(h)
+                back = h
             else:
-                reenter(j)
+                back = j
+            if stack:
+                pending[i] = back
+            else:
+                i += 1
+                waiting.append(back)
+                if i > _CONSUMED_LIMIT:
+                    del pending[:i]
+                    i = 0
         if record:
             if h is None:
                 outcome, displaced = _MATCHED, None
@@ -270,7 +309,7 @@ def _propose(
             else:
                 outcome, displaced = _REJECTED, None
             trace.append(event(TraceEvent, (
-                j, o, outcome, displaced, temporary and h is None, tuple(pending), mem,
+                j, o, outcome, displaced, temporary and h is None, tuple(pending[i:]), mem,
             )))
     return count, trace
 
@@ -279,36 +318,43 @@ def engine_stepper(config: EngineConfig) -> Stepper:
     """The engine admitting one agent at a time, for ``lottery.exact_counts``.
 
     A state is ``_propose``'s ``(holder, rank, memory, waiting)`` as tuples;
-    the work is the proposal count.  Under stack discipline an admitted agent
-    proposes until every agent admitted so far holds an item; under queue
+    the work is the proposal count.  ``begin`` works out the loop's
+    ``_setup`` once per profile.  Each admit copies the state into lists and
+    passes the loop a one-agent ``pending`` list.  Under stack discipline
+    the admitted agent proposes until every agent admitted so far holds an
+    item, and ``waiting`` stays ``()``: nothing waits.  Under queue
     discipline it makes one proposal, and the agents it sends back wait
     behind the agents not yet admitted.  Once every agent is admitted,
     ``settle`` lets those still waiting propose from the merged count, as in
     a whole run, and inverts the holders into the outcome; under stack
-    discipline nothing waits, and it only inverts.  A whole run of an order
-    passes through the same states, so it makes the same proposals in the
-    same sequence, and the proposal bound fires on the same orders.
+    discipline it only inverts.  A whole run of an order passes through the
+    same states, so it makes the same proposals in the same sequence, and
+    the proposal bound fires on the same orders.
     """
     stack = config.switches[2]
 
     def begin(profile: Profile):
-        n = profile.n
+        setup = _setup(profile, config)
 
         def admit(state, count, agent):
             holder, rank, memory, waiting = state
-            holder, rank, memory = list(holder), list(rank), list(memory)
-            pending = deque((agent,))
-            waiting = pending if stack else deque(waiting)  # nothing waits under stack
-            count, _ = _propose(profile, config, (holder, rank, memory, waiting), pending, count, False)
+            # ``[*t]`` copies a tuple without calling ``list``, about 20 ns less a copy
+            holder, rank, memory = [*holder], [*rank], [*memory]
+            if stack:
+                count, _ = _propose(setup, (holder, rank, memory, None), [agent], count, False)
+                return (tuple(holder), tuple(rank), tuple(memory), ()), count
+            waiting = [*waiting]
+            count, _ = _propose(setup, (holder, rank, memory, waiting), [agent], count, False)
             return (tuple(holder), tuple(rank), tuple(memory), tuple(waiting)), count
 
         def settle(state, count):
             holder, rank, memory, waiting = state
             if waiting:
-                holder, pending = list(holder), deque(waiting)
-                _propose(profile, config, (holder, list(rank), list(memory), pending), pending, count, False)
+                holder, pending = list(holder), list(waiting)
+                _propose(setup, (holder, list(rank), list(memory), pending), pending, count, False)
             return _item_of(holder)
 
+        n = profile.n
         return ((None,) * n, (0,) * n, ((),) * n, ()), admit, settle
 
     return begin

@@ -351,20 +351,29 @@ def _walk(stepped: tuple, classes) -> Counter:
 
     A layer maps the members admitted per class to the states reached, and
     each state to [prefixes, work], the work being the largest among the
-    merged prefixes; each reached state is hashed once.  Each state of the
-    last layer is settled once."""
+    merged prefixes; each reached state is hashed once.  The members
+    admitted per class are keyed as one mixed-radix integer: class c's count
+    k times its stride, the product of (size + 1) over the classes before
+    it, so admitting a member of c adds the stride, and k is the key's
+    digit ``key // stride % (size + 1)``.  Each state of the last layer is
+    settled once."""
     start, admit, settle = stepped
-    sizes = [len(members) for members in classes]
-    layer = {(0,) * len(classes): {start: [1, 0]}}
+    digits = []  # per class: (stride, radix, members)
+    stride = 1
+    for members in classes:
+        digits.append((stride, len(members) + 1, members))
+        stride *= len(members) + 1
+    layer = {0: {start: [1, 0]}}
     spare = [0, 0]  # the entry of the next new state: one lookup per admit
-    for _ in range(sum(sizes)):
+    for _ in range(sum(map(len, classes))):
         nxt = {}
-        for taken, states in layer.items():
-            for c, k in enumerate(taken):
-                if k == sizes[c]:
+        for key, states in layer.items():
+            for stride, radix, members in digits:
+                k = key // stride % radix
+                if k == radix - 1:
                     continue
-                agent = classes[c][k]
-                merged = nxt.setdefault(taken[:c] + (k + 1,) + taken[c + 1:], {})
+                agent = members[k]
+                merged = nxt.setdefault(key + stride, {})
                 for state, (prefixes, work) in states.items():
                     after, done = admit(state, work, agent)
                     entry = merged.setdefault(after, spare)

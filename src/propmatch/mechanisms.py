@@ -37,7 +37,9 @@ def serial_dictatorship_stepper(profile: Profile):
         for o in prefs[j]:
             if o not in item_of:
                 break
-        return item_of[:j] + (o,) + item_of[j + 1:], work
+        after = [*item_of]
+        after[j] = o
+        return tuple(after), work
 
     def settle(item_of, work):
         return item_of
@@ -96,7 +98,9 @@ def naive_boston_stepper(profile: Profile):
         o = prefs[j][0]
         if o in item_of:
             return (item_of, waiting + (j,)), work
-        return (item_of[:j] + (o,) + item_of[j + 1:], waiting), work
+        after = [*item_of]
+        after[j] = o
+        return (tuple(after), waiting), work
 
     def settle(state, work):
         item_of, waiting = state

@@ -21,6 +21,24 @@ ONE_SIDED_CODES = ENGINE_CODES + ("SD", "NB", "PS") + tuple(
     code + "+G" for code in ENGINE_CODES + ("SD", "NB")
 )
 EXPERIMENT = str(DATA / "experiment3.cfg")
+# ``lottery78.txt`` holds the output of ``propmatch lottery FILE CODE`` for
+# a uniform n = 7 profile and an n = 8 profile of classes (5, 2, 1), each
+# under a line ``== FILE CODE``.
+LOTTERY78_CODES = ("SD", "NB") + ENGINE_CODES + ("PLS+G", "TLQ+G")
+
+
+def golden_blocks(path):
+    """The outputs in ``path``, keyed by the (FILE, CODE) of their ``==`` line."""
+    blocks = {}
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith("== "):
+            block = blocks[tuple(line.split()[1:])] = []
+        else:
+            block.append(line)
+    return {key: "".join(block) for key, block in blocks.items()}
+
+
+LOTTERY78 = golden_blocks(DATA / "lottery78.txt")
 
 
 def main_result(capsys, *args):
@@ -239,6 +257,13 @@ class TestLottery:
         status, out, err = main_result(capsys, "lottery", str(DATA / "two_sided4.txt"), code)
         assert (status, err) == (0, "")
         assert out == (DATA / f"two_sided4_{code}.txt").read_text()
+
+    @pytest.mark.parametrize("code", LOTTERY78_CODES)
+    def test_exact_output_golden_at_n7_and_n8(self, capsys, code):
+        for name in ("lottery7.txt", "lottery8.txt"):
+            status, out, err = main_result(capsys, "lottery", str(DATA / name), code)
+            assert (status, err) == (0, "")
+            assert out == LOTTERY78[name, code], (name, code)
 
     def test_sampled_deterministic_and_seed_recorded(self):
         a = cli("lottery", BENCH, "R-TLS", "--samples", "60", "--seed", "11")

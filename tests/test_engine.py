@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +25,18 @@ from propmatch import (
     serial_dictatorship,
 )
 from propmatch.engine import (
+    _CONSUMED_LIMIT,
+    _GALE_SHAPLEY,
     ALL_ENGINE_CODES,
     BostonMode,
     EngineConfig,
+    EngineResult,
     ModeError,
     Outcome,
     TraceEvent,
     format_trace_table,
     _replay,
+    engine_stepper,
     replay_trace,
 )
 from propmatch.lottery import exact_lottery
@@ -38,7 +44,7 @@ from propmatch.registry import resolve
 from propmatch.sampling import all_profiles
 from propmatch.textio import agent_name, item_name
 
-from conftest import random_order, random_prefs, random_profile
+from conftest import random_order, random_permutation, random_prefs, random_profile
 
 IDENT4 = AgentOrder.identity(4)
 
@@ -572,3 +578,151 @@ class TestTraceTableOracle:
                 # lines first: a failure then names the first bad line cheaply
                 assert table.split("\n") == reference.split("\n")
                 assert table == reference
+
+
+def oracle_propose(p, order, config, memory, record):
+    """``engine._run`` and ``engine._propose`` as they were before the loop
+    read a plain list from a head index: the set-up worked out on every
+    call, one deque as both pending and waiting, ``appendleft`` for a stack
+    re-entry and ``append`` for a queue one.  ``memory`` is the items'
+    starting record (their stated preferences for GS)."""
+    n = p.n
+    if len(order.order) != n:
+        raise InvalidInstanceError("order length must equal agent count")
+    pending = waiting = deque(order.order)
+    holder = [None] * n
+    rank = [0] * n
+    memory = list(memory)
+    prefs = p.agent_prefs
+    temporary, accept_last, stack = config.switches
+    bound = n**3 if temporary else n**2
+    reenter = pending.appendleft if stack else waiting.append
+    trace = []
+    count = 0
+    while pending:
+        j = pending.popleft()
+        o = prefs[j][rank[j]]
+        rank[j] += 1
+        count += 1
+        if count > bound:
+            raise RuntimeError("proposal bound exceeded; engine semantics broken")
+        h = holder[o]
+        mem = memory[o]
+        if h is None:
+            holder[o] = j
+            if temporary:
+                memory[:] = [()] * n
+                rank[:] = [0] * n
+                mem = ()
+            elif not mem:
+                memory[o] = mem = (j,)
+        else:
+            if not mem:
+                memory[o] = mem = (j, h)
+                wins = True
+            elif j in mem:
+                wins = mem.index(j) < mem.index(h)
+            elif accept_last:
+                memory[o] = mem = (j,) + mem
+                wins = True
+            else:
+                memory[o] = mem = mem + (j,)
+                wins = False
+            if wins:
+                holder[o] = j
+                reenter(h)
+            else:
+                reenter(j)
+        if record:
+            if h is None:
+                outcome, displaced = Outcome.MATCHED_UNASSIGNED, None
+            elif holder[o] == j:
+                outcome, displaced = Outcome.DISPLACED_HOLDER, h
+            else:
+                outcome, displaced = Outcome.REJECTED, None
+            trace.append(TraceEvent(j, o, outcome, displaced, temporary and h is None, tuple(pending), mem))
+    item_of = [0] * n
+    for o, a in enumerate(holder):
+        item_of[a] = o
+    return EngineResult(Matching(tuple(item_of)), count, tuple(trace))
+
+
+def oracle_cases(n, seed):
+    """Seeded profiles on n agents, each with a uniform order: uniform lists,
+    one list for everyone, and three lists shared out at random (fewer
+    classes when n < 3); each also with uniform item preferences, for GS."""
+    rng = random.Random(seed)
+    three = random_prefs(rng, n)[:3]
+    for agents in (random_prefs(rng, n), [three[0]] * n, [rng.choice(three) for _ in range(n)]):
+        yield profile(agents), profile(agents, random_prefs(rng, n)), random_order(rng, n)
+
+
+class TestProposalLoopOracle:
+    """The proposal loop against ``oracle_propose``: the same matching,
+    proposal count and trace, every ``pending`` and ``memory`` tuple
+    included, whether recorded or not, and a stepper walking an order
+    through admits settles on the same matching."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_whole_runs(self, n):
+        for seed in range(2):
+            for one_sided, two_sided, order in oracle_cases(n, seed=1000 * n + seed):
+                for record in (True, False):
+                    for code in ALL_ENGINE_CODES:
+                        config = EngineConfig.from_code(code)
+                        want = oracle_propose(one_sided, order, config, [()] * n, record)
+                        assert run_engine(one_sided, order, config, record) == want, (code, one_sided, order)
+                    want = oracle_propose(two_sided, order, _GALE_SHAPLEY, two_sided.item_prefs, record)
+                    assert run_gale_shapley(two_sided, order, record) == want, (two_sided, order)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stepped_orders(self, n):
+        for one_sided, _, order in oracle_cases(n, seed=n):
+            for code in ALL_ENGINE_CODES:
+                config = EngineConfig.from_code(code)
+                state, admit, settle = engine_stepper(config)(one_sided)
+                count = 0
+                for agent in order.order:
+                    state, count = admit(state, count, agent)
+                want = oracle_propose(one_sided, order, config, [()] * n, False)
+                assert settle(state, count) == want.matching.item_of, (code, one_sided, order)
+                assert count <= want.proposal_count
+                if code[2] == "S":  # nothing waits under stack discipline
+                    assert state[3] == () and count == want.proposal_count
+
+    @pytest.mark.parametrize("code", ["PFQ", "PLQ", "TFQ", "TLQ", "GS"])
+    def test_queue_runs_past_a_dropped_head(self, code):
+        # One list for every agent: each queue code sends agents back more
+        # than _CONSUMED_LIMIT times, so the run drops its consumed head.
+        # Permanent memory makes n(n + 1)/2 proposals here, so it needs n = 48.
+        n = 24 if code[0] == "T" else 48
+        rng = random.Random(n)
+        agents = [random_permutation(rng, n)] * n
+        p = profile(agents, random_prefs(rng, n)) if code == "GS" else profile(agents)
+        order = random_order(rng, n)
+        config = _GALE_SHAPLEY if code == "GS" else EngineConfig.from_code(code)
+        memory = p.item_prefs if code == "GS" else [()] * n
+        for record in (True, False):
+            want = oracle_propose(p, order, config, memory, record)
+            got = run_gale_shapley(p, order, record) if code == "GS" else run_engine(p, order, config, record)
+            assert got == want
+        assert want.proposal_count - n > _CONSUMED_LIMIT
+
+
+class TestWholeRunMemory:
+    """A queue-discipline whole run holds O(n) pending agents, not one slot
+    per proposal: 64 agents with one list make 72,906 proposals under TFQ
+    and TLQ, which one slot each would hold in about 600 KB."""
+
+    @pytest.mark.parametrize("code", ["TFQ", "TLQ"])
+    def test_peak_is_bounded(self, code):
+        n = 64
+        p = profile([list(range(n))] * n)
+        tracemalloc.start()
+        try:
+            r = run_engine(p, AgentOrder.identity(n), EngineConfig.from_code(code), record=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.proposal_count == 72906
+        assert peak < 2**19, peak

@@ -604,6 +604,51 @@ class TestSteppedCounts:
             exact_lottery(Runner(serial_dictatorship, stepper), p)
 
 
+def n7_class_profile(sizes, seed):
+    """A one-sided profile on 7 agents whose classes have ``sizes``,
+    interleaved in index order.  Each class's list is one base list with a
+    different pair of its top four items swapped, so the classes contend for
+    the same items."""
+    rng = random.Random(seed)
+    base = random_permutation(rng, 7)
+    lists = []
+    for i, j in rng.sample(list(itertools.combinations(range(4), 2)), len(sizes)):
+        row = base[:]
+        row[i], row[j] = row[j], row[i]
+        lists.append(row)
+    labels = [c for c, k in enumerate(sizes) for _ in range(k)]
+    rng.shuffle(labels)
+    return profile([lists[c] for c in labels])
+
+
+N7_CLASS_SIZES = [(7,), (5, 1, 1), (3, 3, 1), (2, 2, 2, 1)]
+# The codes of the fast part; every other stepped code is marked slow.
+N7_FAST_CODES = ("SD", "NB", "PFS", "TLQ", "PLS+G", "BOS-SEQ")
+
+
+class TestWalkAtN7:
+    """Past ``class_profiles``' n <= 6: the folded walk at n = 7, spread,
+    equals the per-order counts of all 5040 orders.  One class of 7, a
+    class beside two singletons, and classes of 3 or 2 reach every edge of
+    the integer layer key: a digit at its top, digits of several radices,
+    and radix 2."""
+
+    @pytest.mark.parametrize("sizes", N7_CLASS_SIZES)
+    @pytest.mark.parametrize("code", [
+        code if code in N7_FAST_CODES else pytest.param(code, marks=pytest.mark.slow)
+        for code in STEPPED_CODES
+    ])
+    def test_equals_every_order(self, code, sizes):
+        mech, _ = resolve(code)
+        p = n7_class_profile(sizes, seed=len(sizes))
+        if mech.needs_item_prefs:  # BOS-SEQ: give the items the agents' lists
+            p = profile(p.agent_prefs, p.agent_prefs)
+        lot = exact_lottery(mech.run, p)
+        if not mech.needs_item_prefs:
+            assert sorted(map(len, lot.classes), reverse=True) == list(sizes)
+        assert dict(lot.outcomes) == outcome_counts(mech.run, p, order_stream(7))
+
+
 def spread_lottery(run, p):
     """The lottery built from the counts of every one of the n! orders,
     unfolded."""
