@@ -129,11 +129,15 @@ class TraceEvent(NamedTuple):
     memory: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class EngineResult:
+class EngineResult(NamedTuple):
+    """A whole run's matching, its proposal count and its events (``()``
+    when the run was not recorded).  A NamedTuple, as ``TraceEvent``, so
+    an unrecorded run builds it as one tuple; change one with
+    ``._replace``."""
+
     matching: Matching
     proposal_count: int
-    trace: Tuple[TraceEvent, ...]  # () when the run was not recorded
+    trace: Tuple[TraceEvent, ...]
 
 
 def run_engine(

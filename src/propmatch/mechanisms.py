@@ -128,13 +128,18 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
     The clock ``t``, the supplies ``left`` and the agents' start times ``since``
     are integer numerators over one denominator ``scale``.  Repeatedly find the
     earliest moment an item is exhausted (supply over eater count, compared by
-    cross-multiplying), multiply ``scale`` and every numerator by the least
-    factor that makes it whole, advance to it and move the eaters of exhausted
-    items on, until time 1.  An item an agent leaves is gone, so its share is
-    the time it left minus the time it started, rescaled with the rest.
+    cross-multiplying), multiply ``scale``, the clock, the supplies and the
+    start times by the least factor that makes it whole, advance to it and
+    move the eaters of exhausted items on, until time 1.  An item an agent
+    leaves is gone, so its share is the time it left minus the time it
+    started.  Each finished share is kept with the scale it was written over
+    and rescaled once, to the final scale, at the end; the matrix is then
+    divided by the gcd of its entries and the scale, as
+    ``FractionalAssignment`` stores it, and built without its checks: every
+    row and column sums to the scale by construction.
     """
     n = profile.n
-    shares = [[0] * n for _ in range(n)]
+    done = []  # (agent, item, share, the scale it is written over)
     scale, t, left, since = 1, 0, [1] * n, [0] * n
     rest = [iter(row) for row in profile.agent_prefs]  # read forward only: exhausted stays exhausted
     eating = [next(row) for row in rest]
@@ -148,7 +153,6 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
             m = k // math.gcd(num, k)
             scale, t, num = scale * m, t * m, num * m
             left, since = [x * m for x in left], [x * m for x in since]
-            shares = [[x * m for x in row] for row in shares]
         dt = num // k
         t += dt
         if t == scale:
@@ -156,14 +160,19 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
         left = [x - dt * c for x, c in zip(left, eaters)]
         for j, o in enumerate(eating):
             if not left[o]:
-                shares[j][o] = t - since[j]
+                done.append((j, o, t - since[j], scale))
                 since[j] = t
                 nxt = eating[j] = next(filter(left.__getitem__, rest[j]))
                 eaters[o] -= 1
                 eaters[nxt] += 1
+    shares = [[0] * n for _ in range(n)]
+    for j, o, share, at in done:
+        shares[j][o] = share * (scale // at)
     for j, o in enumerate(eating):
         shares[j][o] = scale - since[j]
-    return FractionalAssignment(shares, scale)
+    g = math.gcd(scale, *(x for row in shares for x in row))
+    nums = tuple([tuple([x // g for x in row]) for row in shares])
+    return _trusted(FractionalAssignment, nums, scale // g)
 
 
 def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:

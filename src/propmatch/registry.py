@@ -55,14 +55,16 @@ Traced = Tuple[EngineResult, Optional[EngineConfig]]
 class Mechanism:
     """A mechanism with uniform call surfaces for experiments and the CLI.
 
-    Each code sets one runner: ``_run`` for a matching, ``_assignment`` for
-    a fractional outcome, or ``_trace`` for the proposal codes (the eight
-    engine codes and GS).  ``_stepper`` admits one agent at a time and
-    settles each final state once, for exact lotteries; only the codes that
-    read the order (``uses_order``) have one.  A ``+G`` form sets only its
-    ``base``: its ``run`` is ``compose_ttc`` of the base's, carrying the
-    base's stepper and ``mechanisms.trade``, so a campaign runs the base
-    once for both.
+    Each code sets ``_run`` for a matching or ``_assignment`` for a
+    fractional outcome.  The proposal codes (the eight engine codes and GS)
+    also set ``_trace``, the run with its events if asked, paired with its
+    configuration; their ``_run`` calls the unrecorded engine run directly,
+    so a campaign's runs build no trace and no such pair.  ``_stepper`` admits one
+    agent at a time and settles each final state once, for exact lotteries;
+    only the codes that read the order (``uses_order``) have one.  A ``+G``
+    form sets only its ``base``: its ``run`` is ``compose_ttc`` of the
+    base's, carrying the base's stepper and ``mechanisms.trade``, so a
+    campaign runs the base once for both.
     """
 
     code: str
@@ -89,10 +91,7 @@ class Mechanism:
         if self.base is not None:
             base = self.base.run
             return Runner(compose_ttc(base.run), base.stepper, trade)
-        run = self._run
-        if run is None:
-            trace = self._trace
-            run = (lambda p, o: trace(p, o, False)[0].matching) if trace else self._no_run
+        run = self._run or self._no_run
         return Runner(run, self._stepper or order_free(run))
 
     def _no_run(self, profile: Profile, order: AgentOrder) -> Matching:
@@ -111,11 +110,14 @@ class Mechanism:
         return self._assignment(profile)
 
 
+# The runners are lambdas that read ``run_engine`` and ``run_gale_shapley``
+# from this module's globals on each call, so a wrapper set there sees every run.
 def _engine_mech(code: str) -> Mechanism:
     config = EngineConfig.from_code(code)
     return Mechanism(
         code,
         needs_item_prefs=False,
+        _run=lambda p, o, _c=config: run_engine(p, o, _c, False).matching,
         _trace=lambda p, o, record, _c=config: (run_engine(p, o, _c, record), _c),
         _stepper=engine_stepper(config),
     )
@@ -125,7 +127,11 @@ _BASE = {code: _engine_mech(code) for code in ALL_ENGINE_CODES}
 _BASE["SD"] = Mechanism("SD", False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper)
 _BASE["NB"] = Mechanism("NB", False, _run=naive_boston_one_sided, _stepper=naive_boston_stepper)
 _BASE["PS"] = Mechanism("PS", False, _assignment=probabilistic_serial)
-_BASE["GS"] = Mechanism("GS", True, _trace=lambda p, o, r: (run_gale_shapley(p, o, r), None))
+_BASE["GS"] = Mechanism(
+    "GS", True,
+    _run=lambda p, o: run_gale_shapley(p, o, False).matching,
+    _trace=lambda p, o, r: (run_gale_shapley(p, o, r), None),
+)
 _BASE["BOS-SEQ"] = Mechanism(
     "BOS-SEQ", True,
     _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SEQUENTIAL),

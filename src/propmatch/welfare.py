@@ -11,11 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .lottery import (
-    ClassCounts, exact_counts, order_stream, permutation_drawer, refold, singleton_classes, spread_size,
-)
+from .lottery import exact_counts, order_stream, permutation_drawer, refold, spread_size
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
 from .sampling import profile_stream
 
@@ -185,58 +183,72 @@ def _bias_stats(sums: List[int], squares: List[int], count: int) -> WelfareStats
     return WelfareStats(bias, math.sqrt(se(hi) ** 2 + se(lo) ** 2) / n)
 
 
-def _outcomes(mechanism, profile: Profile, orders, runs: dict) -> ClassCounts:
-    """How often each outcome ``item_of`` of a matching mechanism occurs on
-    ``profile`` over ``orders``: ``"all"``, by ``exact_counts`` and folded by
-    class, or a list, with every agent its own class.  ``runs`` keeps by
-    ``id`` the counts of each base already run on these orders.  A mechanism
-    with a ``base`` (a ``+G`` form) runs no orders: ``refold`` trades each
-    folded outcome of its base once by its run's ``trade``, as
-    ``exact_counts`` does."""
+def _source(mechanism) -> Tuple[int, object, Optional[Callable]]:
+    """What a matching cell runs, worked out once a campaign: ``(key, run,
+    trade)``.  A ``+G`` form (a mechanism with a ``base``) reads its base's
+    runs, keyed by ``id`` of the base, and trades each base outcome by its
+    run's ``trade``; any other mechanism runs itself, with no trade."""
     base = getattr(mechanism, "base", None)
-    own = base or mechanism
-    counts = runs.get(id(own))
-    if counts is None:
-        if orders == "all":
-            counts = exact_counts(own.run, profile)
-        else:
-            run, tally = own.run, {}
-            for order in orders:
-                out = run(profile, order).item_of
-                tally[out] = tally.get(out, 0) + 1
-            counts = ClassCounts(singleton_classes(profile.n), tally)
-        runs[id(own)] = counts
-    return counts if base is None else refold(counts, functools.partial(mechanism.run.trade, profile))
+    if base is None:
+        return id(mechanism), mechanism.run, None
+    return id(base), base.run, mechanism.run.trade
 
 
-def _utility_sums(
-    mechanism, profile: Profile, u: Sequence[Sequence[int]], orders, runs: dict
+def _outcome_sums(
+    tally: Dict[Tuple[int, ...], int], u: Sequence[Sequence[int]],
+    profile: Optional[Profile] = None, trade: Optional[Callable] = None,
 ) -> Tuple[List[int], int, int]:
-    """Expected Borda utilities of a randomized mechanism on one profile, as
+    """Expected Borda utilities over the outcome counts ``tally``, as
     integers over one denominator: ``(sums, total, worst)`` means agent i
     expects ``sums[i] / total`` and the worst-off agent of a run gets
-    ``worst / total`` in expectation.
-
-    Matching mechanisms count outcomes by ``_outcomes``.  A folded outcome
-    stands for ``spread_size`` outcomes: agents of one class share one
-    utility row, so the worst-off value is the same for each of them, and
-    each member of class C expects the class's sum over |C|.  Fractional
-    mechanisms run no orders: their sums are ``_utility_rows`` of the
-    assignment, over its ``scale``, and their worst-off value is the minimum
-    expectation."""
-    if mechanism.kind == "fractional":
-        sums, scale = _utility_rows(mechanism.assignment(profile), u)
-        return sums, scale, min(sums)
-    classes, counts = _outcomes(mechanism, profile, orders, runs)
-    sums = [0] * profile.n
-    worst = 0
-    for item_of, c in counts.items():
+    ``worst / total`` in expectation.  With a ``trade`` (a ``+G`` cell's),
+    each distinct outcome is traded on ``profile`` once, and its count
+    goes to what the trade gives."""
+    sums = [0] * len(u)
+    worst = total = 0
+    for item_of, c in tally.items():
+        if trade is not None:
+            item_of = trade(profile, item_of)
         values = [row[o] for row, o in zip(u, item_of)]
         worst += c * min(values)
         for i, v in enumerate(values):
             sums[i] += c * v
-    total = sum(counts.values())
-    if len(classes) < profile.n:
+        total += c
+    return sums, total, worst
+
+
+def _utility_sums(
+    source: Tuple[int, object, Optional[Callable]], profile: Profile, u: Sequence[Sequence[int]],
+    orders, runs: dict,
+) -> Tuple[List[int], int, int]:
+    """``_outcome_sums`` of a matching cell on one profile, over ``orders``.
+    ``source`` is the cell's ``_source``; ``runs`` keeps by base key the
+    outcome counts of each base already run on these orders, so X and X+G
+    run the base once.
+
+    A list of drawn orders is counted as a dict of plain ``item_of``
+    tuples, and a ``+G`` cell trades each distinct one once.  ``"all"``
+    counts by ``exact_counts``, folded by class, and a ``+G`` cell trades
+    each folded outcome once, by ``refold``.  A folded outcome stands for
+    ``spread_size`` outcomes: agents of one class share one utility row, so
+    the worst-off value is the same for each of them, and each member of
+    class C expects the class's sum over |C|."""
+    key, run, trade = source
+    counts = runs.get(key)
+    if orders != "all":
+        if counts is None:
+            counts = runs[key] = {}
+            for order in orders:
+                item_of = run(profile, order).item_of
+                counts[item_of] = counts.get(item_of, 0) + 1
+        return _outcome_sums(counts, u, profile, trade)
+    if counts is None:
+        counts = runs[key] = exact_counts(run, profile)
+    if trade is not None:
+        counts = refold(counts, functools.partial(trade, profile))
+    classes, tally = counts
+    sums, total, worst = _outcome_sums(tally, u)
+    if len(classes) < len(u):
         spread = spread_size(classes)
         for members in classes:
             each = spread // len(members) * sum(sums[a] for a in members)
@@ -273,7 +285,15 @@ def campaign(
     on the call, before any profile, whatever the cells, as is ``"all"``
     past ``ENUMERATION_LIMIT`` if a loss or egalitarian cell runs orders.
     Each base mechanism then runs once per order, and once on the identity
-    order for bias cells; a ``+G`` cell trades each folded base outcome.
+    order for bias cells.  On drawn orders a base's outcomes are kept as
+    counts of plain ``item_of`` tuples, which X and X+G share, and a ``+G``
+    cell trades each distinct drawn outcome once; a bias cell reads its
+    base's identity-order ``item_of`` and trades it for ``+G``.  With
+    ``orders="all"`` a base's outcomes are ``exact_counts``, folded by class,
+    and a ``+G`` cell trades each folded outcome once, by ``refold``.
+    Fractional mechanisms run no orders: their sums are ``_utility_rows`` of
+    the assignment, over its ``scale``, and their worst-off value is the
+    minimum expectation.
     Statistics are accumulated in integers: a cell keeps each profile's value
     as a numerator and a denominator until the end.  ``profiles="orbits"`` is
     refused: an orbit's least profile stands for orbits of different sizes, so
@@ -297,11 +317,17 @@ def campaign(
         raise ValueError("util_loss needs n >= 2: with one agent the optimum is 0")
     sampled = orders != "all" and matching
     draw = permutation_drawer(random.Random(seed ^ _ORDER_SEED), n) if sampled else None
+    plans = {}  # by id(mechanism): the mechanism and ``_source``'s, None if fractional
+    for i in ratios:
+        mech = cells[i][0]
+        if id(mech) not in plans:
+            plans[id(mech)] = mech, None if mech.kind == "fractional" else _source(mech)
+    fixed_plans = [(i, *_source(cells[i][0])) for i in biased]
     nums = {i: [] for i in ratios}
     dens = {i: [] for i in ratios}
     pos_sums = {i: [0] * n for i in biased}
     pos_squares = {i: [0] * n for i in biased}
-    identity = [AgentOrder.identity(n)]
+    identity = AgentOrder.identity(n)
     count = 0  # profiles seen: ``profiles`` may be "all"
     for profile in stream:
         count += 1
@@ -309,22 +335,29 @@ def campaign(
         if need_opt:
             opt = optimal_utilitarian(profile, u)[0].numerator
         drawn = [_trusted(AgentOrder, draw()) for _ in range(orders)] if sampled else orders
-        got, runs = {}, {}  # by id(mechanism): utility sums; base outcome counts
+        got, runs = {}, {}  # by id(mechanism): utility sums; by base key: outcome counts
+        for key, (mech, source) in plans.items():
+            if source is None:
+                sums, scale = _utility_rows(mech.assignment(profile), u)
+                got[key] = sums, scale, min(sums)
+            else:
+                got[key] = _utility_sums(source, profile, u, drawn, runs)
         for i in ratios:
             mech, metric = cells[i]
-            key = id(mech)
-            if key not in got:
-                got[key] = _utility_sums(mech, profile, u, drawn, runs)
-            sums, total, worst = got[key]
+            sums, total, worst = got[id(mech)]
             if metric == "util_loss":
                 nums[i].append(opt * total - sum(sums))
                 dens[i].append(opt * total)
             else:
                 nums[i].append(worst if metric == "egal_realized" else min(sums))
                 dens[i].append(total * n)
-        fixed = {}  # by id(mechanism): base outcome counts on the identity order
-        for i in biased:
-            (item_of,) = _outcomes(cells[i][0], profile, identity, fixed).counts
+        fixed = {}  # by base key: the base's outcome on the identity order
+        for i, base, run, trade in fixed_plans:
+            item_of = fixed.get(base)
+            if item_of is None:
+                item_of = fixed[base] = run(profile, identity).item_of
+            if trade is not None:
+                item_of = trade(profile, item_of)
             sums, squares = pos_sums[i], pos_squares[i]
             for pos, prefs in enumerate(profile.agent_prefs):  # agent i holds position i
                 w = n - 1 - prefs.index(item_of[pos])

@@ -413,6 +413,14 @@ class TestGenerateAndExperiment:
         assert cli("generate", *args, "--out", str(out), expect=code) == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", sorted(DATA.glob("experiment34_*.cfg")), ids=lambda p: p.stem)
+    def test_experiment_golden(self, capsys, config):
+        """Loss and bias campaigns at n = 3 and 4, on three drawn orders a
+        profile and on all orders: the CSV equals the committed one."""
+        status, out, err = main_result(capsys, "experiment", str(config))
+        assert (status, err) == (0, "")
+        assert out == config.with_suffix(".csv").read_text()
+
     def test_experiment_roundtrip(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text(

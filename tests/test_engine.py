@@ -1,6 +1,5 @@
 """Proposal engine semantics: all eight policy triples, the two-sided modes,
 and their structural invariants."""
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -128,6 +127,13 @@ class TestProposalBound:
             run_engine(p, AgentOrder.identity(p.n), EngineConfig.from_code(code), record=False)
 
     @pytest.mark.parametrize("code", ALL_ENGINE_CODES)
+    def test_registry_run_raises(self, code):
+        """The unrecorded run a campaign makes through the registry."""
+        p = looping_profile()
+        with pytest.raises(RuntimeError, match="proposal bound"):
+            resolve(code)[0].run(p, AgentOrder.identity(p.n))
+
+    @pytest.mark.parametrize("code", ALL_ENGINE_CODES)
     def test_exact_lottery_raises(self, code):
         mech, _ = resolve(code)
         with pytest.raises(RuntimeError, match="proposal bound"):
@@ -188,7 +194,7 @@ class TestEngineInvariants:
         with pytest.raises(InvalidInstanceError, match="non-holder"):
             replay_trace(bench4, IDENT4, bad)
         with pytest.raises(InvalidInstanceError, match="non-holder"):
-            format_trace_table(IDENT4, dataclasses.replace(r, trace=bad), config)
+            format_trace_table(IDENT4, r._replace(trace=bad), config)
 
     def test_unrecorded_run_matches_recorded(self):
         for p, order in self._random_cases():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from propmatch import (
     AgentOrder,
+    FractionalAssignment,
     Matching,
     compose_ttc,
     naive_boston_one_sided,
@@ -213,6 +214,63 @@ class TestProbabilisticSerialProperties:
             want = per_step_eating(p)
             assert got.p == want
             assert got.scale == math.lcm(*(x.denominator for row in want for x in row))
+
+
+def oracle_probabilistic_serial(p):
+    """Probabilistic serial as it was before finished shares were rescaled
+    once at the end: the whole n x n share matrix is rescaled on every
+    event that is not integral, and the result goes through the checked
+    constructor; the reference for ``probabilistic_serial``."""
+    n = p.n
+    shares = [[0] * n for _ in range(n)]
+    scale, t, left, since = 1, 0, [1] * n, [0] * n
+    rest = [iter(row) for row in p.agent_prefs]
+    eating = [next(row) for row in rest]
+    eaters = [eating.count(o) for o in range(n)]
+    while True:
+        num, k = scale - t, 1
+        for o, c in enumerate(eaters):
+            if c and left[o] * k < num * c:
+                num, k = left[o], c
+        if num % k:
+            m = k // math.gcd(num, k)
+            scale, t, num = scale * m, t * m, num * m
+            left, since = [x * m for x in left], [x * m for x in since]
+            shares = [[x * m for x in row] for row in shares]
+        dt = num // k
+        t += dt
+        if t == scale:
+            break
+        left = [x - dt * c for x, c in zip(left, eaters)]
+        for j, o in enumerate(eating):
+            if not left[o]:
+                shares[j][o] = t - since[j]
+                since[j] = t
+                nxt = eating[j] = next(filter(left.__getitem__, rest[j]))
+                eaters[o] -= 1
+                eaters[nxt] += 1
+    for j, o in enumerate(eating):
+        shares[j][o] = scale - since[j]
+    return FractionalAssignment(shares, scale)
+
+
+class TestProbabilisticSerialOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_orbit(self, n):
+        for p in orbit_profiles(n):
+            got, want = probabilistic_serial(p), oracle_probabilistic_serial(p)
+            assert (got.nums, got.scale) == (want.nums, want.scale), p
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_seeded_uniform_and_two_class_profiles(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(40):
+            uniform = random_profile(rng, n)
+            lists = [random_permutation(rng, n) for _ in range(2)]
+            two_class = profile([lists[rng.randrange(2)] for _ in range(n)])
+            for p in (uniform, two_class):
+                got, want = probabilistic_serial(p), oracle_probabilistic_serial(p)
+                assert (got.nums, got.scale) == (want.nums, want.scale), p
 
 
 def reference_top_trading_cycles(p, endowment):

@@ -15,6 +15,7 @@ from propmatch import (
     profile,
     proportional_assignment,
 )
+from propmatch import mechanisms
 from propmatch.axioms import is_ordinally_efficient
 from propmatch.lottery import exact_lottery
 from propmatch.mechanisms import probabilistic_serial
@@ -157,14 +158,24 @@ class TestFractionViews:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Every assignment made, through the checked constructor or, as
+        probabilistic serial builds its result, through ``_trusted``."""
         made = []
         check = FractionalAssignment.__post_init__
+        trusted = mechanisms._trusted
 
         def record(self):
             check(self)
             made.append(self)
 
+        def record_trusted(cls, *values):
+            obj = trusted(cls, *values)
+            if cls is FractionalAssignment:
+                made.append(obj)
+            return obj
+
         monkeypatch.setattr(FractionalAssignment, "__post_init__", record)
+        monkeypatch.setattr(mechanisms, "_trusted", record_trusted)
         return made
 
     def test_not_built_by_producers_or_integer_readers(self, built, lottery4):

@@ -1,8 +1,9 @@
-"""Producers that build Profile, AgentOrder and Matching objects without the
-``__post_init__`` checks, because their tuples are permutations by
-construction.  Each result is rebuilt here through the checked constructor
-and compared, so a producer that breaks that promise fails a test instead of
-handing an invalid object on."""
+"""Producers that build Profile, AgentOrder, Matching and FractionalAssignment
+objects without the ``__post_init__`` checks, because their tuples are
+permutations, or their rows and columns sum to the scale, by construction.
+Each result is rebuilt here through the checked constructor and compared, so
+a producer that breaks that promise fails a test instead of handing an
+invalid object on."""
 import dataclasses
 import random
 from pathlib import Path
@@ -15,7 +16,7 @@ from propmatch.model import Matching, Profile
 from propmatch.registry import resolve
 from propmatch.sampling import ProfileSampler, all_profiles, orbit_profiles
 from propmatch.textio import ProfileParseError, format_profile, parse_profile
-from propmatch.welfare import _outcomes, optimal_utilitarian, utilitarian_welfare
+from propmatch.welfare import _source, _utility_sums, borda_utilities, optimal_utilitarian, utilitarian_welfare
 
 SIZES = range(1, 9)
 ONE_SIDED = list(engine.ALL_ENGINE_CODES) + ["SD", "NB"]
@@ -106,6 +107,15 @@ class TestMechanismOutcomes:
                 checked(mechanisms.top_trading_cycles(p, Matching(tuple(endowment))))
 
     @pytest.mark.parametrize("n", SIZES)
+    def test_probabilistic_serial(self, n):
+        """PS's assignment, on uniform profiles and on profiles whose agents
+        share two lists, so that eaters tie at exhaustions."""
+        for p in profiles(n, 10):
+            checked(mechanisms.probabilistic_serial(p))
+            shared = Profile(tuple(p.agent_prefs[a % 2] for a in range(n)))
+            checked(mechanisms.probabilistic_serial(shared))
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_optimum_witness(self, n):
         for p in profiles(n, 10):
             value, witness = optimal_utilitarian(p)
@@ -141,15 +151,17 @@ class TestMechanismOutcomes:
         """The base outcomes a campaign's ``+G`` cell trades, sampled or from
         the steppers of exact counts, and what the trades give."""
         for code in ("R-PLS+G", "R-TLQ+G", "R-NB+G"):
-            mech, _ = resolve(code)
+            source = _source(resolve(code)[0])
+            trade = source[2]
             for p in profiles(n, 3):
+                u = borda_utilities(p)
                 for drawn in [orders(n, 4)] + (["all"] if n <= 6 else []):
                     runs = {}
-                    outcomes = list(_outcomes(mech, p, drawn, runs).counts)
-                    for _, counts in runs.values():
-                        outcomes += counts
-                    for item_of in outcomes:
+                    _utility_sums(source, p, u, drawn, runs)
+                    (counts,) = runs.values()
+                    for item_of in counts.counts if drawn == "all" else counts:
                         Matching(item_of)  # checked
+                        Matching(trade(p, item_of))
 
 
 DATA = Path(__file__).parent / "data"

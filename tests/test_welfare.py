@@ -1,4 +1,5 @@
 """Borda welfare metrics, the assignment optimum, and the sampling campaigns."""
+import functools
 import itertools
 import math
 import random
@@ -16,18 +17,21 @@ from propmatch import (
     serial_dictatorship,
 )
 from propmatch.axioms import is_pareto_efficient
+from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.experiments import ExperimentConfig, run_experiment
 from propmatch import mechanisms, registry, welfare
 from propmatch.lottery import (
-    ENUMERATION_LIMIT, EnumerationLimitError, exact_counts, exact_lottery, fold_outcome, order_stream,
+    ENUMERATION_LIMIT, ClassCounts, EnumerationLimitError, exact_counts, exact_lottery, fold_outcome,
+    order_stream, permutation_drawer, refold, singleton_classes, spread_size,
 )
 from propmatch.registry import resolve
 from propmatch.sampling import ProfileSampler, orbit_profiles, profile_stream
 from propmatch.welfare import (
     _bias_stats,
     _hungarian_max,
-    _outcomes,
     _ratio_stats,
+    _source,
+    _utility_rows,
     _utility_sums,
     borda_utilities,
     campaign,
@@ -515,14 +519,16 @@ class TestCampaignPass:
     @pytest.mark.parametrize("code", ["RSD", "R-NB", "R-TFS", "R-SD+G", "R-NB+G", "R-TLQ+G"])
     def test_folded_sums_equal_those_of_every_order(self, code):
         """Utility sums read from the folded counts are the integers that
-        running every order gives."""
-        mech, _ = resolve(code)
+        running every order gives, and the counts a ``+G`` cell trades are
+        folded outcomes of its base."""
+        source = _source(resolve(code)[0])
         for n in (2, 3, 4):
             for p in orbit_profiles(n):
                 u = borda_utilities(p)
                 every = list(order_stream(n))
-                assert _utility_sums(mech, p, u, "all", {}) == _utility_sums(mech, p, u, every, {}), p
-                classes, counts = _outcomes(mech, p, "all", {})
+                runs = {}
+                assert _utility_sums(source, p, u, "all", runs) == _utility_sums(source, p, u, every, {}), p
+                ((classes, counts),) = runs.values()
                 assert all(fold_outcome(item_of, classes) == item_of for item_of in counts), p
 
     def test_optimum_once_per_profile_and_only_for_loss(self, monkeypatch):
@@ -564,6 +570,118 @@ class TestCampaignPass:
         ):
             with pytest.raises(ValueError, match='not "orbits"'):
                 refused()
+
+
+def oracle_outcomes(mechanism, profile, orders, runs):
+    """``welfare._outcomes`` as it was before drawn orders kept plain
+    outcome tuples: a ``ClassCounts`` of singleton classes per drawn run, and
+    a ``refold`` by a ``functools.partial`` of the trade per ``+G`` cell;
+    the reference for ``campaign``."""
+    base = getattr(mechanism, "base", None)
+    own = base or mechanism
+    counts = runs.get(id(own))
+    if counts is None:
+        if orders == "all":
+            counts = exact_counts(own.run, profile)
+        else:
+            run, tally = own.run, {}
+            for order in orders:
+                out = run(profile, order).item_of
+                tally[out] = tally.get(out, 0) + 1
+            counts = ClassCounts(singleton_classes(profile.n), tally)
+        runs[id(own)] = counts
+    return counts if base is None else refold(counts, functools.partial(mechanism.run.trade, profile))
+
+
+def oracle_utility_sums(mechanism, profile, u, orders, runs):
+    """``welfare._utility_sums`` as it was, over ``oracle_outcomes``."""
+    if mechanism.kind == "fractional":
+        sums, scale = _utility_rows(mechanism.assignment(profile), u)
+        return sums, scale, min(sums)
+    classes, counts = oracle_outcomes(mechanism, profile, orders, runs)
+    sums = [0] * profile.n
+    worst = 0
+    for item_of, c in counts.items():
+        values = [row[o] for row, o in zip(u, item_of)]
+        worst += c * min(values)
+        for i, v in enumerate(values):
+            sums[i] += c * v
+    total = sum(counts.values())
+    if len(classes) < profile.n:
+        spread = spread_size(classes)
+        for members in classes:
+            each = spread // len(members) * sum(sums[a] for a in members)
+            for a in members:
+                sums[a] = each
+        total, worst = total * spread, worst * spread
+    return sums, total, worst
+
+
+def oracle_campaign(cells, n, profiles, seed, orders):
+    """The per-profile loop of ``campaign`` as it was, over
+    ``oracle_utility_sums`` and ``oracle_outcomes``, bias cells included;
+    it checks no argument."""
+    ratios = [i for i, (_, metric) in enumerate(cells) if metric != "order_bias"]
+    biased = [i for i, (m, metric) in enumerate(cells) if metric == "order_bias" and m.uses_order]
+    sampled = orders != "all" and any(cells[i][0].kind == "matching" for i in ratios)
+    draw = permutation_drawer(random.Random(seed ^ welfare._ORDER_SEED), n)
+    nums = {i: [] for i in ratios}
+    dens = {i: [] for i in ratios}
+    pos_sums = {i: [0] * n for i in biased}
+    pos_squares = {i: [0] * n for i in biased}
+    identity = [AgentOrder.identity(n)]
+    count = 0
+    for p in profile_stream(n, profiles, seed):
+        count += 1
+        u = borda_utilities(p)
+        opt = optimal_utilitarian(p)[0].numerator
+        drawn = [AgentOrder(draw()) for _ in range(orders)] if sampled else orders
+        got, runs = {}, {}
+        for i in ratios:
+            mech, metric = cells[i]
+            if id(mech) not in got:
+                got[id(mech)] = oracle_utility_sums(mech, p, u, drawn, runs)
+            sums, total, worst = got[id(mech)]
+            if metric == "util_loss":
+                nums[i].append(opt * total - sum(sums))
+                dens[i].append(opt * total)
+            else:
+                nums[i].append(worst if metric == "egal_realized" else min(sums))
+                dens[i].append(total * n)
+        fixed = {}
+        for i in biased:
+            (item_of,) = oracle_outcomes(cells[i][0], p, identity, fixed).counts
+            for pos, prefs in enumerate(p.agent_prefs):
+                w = n - 1 - prefs.index(item_of[pos])
+                pos_sums[i][pos] += w
+                pos_squares[i][pos] += w * w
+    results = [welfare.WelfareStats(Fraction(0), 0.0)] * len(cells)
+    for i in ratios:
+        results[i] = _ratio_stats(nums[i], dens[i])
+    for i in biased:
+        results[i] = _bias_stats(pos_sums[i], pos_squares[i], count)
+    return results
+
+
+ONE_SIDED = ALL_ENGINE_CODES + ("SD", "NB")
+
+
+class TestCampaignOracle:
+    """Every one-sided code, randomized and bare, with and without ``+G``,
+    and PS, under every metric in one pass: the campaign's values equal
+    those of ``oracle_campaign``."""
+
+    @pytest.mark.parametrize("orders", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_one_sided_code_and_metric(self, n, orders):
+        forms = [code + g for code in ONE_SIDED for g in ("", "+G")]
+        mechs = {code: resolve(code)[0] for code in ["R-" + f for f in forms] + forms + ["PS"]}
+        cells = [(mechs[code], metric)
+                 for code in ["R-" + f for f in forms] + ["PS"]
+                 for metric in ("util_loss", "egal", "egal_realized")]
+        cells += [(mechs[code], "order_bias") for code in forms + ["PS"]]
+        want = oracle_campaign(cells, n, 30, 40 + n, orders)
+        assert list(map(_exact, campaign(cells, n, 30, 40 + n, orders))) == list(map(_exact, want))
 
 
 def fraction_stats(values):
