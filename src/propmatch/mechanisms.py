@@ -133,10 +133,13 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
     move the eaters of exhausted items on, until time 1.  An item an agent
     leaves is gone, so its share is the time it left minus the time it
     started.  Each finished share is kept with the scale it was written over
-    and rescaled once, to the final scale, at the end; the matrix is then
-    divided by the gcd of its entries and the scale, as
-    ``FractionalAssignment`` stores it, and built without its checks: every
-    row and column sums to the scale by construction.
+    and rescaled once, to the final scale, at the end.  The result is built
+    without ``FractionalAssignment``'s checks: every row and column sums to
+    the scale by construction, and the matrix is already reduced.  Each
+    rescale is the least one that makes the next event time whole, so the
+    final scale is the lcm of the event times' denominators; and every event
+    time is some agent's sum of shares (an agent that moves on), so a common
+    divisor of the shares and the scale would shrink that lcm.
     """
     n = profile.n
     done = []  # (agent, item, share, the scale it is written over)
@@ -170,9 +173,7 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
         shares[j][o] = share * (scale // at)
     for j, o in enumerate(eating):
         shares[j][o] = scale - since[j]
-    g = math.gcd(scale, *(x for row in shares for x in row))
-    nums = tuple([tuple([x // g for x in row]) for row in shares])
-    return _trusted(FractionalAssignment, nums, scale // g)
+    return _trusted(FractionalAssignment, tuple(map(tuple, shares)), scale)
 
 
 def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:

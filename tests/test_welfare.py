@@ -519,17 +519,24 @@ class TestCampaignPass:
     @pytest.mark.parametrize("code", ["RSD", "R-NB", "R-TFS", "R-SD+G", "R-NB+G", "R-TLQ+G"])
     def test_folded_sums_equal_those_of_every_order(self, code):
         """Utility sums read from the folded counts are the integers that
-        running every order gives, and the counts a ``+G`` cell trades are
-        folded outcomes of its base."""
+        running every order gives; the base counts a cell reads are folded
+        outcomes, and so is each outcome ``refold`` gives a ``+G`` cell by
+        trading them."""
         source = _source(resolve(code)[0])
+        trade = source[2]
         for n in (2, 3, 4):
             for p in orbit_profiles(n):
                 u = borda_utilities(p)
                 every = list(order_stream(n))
                 runs = {}
                 assert _utility_sums(source, p, u, "all", runs) == _utility_sums(source, p, u, every, {}), p
-                ((classes, counts),) = runs.values()
+                (base,) = runs.values()
+                classes, counts = base
                 assert all(fold_outcome(item_of, classes) == item_of for item_of in counts), p
+                if trade is not None:
+                    traded = refold(base, functools.partial(trade, p))
+                    assert traded.classes == classes, p
+                    assert all(fold_outcome(item_of, classes) == item_of for item_of in traded.counts), p
 
     def test_optimum_once_per_profile_and_only_for_loss(self, monkeypatch):
         calls = []
