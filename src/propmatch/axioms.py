@@ -156,7 +156,7 @@ class SPReport:
         return None
 
 
-# an anchored form to one row, or (agent_prefs, item_prefs) to every row
+# an anchored form to one row, or (an orbit's least profile, None) to every row
 LotteryMemo = Dict[tuple, tuple]
 
 
@@ -174,19 +174,10 @@ def _receipt_row(
     to the caller's items.  A form met for the first time goes through its
     orbit's least member (``canonical``), whose lottery is kept under
     ``(least, None)``, so each orbit's lottery is built once.  A two-sided
-    profile's rows are kept under its own preferences, ``(agent_prefs,
-    item_prefs)``.  The two kinds of key cannot collide: a form is a tuple of
-    n - 1 lists of item numbers, and the first entry of a pair is a tuple
-    of such lists.
+    profile's row is built without the memo.
     """
-    if memo is None:
+    if memo is None or item_prefs is not None:
         return exact_lottery(mechanism, Profile(agent_prefs, item_prefs)).rows[agent]
-    if item_prefs is not None:
-        key = (agent_prefs, item_prefs)
-        rows = memo.get(key)
-        if rows is None:
-            rows = memo[key] = exact_lottery(mechanism, Profile(*key)).rows
-        return rows[agent]
     form, items = _anchored(agent_prefs, agent)
     row = memo.get(form)
     if row is None:
@@ -211,8 +202,9 @@ def check_strategyproofness(
     is built.
 
     ``memo`` keeps receipt counts under ``mechanism`` (``_receipt_row``);
-    pass one dict only with one mechanism.  A lottery is then built once
-    however often it comes up.  A one-sided row is kept under the reporting
+    pass one dict only with one mechanism.  A one-sided lottery is then
+    built once however often it comes up; a two-sided profile's rows are
+    built without the memo.  A one-sided row is kept under the reporting
     agent's anchored form, and its lottery under the least profile of its
     orbit under renaming agents and items (``sampling.canonical``), so a
     memo assumes anonymity and neutrality: pass one only for a mechanism

@@ -217,7 +217,11 @@ def _axiom_witness(axiom, mech, profile, k, lotteries):
 
 
 def cmd_experiment(args) -> int:
-    config = parse_config(Path(args.config).read_text())
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(f"bad config {args.config}: {exc}", INPUT_ERROR)
+    config = parse_config(text)
     if not args.out:
         sys.stdout.write(rows_to_csv(run_experiment(config)))
         return 0

@@ -73,9 +73,10 @@ class EngineConfig:
 
     @functools.cached_property
     def switches(self) -> Tuple[bool, bool, bool]:
-        """(temporary, accept-last, stack).  The proposal loop reads them once
-        per call; three enum comparisons would cost more than the rest of its
-        set-up, and exact lotteries call it once per admitted agent."""
+        """(temporary, accept-last, stack), worked out once per configuration.
+        ``_setup`` reads them once per profile in an exact-lottery walk and
+        once per whole run; three enum comparisons would cost more than the
+        rest of that set-up."""
         return (
             self.memory is Memory.TEMPORARY,
             self.acceptance is Acceptance.ACCEPT_LAST,

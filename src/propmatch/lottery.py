@@ -23,10 +23,10 @@ MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 # ``admit(state, work, agent)`` returns the state and work after ``agent``
 # joins the agents admitted so far, every agent the last included, and
 # ``settle(state, work)`` the outcome ``item_of`` of a state reached once all
-# n have joined, which ``exact_counts`` then folds by class and, for a
-# ``Runner`` with a ``trade``, trades once per folded outcome.  A state must be
-# hashable, is hashed once per admit that reaches it, and must depend on
-# nothing but the admitted agents' order, so keep it to what later admits
+# n have joined, which the walk counts folded by class and, for a ``Runner``
+# with a ``trade``, ``exact_counts`` trades once per folded outcome.  A state
+# must be hashable, is hashed once per admit that reaches it, and must depend
+# on nothing but the admitted agents' order, so keep it to what later admits
 # read; ``work`` is what the mechanism counts towards a bound it enforces by
 # raising; prefix walks that meet in one state go on, or settle, from the
 # largest work among them.
@@ -86,16 +86,15 @@ def fold_outcome(item_of: Tuple[int, ...], classes) -> Tuple[int, ...]:
     return tuple(folded)
 
 
-def refold(counts: ClassCounts, outcome: Optional[Callable] = None) -> ClassCounts:
-    """``counts`` with each outcome mapped through ``outcome``, if given, and
-    folded by its classes, summing the counts of outcomes that meet.  An
-    ``outcome`` that treats agents anonymously maps a representative for all
-    it stands for: renaming agents of one class only renames its result."""
+def refold(counts: ClassCounts, outcome: Callable) -> ClassCounts:
+    """``counts`` with each outcome mapped through ``outcome`` (a ``+G``
+    trade) and folded by its classes, summing the counts of outcomes that
+    meet.  An anonymous ``outcome`` maps a representative for all it stands
+    for: renaming agents of one class only renames its result."""
     classes, tally = counts
     folded = {}
     for item_of, c in tally.items():
-        if outcome is not None:
-            item_of = outcome(item_of)
+        item_of = outcome(item_of)
         if len(classes) < len(item_of):
             item_of = fold_outcome(item_of, classes)
         folded[item_of] = folded.get(item_of, 0) + c
@@ -319,14 +318,15 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
     On a one-sided profile, agents with identical preferences form classes of
     sizes k1, k2, ..., and a class admits its members in index order: the
     n!/(k1! k2! ...) sequences of class labels stand for all n! orders.
-    ``refold`` counts each settled outcome under its ``fold_outcome``, which
+    The walk counts each settled outcome under its ``fold_outcome``, which
     stands for every permutation of its items within the classes: renaming
     agents who have identical preferences only renames the outcome, so each
     of those matchings occurs that often among all n! orders.  This needs a
     mechanism that treats agents anonymously, which a ``Runner`` promises and
     a plain callable need not.  On a two-sided profile, whose item
     preferences can tell identical agents apart, every agent is its own
-    class.  A ``Runner``'s ``trade`` then maps each folded outcome once.
+    class.  A ``Runner``'s ``trade`` then maps each folded outcome once, by
+    ``refold``.
     """
     n = profile.n
     stepper = getattr(mechanism, "stepper", None)
@@ -340,13 +340,13 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
         for a, prefs in enumerate(profile.agent_prefs):
             by_prefs.setdefault(prefs, []).append(a)
         classes = tuple(map(tuple, by_prefs.values()))
-    counts = refold(ClassCounts(classes, _walk(stepper(profile), classes)))
+    counts = ClassCounts(classes, _walk(stepper(profile), classes))
     if mechanism.trade is not None:
         counts = refold(counts, functools.partial(mechanism.trade, profile))
     return counts
 
 
-def _walk(stepped: tuple, classes) -> Counter:
+def _walk(stepped: tuple, classes) -> Dict[Tuple[int, ...], int]:
     """Outcome counts over the class-label sequences, one layer per admit.
 
     A layer maps the members admitted per class to the states reached, and
@@ -356,7 +356,8 @@ def _walk(stepped: tuple, classes) -> Counter:
     k times its stride, the product of (size + 1) over the classes before
     it, so admitting a member of c adds the stride, and k is the key's
     digit ``key // stride % (size + 1)``.  Each state of the last layer is
-    settled once."""
+    settled once, and its outcome counted under its ``fold_outcome`` when
+    some class has two or more members."""
     start, admit, settle = stepped
     digits = []  # per class: (stride, radix, members)
     stride = 1
@@ -365,7 +366,8 @@ def _walk(stepped: tuple, classes) -> Counter:
         stride *= len(members) + 1
     layer = {0: {start: [1, 0]}}
     spare = [0, 0]  # the entry of the next new state: one lookup per admit
-    for _ in range(sum(map(len, classes))):
+    n = sum(map(len, classes))
+    for _ in range(n):
         nxt = {}
         for key, states in layer.items():
             for stride, radix, members in digits:
@@ -385,10 +387,13 @@ def _walk(stepped: tuple, classes) -> Counter:
                         if done > entry[1]:
                             entry[1] = done
         layer = nxt
-    counts = Counter()
+    counts = {}
+    fold = len(classes) < n  # some class has two or more members
     (states,) = layer.values()
     for state, (prefixes, work) in states.items():
         outcome = settle(state, work)
+        if fold:
+            outcome = fold_outcome(outcome, classes)
         counts[outcome] = counts.get(outcome, 0) + prefixes
     return counts
 

@@ -35,17 +35,6 @@ def names(n: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(map(agent_name, range(n))), tuple(item_name(o, n) for o in range(n))
 
 
-def _split_line(line: str, lineno: int) -> Tuple[str, List[str]]:
-    if ":" not in line:
-        raise ProfileParseError(f"line {lineno}: expected '<name>: <list>', got {line!r}")
-    head, _, tail = line.partition(":")
-    name = head.strip()
-    entries = list(map(str.strip, tail.split(",")))
-    if not name or "" in entries:
-        raise ProfileParseError(f"line {lineno}: empty name or list entry in {line!r}")
-    return name, entries
-
-
 def parse_profile(text: str) -> Profile:
     """Parse profile text into a :class:`Profile` (names become dense indices).
 
@@ -53,28 +42,31 @@ def parse_profile(text: str) -> Profile:
     known names, and an opened ``@items`` section must give every item one
     line, so the result is built without ``Profile``'s own checks.
 
-    A row's list is stripped and split on commas once.  Any other line (no
-    name, whitespace inside the list, an empty entry, no colon, blank or
-    ``@items``) is stripped whole and a row goes to ``_split_line``, which
-    strips each entry: both paths read a row alike."""
+    One pass per line: a line without a colon is blank, ``@items`` or
+    refused.  A row strips its list and splits it on commas once, and strips
+    each entry only when the list has whitespace inside."""
     agent_lines: List[Tuple[int, str, List[str]]] = []
     item_lines: List[Tuple[int, str, List[str]]] = []
     in_items = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line.partition("#")[0]
-        head, _, tail = line.partition(":")
-        name = head.strip()
-        tail = tail.strip()
-        entries = tail.split(",")
-        if not name or len(tail.split()) != 1 or "" in entries:
+        if ":" not in line:
             line = line.strip()
             if not line:
                 continue
             if line == "@items":
                 in_items = True
                 continue
-            name, entries = _split_line(line, lineno)
+            raise ProfileParseError(f"line {lineno}: expected '<name>: <list>', got {line!r}")
+        head, _, tail = line.partition(":")
+        name = head.strip()
+        tail = tail.strip()
+        entries = tail.split(",")
+        if len(tail.split()) != 1:
+            entries = list(map(str.strip, entries))
+        if not name or "" in entries:
+            raise ProfileParseError(f"line {lineno}: empty name or list entry in {line.strip()!r}")
         (item_lines if in_items else agent_lines).append((lineno, name, entries))
 
     if not agent_lines:

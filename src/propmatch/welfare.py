@@ -6,14 +6,13 @@ n - r, so the top choice is worth n - 1 and the last 0.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .lottery import exact_counts, order_stream, permutation_drawer, refold, spread_size
+from .lottery import exact_counts, order_stream, permutation_drawer, spread_size
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
 from .sampling import profile_stream
 
@@ -196,7 +195,7 @@ def _source(mechanism) -> Tuple[int, object, Optional[Callable]]:
 
 def _outcome_sums(
     tally: Dict[Tuple[int, ...], int], u: Sequence[Sequence[int]],
-    profile: Optional[Profile] = None, trade: Optional[Callable] = None,
+    profile: Profile, trade: Optional[Callable],
 ) -> Tuple[List[int], int, int]:
     """Expected Borda utilities over the outcome counts ``tally``, as
     integers over one denominator: ``(sums, total, worst)`` means agent i
@@ -227,12 +226,15 @@ def _utility_sums(
     run the base once.
 
     A list of drawn orders is counted as a dict of plain ``item_of``
-    tuples, and a ``+G`` cell trades each distinct one once.  ``"all"``
-    counts by ``exact_counts``, folded by class, and a ``+G`` cell trades
-    each folded outcome once, by ``refold``.  A folded outcome stands for
-    ``spread_size`` outcomes: agents of one class share one utility row, so
-    the worst-off value is the same for each of them, and each member of
-    class C expects the class's sum over |C|."""
+    tuples; ``"all"`` counts by ``exact_counts``, folded by class.  Either
+    way a ``+G`` cell trades each distinct base outcome once, in
+    ``_outcome_sums``.  A folded outcome stands for ``spread_size``
+    outcomes: agents of one class share one utility row, so the worst-off
+    value is the same for each of them, and each member of class C expects
+    the class's sum over |C|.  The trade of a folded outcome needs no second
+    fold: top trading cycles renames its result when agents of one class
+    are renamed, and swapping items within a class changes neither the
+    class's sum nor the worst-off value."""
     key, run, trade = source
     counts = runs.get(key)
     if orders != "all":
@@ -244,10 +246,8 @@ def _utility_sums(
         return _outcome_sums(counts, u, profile, trade)
     if counts is None:
         counts = runs[key] = exact_counts(run, profile)
-    if trade is not None:
-        counts = refold(counts, functools.partial(trade, profile))
     classes, tally = counts
-    sums, total, worst = _outcome_sums(tally, u)
+    sums, total, worst = _outcome_sums(tally, u, profile, trade)
     if len(classes) < len(u):
         spread = spread_size(classes)
         for members in classes:
@@ -290,7 +290,7 @@ def campaign(
     cell trades each distinct drawn outcome once; a bias cell reads its
     base's identity-order ``item_of`` and trades it for ``+G``.  With
     ``orders="all"`` a base's outcomes are ``exact_counts``, folded by class,
-    and a ``+G`` cell trades each folded outcome once, by ``refold``.
+    and a ``+G`` cell trades each folded outcome once, as it trades drawn ones.
     Fractional mechanisms run no orders: their sums are ``_utility_rows`` of
     the assignment, over its ``scale``, and their worst-off value is the
     minimum expectation.

@@ -1,14 +1,16 @@
 """Dominance, efficiency, strategyproofness, and worst-off-guarantee checkers,
 each validated against an independent brute-force oracle where one exists."""
+import functools
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from propmatch import Matching, Profile, probabilistic_serial, profile
+from propmatch import Matching, Profile, axioms, probabilistic_serial, profile
 from propmatch.axioms import (
     Dominance,
     SPVerdict,
@@ -255,6 +257,23 @@ class TestStrategyproofness:
                 assert check_strategyproofness(mech.run, p, agent, memo) == (
                     check_strategyproofness(mech.run, p, agent))
 
+    @pytest.mark.parametrize("code", ["GS", "BOS-SEQ"])
+    def test_two_sided_reports_bypass_the_memo(self, code):
+        """A two-sided profile's rows are built without the memo: each
+        agent's report equals the memo-less one, and the memo stays empty."""
+        mech, _ = resolve(code)
+        rng = random.Random(29)
+        for n in (3, 3, 4, 4):
+            p = profile(
+                [rng.sample(range(n), n) for _ in range(n)],
+                [rng.sample(range(n), n) for _ in range(n)],
+            )
+            memo = {}
+            for agent in range(n):
+                assert check_strategyproofness(mech.run, p, agent, memo) == (
+                    check_strategyproofness(mech.run, p, agent))
+            assert memo == {}
+
     @pytest.mark.parametrize("agent", [-1, 3])
     def test_agent_outside_the_profile_refused(self, agent):
         """Refused by name before any lottery is built: agent -1 would splice
@@ -374,20 +393,22 @@ def assert_folded_matches_per_order(mechanism, profiles):
     """The folded ``expost`` witness, ``topk`` verdicts for every k and
     ``ordinal`` verdict equal the per-order oracles' on every profile;
     returns how many profiles fail ``expost`` and how many fail some ``topk``,
-    so a caller can see that both verdicts were met."""
+    so a caller can see that both verdicts were met.  The checkers share one
+    ``exact_counts`` walk per (mechanism, profile)."""
     expost_fails = topk_fails = 0
-    for p in profiles:
-        runs = {order: mechanism(p, order) for order in order_stream(p.n)}
-        replay = lambda _p, order: runs[order]  # the oracles share one run per order
-        witness = first_inefficient_order(mechanism, p)
-        assert witness == oracle_inefficient_order(replay, p), p
-        expost_fails += witness is not None
-        ks = range(1, p.n + 1)
-        verdicts = [satisfies_conditional_bound(mechanism, p, k) for k in ks]
-        assert verdicts == [oracle_conditional_bound(replay, p, k) for k in ks], p
-        topk_fails += not all(verdicts)
-        assert is_lottery_ordinally_efficient(mechanism, p) == is_ordinally_efficient(
-            exact_lottery(mechanism, p).assignment, p), p
+    with mock.patch.object(axioms, "exact_counts", functools.cache(axioms.exact_counts)):
+        for p in profiles:
+            runs = {order: mechanism(p, order) for order in order_stream(p.n)}
+            replay = lambda _p, order: runs[order]  # the oracles share one run per order
+            witness = first_inefficient_order(mechanism, p)
+            assert witness == oracle_inefficient_order(replay, p), p
+            expost_fails += witness is not None
+            ks = range(1, p.n + 1)
+            verdicts = [satisfies_conditional_bound(mechanism, p, k) for k in ks]
+            assert verdicts == [oracle_conditional_bound(replay, p, k) for k in ks], p
+            topk_fails += not all(verdicts)
+            assert is_lottery_ordinally_efficient(mechanism, p) == is_ordinally_efficient(
+                exact_lottery(mechanism, p).assignment, p), p
     return expost_fails, topk_fails
 
 

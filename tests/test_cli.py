@@ -1,5 +1,6 @@
 """End-to-end command-line tests: outputs, determinism, exit codes, and the
 golden proposal tables for all eight engine codes and Gale-Shapley."""
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -606,6 +607,30 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: bad profile {path}: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_experiment_config_read_as_utf8_in_any_locale(self, tmp_path):
+        """Under the C locale Python's default text encoding is ASCII; a
+        config is read as UTF-8 all the same, and one that is not UTF-8 is
+        refused naming the file."""
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        config = Path(EXPERIMENT).read_bytes()
+        good, bad = tmp_path / "utf8.cfg", tmp_path / "latin1.cfg"
+        good.write_bytes(config + "# café\n".encode("utf-8"))
+        bad.write_bytes(config + b"# caf\xe9\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "propmatch.cli", "experiment", str(good)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout == cli("experiment", EXPERIMENT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "propmatch.cli", "experiment", str(bad)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: bad config {bad}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_repeated_order_name_refused_by_name(self):
         proc = subprocess.run(

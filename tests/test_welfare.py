@@ -516,15 +516,19 @@ class TestCampaignPass:
         spread = sum(len(exact_lottery(b.run, p).outcomes) for b in bases for p in profiles)
         assert len(calls) == folded < spread
 
-    @pytest.mark.parametrize("code", ["RSD", "R-NB", "R-TFS", "R-SD+G", "R-NB+G", "R-TLQ+G"])
-    def test_folded_sums_equal_those_of_every_order(self, code):
+    @pytest.mark.parametrize("code, top", [
+        *[(code, 4) for code in ("RSD", "R-NB", "R-TFS", "R-SD+G", "R-NB+G", "R-TLQ+G")],
+        *[(f"R-{code}+G", 3) for code in ALL_ENGINE_CODES if code != "TLQ"],
+    ])
+    def test_folded_sums_equal_those_of_every_order(self, code, top):
         """Utility sums read from the folded counts are the integers that
-        running every order gives; the base counts a cell reads are folded
-        outcomes, and so is each outcome ``refold`` gives a ``+G`` cell by
-        trading them."""
+        running every order gives, for every ``+G`` form too, whose cell
+        trades each folded base outcome without folding the trades; the base
+        counts a cell reads are folded outcomes, and so is each outcome
+        ``refold`` gives an exact ``+G`` lottery by trading them."""
         source = _source(resolve(code)[0])
         trade = source[2]
-        for n in (2, 3, 4):
+        for n in range(2, top + 1):
             for p in orbit_profiles(n):
                 u = borda_utilities(p)
                 every = list(order_stream(n))
