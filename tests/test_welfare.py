@@ -516,16 +516,22 @@ class TestCampaignPass:
         spread = sum(len(exact_lottery(b.run, p).outcomes) for b in bases for p in profiles)
         assert len(calls) == folded < spread
 
-    @pytest.mark.parametrize("code, top", [
-        *[(code, 4) for code in ("RSD", "R-NB", "R-TFS", "R-SD+G", "R-NB+G", "R-TLQ+G")],
-        *[(f"R-{code}+G", 3) for code in ALL_ENGINE_CODES if code != "TLQ"],
-    ])
-    def test_folded_sums_equal_those_of_every_order(self, code, top):
+    @pytest.mark.parametrize("code", ["RSD", "R-NB", "R-TFS", "R-SD+G", "R-NB+G", "R-TLQ+G"])
+    def test_folded_sums_equal_those_of_every_order(self, code):
         """Utility sums read from the folded counts are the integers that
-        running every order gives, for every ``+G`` form too, whose cell
-        trades each folded base outcome without folding the trades; the base
-        counts a cell reads are folded outcomes, and so is each outcome
-        ``refold`` gives an exact ``+G`` lottery by trading them."""
+        running every order gives; the base counts a cell reads are folded
+        outcomes, and so is each outcome ``refold`` gives an exact ``+G``
+        lottery by trading them."""
+        self._check_folded_sums(code, 4)
+
+    @pytest.mark.parametrize("code", [f"R-{code}+G" for code in ALL_ENGINE_CODES if code != "TLQ"])
+    def test_every_trading_form_sums_equal_those_of_every_order(self, code):
+        """The same for every other ``+G`` form, whose cell trades each
+        folded base outcome without folding the trades."""
+        self._check_folded_sums(code, 3)
+
+    @staticmethod
+    def _check_folded_sums(code, top):
         source = _source(resolve(code)[0])
         trade = source[2]
         for n in range(2, top + 1):
