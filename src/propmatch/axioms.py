@@ -263,7 +263,7 @@ def satisfies_conditional_bound(
     ``Runner`` promises that such swaps give every outcome a folded one
     stands for.  ``exact_counts`` walks the orders to the end, so a
     mechanism that fails on an early order still pays for the whole walk;
-    a plain callable without a stepper runs every order.
+    a plain callable, which is not a ``Runner``, runs every order.
     """
     order_stream(profile.n)  # refuses n beyond the enumeration limit
     if not feasible_top_k(profile, k):

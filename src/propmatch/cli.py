@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: run, lottery, axioms, experiment, generate, compare.
-Exit codes: 0 success, 1 usage error, 2 input error, 3 resource-limit refusal.
+Exit codes: 0 success, 1 usage error, 2 input error, 3 resource-limit refusal,
+141 stdout closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from .registry import resolve
 from .sampling import profile_stream
 from .textio import ProfileParseError, format_matching, format_matrix, format_profile
 
-USAGE_ERROR, INPUT_ERROR, LIMIT_ERROR = 1, 2, 3
+USAGE_ERROR, INPUT_ERROR, LIMIT_ERROR, CLOSED_STDOUT = 1, 2, 3, 141  # 141: 128 + SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_profile(path: str) -> Profile:
     try:
-        return textio.parse_profile(Path(path).read_text(encoding="utf-8"))
+        return textio.parse_profile(Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, ProfileParseError) as exc:
         _fail(f"bad profile {path}: {exc}", INPUT_ERROR)
 
@@ -218,7 +220,7 @@ def _axiom_witness(axiom, mech, profile, k, lotteries):
 
 def cmd_experiment(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         _fail(f"bad config {args.config}: {exc}", INPUT_ERROR)
     config = parse_config(text)
@@ -320,7 +322,8 @@ def main(argv=None) -> int:
     """Parse ``argv`` and run the subcommand.  Library errors end the run here:
     order enumeration beyond the limit exits 3, any other ``ValueError`` (a
     rejected input) and any ``OSError`` (a path that cannot be read or
-    written) exit 2, each with one ``error:`` line on stderr.
+    written) exit 2, each with one ``error:`` line on stderr; a stdout closed
+    by its reader (``run ... | head``) exits 141 with nothing on stderr.
 
     When ``argv`` starts with a subcommand, its parser reads the rest
     directly and gives the Namespace the top-level parser would; everything
@@ -335,9 +338,14 @@ def main(argv=None) -> int:
         args = command.parse_args(argv[1:])
         args.command = argv[0]
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        status = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
     except EnumerationLimitError as exc:
         _fail(str(exc), LIMIT_ERROR)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit stays silent
+        sys.exit(CLOSED_STDOUT)
     except (ValueError, OSError) as exc:
         _fail(str(exc), INPUT_ERROR)
 

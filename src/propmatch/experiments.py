@@ -61,6 +61,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # the line each key is given on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,15 +75,22 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: {key} given twice")
         values[key] = val.strip()
-    try:
-        mechanisms = tuple(tok.strip() for tok in values.get("mechanisms", "").split(",") if tok.strip())
-        n_values = tuple(int(tok) for tok in values.get("n_values", "").split(",") if tok.strip())
-        metrics = tuple(tok.strip() for tok in values.get("metrics", "").split(",") if tok.strip())
-        profile_samples = int(values.get("profile_samples", "1000"))
-        order_mode = values.get("order_mode", "sampled:1")
-        seed = int(values.get("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        lines[key] = lineno
+
+    def integer(key: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # every default parses, so ``key`` was given
+            raise ConfigError(f"line {lines[key]}: {key} needs an integer, got {text!r}") from None
+
+    mechanisms = tuple(tok.strip() for tok in values.get("mechanisms", "").split(",") if tok.strip())
+    n_values = tuple(
+        integer("n_values", tok.strip()) for tok in values.get("n_values", "").split(",") if tok.strip()
+    )
+    metrics = tuple(tok.strip() for tok in values.get("metrics", "").split(",") if tok.strip())
+    profile_samples = integer("profile_samples", values.get("profile_samples", "1000"))
+    order_mode = values.get("order_mode", "sampled:1")
+    seed = integer("seed", values.get("seed", "0"))
     cfg = ExperimentConfig(mechanisms, n_values, metrics, profile_samples, order_mode, seed)
     validate_config(cfg)
     return cfg

@@ -18,8 +18,8 @@ from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Match
 MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 
 # A sequential mechanism run one admitted agent at a time, which a ``Runner``
-# carries for ``exact_counts`` to walk; a plain callable has none and runs on
-# every order.  ``stepper(profile)`` returns ``(start, admit, settle)``:
+# whose run reads the order carries for ``exact_counts`` to walk.
+# ``stepper(profile)`` returns ``(start, admit, settle)``:
 # ``admit(state, work, agent)`` returns the state and work after ``agent``
 # joins the agents admitted so far, every agent the last included, and
 # ``settle(state, work)`` the outcome ``item_of`` of a state reached once all
@@ -213,22 +213,25 @@ class LotteryResult:
 
 
 class Runner:
-    """A matching mechanism ``run(profile, order)`` that carries its
-    ``stepper``, which ``exact_counts`` walks instead of running every order;
-    ``run`` must treat agents anonymously, as every registry code's does.
-    With a ``trade`` (a ``+G`` code's), ``run`` is the stepped mechanism and
-    then ``trade(profile, item_of)``, anonymous too, which ``exact_counts``
-    applies once per folded outcome."""
+    """How a code runs: ``run(profile, order)`` is the mechanism before any
+    trade; ``stepper``, which ``exact_counts`` walks, is None exactly when
+    ``run`` never reads the order; a ``+G`` code's ``trade(profile,
+    item_of)`` maps ``run``'s outcome.  Calling the Runner runs ``run``, then
+    the trade.  Both must treat agents anonymously, as every registry code's
+    do."""
 
     __slots__ = ("run", "stepper", "trade")
 
-    def __init__(self, run: MatchingMechanism, stepper: Stepper, trade: Optional[Callable] = None):
+    def __init__(self, run: MatchingMechanism, stepper: Optional[Stepper], trade: Optional[Callable] = None):
         self.run = run
         self.stepper = stepper
         self.trade = trade
 
     def __call__(self, profile: Profile, order: AgentOrder) -> Matching:
-        return self.run(profile, order)
+        matching = self.run(profile, order)
+        if self.trade is None:
+            return matching
+        return _trusted(Matching, self.trade(profile, matching.item_of))
 
 
 def _check_limit(n: int) -> None:
@@ -286,51 +289,31 @@ def outcome_counts(
     return Counter(mechanism(profile, order).item_of for order in orders)
 
 
-def order_free(mechanism: MatchingMechanism) -> Stepper:
-    """The stepper of a mechanism that never reads the order: every prefix
-    reaches the one state, and its one ``settle`` runs the mechanism once."""
-
-    def begin(profile: Profile):
-        def admit(state, work, agent):
-            return state, work
-
-        def settle(state, work):
-            return mechanism(profile, AgentOrder.identity(profile.n)).item_of
-
-        return None, admit, settle
-
-    return begin
-
-
 def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
     """How often each outcome ``item_of`` occurs over all n! initial orders,
     kept folded by class: spread, the ``Counter`` of ``outcome_counts`` over
     ``order_stream(n)``.
 
-    A callable without a stepper is counted by exactly that definition, one
-    run per order, with every agent its own class.  A ``Runner`` (every
-    registry code's ``run`` is one) is instead walked as order prefixes, one
-    admitted agent per layer, by its stepper.  Layer k maps each pair
-    (members admitted per class, state after k admits) to the number of
-    prefixes reaching it, so prefixes that reach one state run on, and
-    settle, once.
-
-    On a one-sided profile, agents with identical preferences form classes of
-    sizes k1, k2, ..., and a class admits its members in index order: the
-    n!/(k1! k2! ...) sequences of class labels stand for all n! orders.
-    The walk counts each settled outcome under its ``fold_outcome``, which
-    stands for every permutation of its items within the classes: renaming
-    agents who have identical preferences only renames the outcome, so each
-    of those matchings occurs that often among all n! orders.  This needs a
-    mechanism that treats agents anonymously, which a ``Runner`` promises and
-    a plain callable need not.  On a two-sided profile, whose item
-    preferences can tell identical agents apart, every agent is its own
-    class.  A ``Runner``'s ``trade`` then maps each folded outcome once, by
-    ``refold``.
+    A plain callable is counted by exactly that definition, one run per
+    order, with every agent its own class.  A ``Runner`` (every registry
+    code's ``run`` is one) is counted over the n!/(k1! k2! ...) sequences of
+    class labels instead: on a one-sided profile, agents with identical
+    preferences form classes of sizes k1, k2, ..., each admitting its
+    members in index order.  Each outcome is counted under its
+    ``fold_outcome``, which stands for every permutation of its items within
+    the classes: renaming agents who have identical preferences only renames
+    the outcome of a mechanism that treats agents anonymously, as a
+    ``Runner`` promises and a plain callable need not.  On a two-sided
+    profile, whose item preferences can tell identical agents apart, every
+    agent is its own class.  A Runner with a stepper is walked as order
+    prefixes, one admitted agent per layer, so prefixes that reach one state
+    run on, and settle, once; one without runs once, on the identity order,
+    and its outcome stands for every label sequence.  Either way n past
+    ``ENUMERATION_LIMIT`` is refused, and the Runner's ``trade`` then maps
+    each folded outcome once, by ``refold``.
     """
     n = profile.n
-    stepper = getattr(mechanism, "stepper", None)
-    if stepper is None:
+    if not isinstance(mechanism, Runner):
         return ClassCounts(singleton_classes(n), outcome_counts(mechanism, profile, order_stream(n)))
     _check_limit(n)
     if profile.two_sided:
@@ -340,7 +323,11 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
         for a, prefs in enumerate(profile.agent_prefs):
             by_prefs.setdefault(prefs, []).append(a)
         classes = tuple(map(tuple, by_prefs.values()))
-    counts = ClassCounts(classes, _walk(stepper(profile), classes))
+    if mechanism.stepper is None:
+        outcome = fold_outcome(mechanism.run(profile, AgentOrder.identity(n)).item_of, classes)
+        counts = ClassCounts(classes, {outcome: math.factorial(n) // spread_size(classes)})
+    else:
+        counts = ClassCounts(classes, _walk(mechanism.stepper(profile), classes))
     if mechanism.trade is not None:
         counts = refold(counts, functools.partial(mechanism.trade, profile))
     return counts
@@ -409,12 +396,10 @@ def _receipt_rows(outcomes: Iterable[Tuple[Tuple[int, ...], int]], n: int) -> li
 
 
 def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
-    """The lottery over all n! initial orders, each with weight 1/n!: the
-    outcome counts of ``exact_counts``, which states its two paths, the
-    anonymity a ``Runner`` promises and the ``ENUMERATION_LIMIT`` on n (a
-    ``+G`` code trades each folded outcome of its base once).  The result
-    keeps them folded by class until ``outcomes`` or ``support`` is read.
-    """
+    """The lottery over all n! initial orders, each with weight 1/n!, from
+    ``exact_counts``, which states its paths, the anonymity a ``Runner``
+    promises and the ``ENUMERATION_LIMIT`` on n; it stays folded by class
+    until ``outcomes`` or ``support`` is read."""
     classes, counts = exact_counts(mechanism, profile)
     return LotteryResult(tuple(sorted(counts.items())), math.factorial(profile.n), classes)
 

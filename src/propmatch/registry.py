@@ -8,15 +8,15 @@ kept because their equivalence is a tested property.  BOS-SEQ never reads
 the item preferences it requires: it runs serial dictatorship.  BOS-SIM and
 NB share one immediate-acceptance loop, with item priorities taken from the
 item preferences and from the order respectively.  A code reads the order
-exactly when it has a stepper of its own, which admits every agent and then
-settles each distinct final state once (NB's is ``naive_boston_stepper``,
-not PFQ's engine stepper); the others get ``order_free``.
+exactly when it has a stepper, which admits every agent and then settles
+each distinct final state once (NB's is ``naive_boston_stepper``, not PFQ's
+engine stepper); GS, BOS-SIM and PS have none.
 
 Modifiers: a trailing ``+G`` reruns the output through top trading cycles
-(invalid on PS); it walks its base's stepper, so an exact lottery folds the
-base's outcomes first, then trades each folded outcome once.  A leading
-``R-`` marks randomization over the initial order (an evaluation mode, not a
-different base mechanism).  ``RSD`` means ``R-SD``.
+(invalid on PS); its ``Runner`` is the base's with ``mechanisms.trade``, so
+an exact lottery folds the base's outcomes, then trades each folded outcome
+once.  A leading ``R-`` marks randomization over the initial order (an
+evaluation mode, not a different base mechanism).  ``RSD`` means ``R-SD``.
 """
 from __future__ import annotations
 
@@ -35,9 +35,8 @@ from .engine import (
     run_engine,
     run_gale_shapley,
 )
-from .lottery import MatchingMechanism, Runner, Stepper, exact_lottery, order_free
+from .lottery import MatchingMechanism, Runner, Stepper, exact_lottery
 from .mechanisms import (
-    compose_ttc,
     naive_boston_one_sided,
     naive_boston_stepper,
     probabilistic_serial,
@@ -62,9 +61,8 @@ class Mechanism:
     so a campaign's runs build no trace and no such pair.  ``_stepper`` admits one
     agent at a time and settles each final state once, for exact lotteries;
     only the codes that read the order (``uses_order``) have one.  A ``+G``
-    form sets only its ``base``: its ``run`` is ``compose_ttc`` of the
-    base's, carrying the base's stepper and ``mechanisms.trade``, so a
-    campaign runs the base once for both.
+    form sets only its ``base``: its ``run`` is the base's ``Runner`` with
+    ``mechanisms.trade`` added, so a campaign runs the base once for both.
     """
 
     code: str
@@ -77,7 +75,7 @@ class Mechanism:
 
     @property
     def uses_order(self) -> bool:
-        return (self.base or self)._stepper is not None
+        return self.run.stepper is not None
 
     @property
     def kind(self) -> str:
@@ -86,13 +84,13 @@ class Mechanism:
 
     @functools.cached_property
     def run(self) -> Runner:
-        """The matching mechanism, ``run(profile, order)``, carrying its
-        stepper and, for a ``+G`` form, the trade."""
+        """The matching mechanism, ``run(profile, order)``: the code's own
+        run and stepper, or for a ``+G`` form its base's ``Runner``, its
+        stepper and the trade."""
         if self.base is not None:
             base = self.base.run
-            return Runner(compose_ttc(base.run), base.stepper, trade)
-        run = self._run or self._no_run
-        return Runner(run, self._stepper or order_free(run))
+            return Runner(base, base.stepper, trade)
+        return Runner(self._run or self._no_run, self._stepper)
 
     def _no_run(self, profile: Profile, order: AgentOrder) -> Matching:
         raise ValueError(f"{self.code} does not produce discrete matchings")

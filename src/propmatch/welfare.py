@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .lottery import exact_counts, order_stream, permutation_drawer, spread_size
+from .lottery import Runner, exact_counts, order_stream, permutation_drawer, spread_size
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
 from .sampling import profile_stream
 
@@ -183,14 +183,14 @@ def _bias_stats(sums: List[int], squares: List[int], count: int) -> WelfareStats
 
 
 def _source(mechanism) -> Tuple[int, object, Optional[Callable]]:
-    """What a matching cell runs, worked out once a campaign: ``(key, run,
-    trade)``.  A ``+G`` form (a mechanism with a ``base``) reads its base's
-    runs, keyed by ``id`` of the base, and trades each base outcome by its
-    run's ``trade``; any other mechanism runs itself, with no trade."""
-    base = getattr(mechanism, "base", None)
-    if base is None:
-        return id(mechanism), mechanism.run, None
-    return id(base), base.run, mechanism.run.trade
+    """What a matching cell runs, worked out once a campaign: ``(id(run), run,
+    trade)``.  A ``Runner`` with a ``trade`` (a ``+G`` form's) runs its
+    untraded ``run``, its base's own ``Runner``, so X and X+G share one key;
+    anything else runs itself, with no trade."""
+    run = mechanism.run
+    if isinstance(run, Runner) and run.trade is not None:
+        return id(run.run), run.run, run.trade
+    return id(run), run, None
 
 
 def _outcome_sums(

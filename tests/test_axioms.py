@@ -431,7 +431,11 @@ class TestFoldedOutcomesAgainstPerOrder:
     def test_plain_callable_runs_every_order(self, code):
         """Without a stepper every agent is its own class: the same answers
         from one run per order."""
-        run = resolve(code)[0].run.run
+        runner = resolve(code)[0].run
+
+        def run(p, order):
+            return runner(p, order)
+
         assert not hasattr(run, "stepper")
         profiles = [p for n in (1, 2, 3) for p in orbit_profiles(n)]
         assert_folded_matches_per_order(run, profiles)

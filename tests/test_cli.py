@@ -12,7 +12,7 @@ from propmatch.cli import main
 from propmatch.lottery import exact_lottery
 from propmatch.model import AgentOrder
 from propmatch.registry import resolve
-from propmatch.textio import format_matching, parse_profile
+from propmatch.textio import format_matching, format_profile, parse_profile
 
 DATA = Path(__file__).parent / "data"
 BENCH = str(DATA / "bench4.txt")
@@ -631,6 +631,35 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: bad config {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("args, golden", [
+        (("lottery", TWO_SIDED, "GS"), DATA / "two_sided4_GS.txt"),
+        (("experiment", EXPERIMENT), None),
+    ])
+    def test_leading_byte_order_mark_is_ignored(self, capsys, tmp_path, args, golden):
+        """Editors such as Notepad start a UTF-8 file with U+FEFF; a profile
+        or a config that does reads as the same file without it."""
+        command, path, *rest = args
+        marked = tmp_path / Path(path).name
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        status, out, err = main_result(capsys, command, str(marked), *rest)
+        assert (status, err) == (0, "")
+        assert out == (golden.read_text() if golden else main_result(capsys, *args)[1])
+
+    def test_closed_stdout_exits_141_silently(self, tmp_path):
+        """``run --trace | head -c 100``: the reader closes stdout while the
+        table is written; the run ends with 128 + SIGPIPE and no error line."""
+        path = tmp_path / "n40.txt"
+        path.write_text(format_profile(next(iter(sampling.profile_stream(40, 1, 0)))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "propmatch.cli", "run", str(path), "TLQ", "--trace"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()  # the table is over 64 KiB, more than a pipe holds
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (141, b"")
 
     def test_repeated_order_name_refused_by_name(self):
         proc = subprocess.run(

@@ -54,6 +54,9 @@ class TestParseAndValidate:
             (("order_mode      = sampled:2", "order_mode = sampled:2\norder_mode = exact"),
              "line 8: order_mode given twice"),
             (("seed            = 123", "seed            = -5"), "seed must be >= 0"),
+            (("n_values        = 3, 4", "n_values        = 4, x"), "line 4: n_values needs an integer, got 'x'"),
+            (("profile_samples = 20", "profile_samples = 2o"), "line 6: profile_samples needs an integer, got '2o'"),
+            (("seed            = 123", "seed            = 1.5"), r"line 8: seed needs an integer, got '1\.5'"),
         ],
     )
     def test_rejected_configs(self, mutation, match):

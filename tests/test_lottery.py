@@ -526,6 +526,41 @@ class TestSteppedCounts:
         assert counts == outcome_counts(naive_boston_one_sided, p, order_stream(8))
         assert exact_lottery(nb, p) == exact_lottery(pfq, p)
 
+    @pytest.mark.parametrize("code", ["GS", "BOS-SIM", "GS+G", "BOS-SIM+G"])
+    def test_order_free_codes_equal_every_order(self, code, two_sided4):
+        """GS, BOS-SIM and their ``+G`` forms carry no stepper, and their
+        counts are those of every order."""
+        mech, _ = resolve(code)
+        assert mech.run.stepper is None
+        rng = random.Random(6)
+        cases = [two_sided4] + [
+            Profile(random_profile(rng, n).agent_prefs, random_profile(rng, n).agent_prefs)
+            for n in range(1, 7) for _ in range(3)
+        ]
+        for p in cases:
+            want = ClassCounts(singleton_classes(p.n), outcome_counts(mech.run, p, order_stream(p.n)))
+            assert exact_counts(mech.run, p) == want, p
+
+    def test_order_free_runner_runs_once(self):
+        """On a one-sided profile with a class of three, a Runner without a
+        stepper runs once; its counts are every order's outcomes, folded,
+        each count over 3!, the orders a class-label sequence stands for."""
+        p = profile([[0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 2, 3, 4]])
+        calls = []
+
+        def fixed(pr, order):
+            calls.append(order.order)
+            return serial_dictatorship(pr, AgentOrder.identity(pr.n))
+
+        classes, counts = exact_counts(Runner(fixed, None), p)
+        assert calls == [tuple(range(5))]
+        assert classes == ((0, 2, 4), (1,), (3,))
+        every = {}
+        for item_of, c in outcome_counts(fixed, p, order_stream(5)).items():
+            folded = fold_outcome(item_of, classes)
+            every[folded] = every.get(folded, 0) + c
+        assert {o: c * math.factorial(3) for o, c in counts.items()} == every
+
     def test_merged_prefixes_keep_the_largest_work(self):
         # Prefixes of one agent set reach one state; the work spells the
         # admitted agents as digits, so it differs between those prefixes.
@@ -722,7 +757,7 @@ class TestOneTrade:
         ("TLQ+G", "lottery4", 2),
         ("PLS+G", "lottery4", 3),
         ("SD+G", "lottery4", 3),
-        ("GS+G", "two_sided4", 1),  # order-free bases settle once
+        ("GS+G", "two_sided4", 1),  # order-free bases run once
         ("BOS-SIM+G", "two_sided4", 1),
     ])
     def test_ttc_calls_are_the_folded_base_outcomes(self, code, name, calls, request, monkeypatch):

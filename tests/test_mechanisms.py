@@ -13,6 +13,7 @@ from propmatch import (
     AgentOrder,
     FractionalAssignment,
     Matching,
+    Profile,
     compose_ttc,
     naive_boston_one_sided,
     probabilistic_serial,
@@ -21,8 +22,10 @@ from propmatch import (
     serial_dictatorship,
     top_trading_cycles,
 )
+from propmatch import registry
 from propmatch.axioms import is_pareto_efficient
 from propmatch.lottery import exact_lottery
+from propmatch.registry import resolve
 from propmatch.sampling import all_profiles, orbit_profiles
 
 from conftest import random_permutation, random_profile
@@ -371,6 +374,23 @@ class TestComposeTTC:
                 composed(trio, AgentOrder(perm)) != inner(trio, AgentOrder(perm))
                 for perm in itertools.permutations(range(3))
             )
+
+
+    def test_registry_trading_forms_equal_the_composition(self):
+        """Each ``+G`` code's run is ``compose_ttc`` of its base's."""
+        rng = random.Random(31)
+        codes = [code for code, mech in registry._BASE.items() if mech.kind == "matching"]
+        for n in range(1, 9):
+            for _ in range(3):
+                one_sided = random_profile(rng, n)
+                two_sided = Profile(one_sided.agent_prefs, random_profile(rng, n).agent_prefs)
+                orders = [AgentOrder(tuple(random_permutation(rng, n))) for _ in range(4)]
+                for code in codes:
+                    mech, _ = resolve(code + "+G")
+                    p = two_sided if mech.needs_item_prefs else one_sided
+                    composed = compose_ttc(mech.base.run)
+                    for order in orders:
+                        assert mech.run(p, order) == composed(p, order), (code, p, order)
 
 
 class TestUniformEndowmentTrading:
