@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lottery import MatchingMechanism, exact_counts, exact_lottery, order_stream
-from .mechanisms import top_trading_cycles
-from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
+from .mechanisms import trade
+from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile
 from .sampling import Prefs, _anchored, canonical
 from .welfare import _hungarian_max
 
@@ -59,7 +59,9 @@ def is_pareto_efficient(m: Matching, profile: Profile) -> bool:
     """True iff no trading cycle improves some agents without hurting any:
     equivalently, the matching is a fixed point of top trading cycles run on
     itself as the endowment."""
-    return top_trading_cycles(profile, m) == m
+    if m.n != profile.n:
+        raise InvalidInstanceError("endowment size mismatch")
+    return trade(profile, m.item_of) == m.item_of
 
 
 def first_inefficient_order(mechanism: MatchingMechanism, profile: Profile) -> Optional[AgentOrder]:
@@ -74,7 +76,7 @@ def first_inefficient_order(mechanism: MatchingMechanism, profile: Profile) -> O
     one by one, to find the first failing one.
     """
     _, counts = exact_counts(mechanism, profile)
-    if all(is_pareto_efficient(_trusted(Matching, item_of), profile) for item_of in counts):
+    if all(trade(profile, item_of) == item_of for item_of in counts):
         return None
     return next(
         order for order in order_stream(profile.n) if not is_pareto_efficient(mechanism(profile, order), profile)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .lottery import Stepper
-from .mechanisms import immediate_acceptance, serial_dictatorship, serial_dictatorship_stepper
-from .model import AgentOrder, InvalidInstanceError, Matching, Profile, _trusted
+from .mechanisms import _serial_dictatorship, immediate_acceptance, serial_dictatorship_stepper
+from .model import AgentOrder, InvalidInstanceError, Matching, Profile, _inverse, _trusted
 from .textio import names
 
 
@@ -149,7 +149,7 @@ def run_engine(
     Only the agent side of ``profile`` is used; item preferences are built
     dynamically per ``config``.  With ``record=False`` no trace is kept.
     """
-    return _run(profile, order, config, [()] * profile.n, record)
+    return _result(config, profile, order, record)
 
 
 # Gale-Shapley is permanent memory with queue discipline; every proposer is
@@ -163,8 +163,7 @@ def run_gale_shapley(profile: Profile, order: AgentOrder, record: bool = True) -
     The output matching is stable and does not depend on ``order``; the trace
     and proposal count do.  With ``record=False`` no trace is kept.
     """
-    _require_item_prefs(profile, "Gale-Shapley")
-    return _run(profile, order, _GALE_SHAPLEY, list(profile.item_prefs), record)
+    return _result(None, profile, order, record)
 
 
 def _require_item_prefs(profile: Profile, name: str) -> None:
@@ -172,29 +171,33 @@ def _require_item_prefs(profile: Profile, name: str) -> None:
         raise ModeError(f"{name} needs item-side preferences (an @items section)")
 
 
-def _run(
-    profile: Profile, order: AgentOrder, config: EngineConfig, memory: List[Tuple[int, ...]],
-    record: bool,
-) -> EngineResult:
-    """One whole run: every agent of ``order`` pending from the start."""
+def _result(config: Optional[EngineConfig], profile: Profile, order: AgentOrder, record: bool) -> EngineResult:
+    """A public run's result, built around ``_run``."""
+    log = [0, [] if record else None]
+    item_of = _run(config, profile, order, log)
+    return EngineResult(_trusted(Matching, item_of), log[0], tuple(log[1] or ()))  # complete by construction
+
+
+def _run(config: Optional[EngineConfig], profile: Profile, order: AgentOrder, log=None) -> Tuple[int, ...]:
+    """One whole run, every agent of ``order`` pending from the start: the
+    core of the engine codes and, with ``config`` None, of Gale-Shapley,
+    which records the items' stated preferences from the start.  Returns
+    the outcome ``item_of``.  A ``log`` ``[0, events]`` gets the proposal
+    count in ``log[0]``, and each TraceEvent appended to a list ``events``."""
     n = profile.n
+    memory = [()] * n
+    if config is None:
+        _require_item_prefs(profile, "Gale-Shapley")
+        config, memory = _GALE_SHAPLEY, list(profile.item_prefs)
     if len(order.order) != n:
         raise InvalidInstanceError("order length must equal agent count")
     pending = list(order.order)
     holder: List[Optional[int]] = [None] * n
-    count, trace = _propose(
-        _setup(profile, config), (holder, [0] * n, memory, pending), pending, 0, record
-    )
-    return EngineResult(_trusted(Matching, _item_of(holder)), count, tuple(trace))  # complete by construction
-
-
-def _item_of(holder) -> Tuple[int, ...]:
-    """The matching of a run that ended with every item held: each agent's
-    item, ``holder`` inverted."""
-    item_of = [0] * len(holder)
-    for o, a in enumerate(holder):
-        item_of[a] = o
-    return tuple(item_of)
+    trace = None if log is None else log[1]
+    count = _propose(_setup(profile, config), (holder, [0] * n, memory, pending), pending, 0, trace)
+    if log is not None:
+        log[0] = count
+    return _inverse(holder)  # each agent's item: every item is held
 
 
 def _setup(profile: Profile, config: EngineConfig) -> tuple:
@@ -224,8 +227,8 @@ def _propose(
     state: Tuple[list, list, list, Optional[list]],
     pending: list,
     count: int,
-    record: bool,
-) -> Tuple[int, List[TraceEvent]]:
+    trace: Optional[list],
+) -> int:
     """The proposal loop behind every engine entry point.
 
     ``setup`` is ``_setup``'s, which callers work out once per profile.
@@ -249,14 +252,14 @@ def _propose(
     exact lottery admits one agent at a time instead: ``pending`` holds just
     that agent, so under queue discipline it makes one proposal, and the
     agents it sends back wait for the later admits.  ``count`` is the number
-    of proposals made before; the new count is returned, with the
-    TraceEvents of the proposals when ``record`` is set.  Only a recorded
-    run works out each proposal's outcome, from item o's holder before and
-    after it.
+    of proposals made before; the new count is returned.  A recorded run
+    passes a list ``trace`` (else None), to which each proposal's
+    TraceEvent is appended; only such a run works out each proposal's
+    outcome, from item o's holder before and after it.
     """
     prefs, temporary, accept_last, stack, bound, no_memory, no_rank = setup
     holder, rank, memory, waiting = state
-    trace: List[TraceEvent] = []
+    record = trace is not None
     event = tuple.__new__  # an event from the tuple of its fields, as TraceEvent._make does
     i = 0
 
@@ -316,7 +319,7 @@ def _propose(
             trace.append(event(TraceEvent, (
                 j, o, outcome, displaced, temporary and h is None, tuple(pending[i:]), mem,
             )))
-    return count, trace
+    return count
 
 
 def engine_stepper(config: EngineConfig) -> Stepper:
@@ -346,18 +349,18 @@ def engine_stepper(config: EngineConfig) -> Stepper:
             # ``[*t]`` copies a tuple without calling ``list``, about 20 ns less a copy
             holder, rank, memory = [*holder], [*rank], [*memory]
             if stack:
-                count, _ = _propose(setup, (holder, rank, memory, None), [agent], count, False)
+                count = _propose(setup, (holder, rank, memory, None), [agent], count, None)
                 return (tuple(holder), tuple(rank), tuple(memory), ()), count
             waiting = [*waiting]
-            count, _ = _propose(setup, (holder, rank, memory, waiting), [agent], count, False)
+            count = _propose(setup, (holder, rank, memory, waiting), [agent], count, None)
             return (tuple(holder), tuple(rank), tuple(memory), tuple(waiting)), count
 
         def settle(state, count):
             holder, rank, memory, waiting = state
             if waiting:
                 holder, pending = list(holder), list(waiting)
-                _propose(setup, (holder, list(rank), list(memory), pending), pending, count, False)
-            return _item_of(holder)
+                _propose(setup, (holder, list(rank), list(memory), pending), pending, count, None)
+            return _inverse(holder)  # each agent's item: every item is held
 
         n = profile.n
         return ((None,) * n, (0,) * n, ((),) * n, ()), admit, settle
@@ -380,16 +383,15 @@ def run_boston_two_sided(profile: Profile, order: AgentOrder, mode: BostonMode) 
     a free item keeps the applicant its own preferences rank highest and
     permanently rejects the rest.
     """
+    return _trusted(Matching, _boston(mode, profile, order))
+
+
+def _boston(mode: BostonMode, profile: Profile, order: AgentOrder) -> Tuple[int, ...]:
+    """``run_boston_two_sided``'s outcome ``item_of``: the core of BOS-SEQ and BOS-SIM."""
     _require_item_prefs(profile, "two-sided Boston")
     if mode is BostonMode.SEQUENTIAL:
-        return serial_dictatorship(profile, order)
-    priority = []
-    for prefs in profile.item_prefs:
-        rank = [0] * profile.n
-        for r, a in enumerate(prefs):
-            rank[a] = r
-        priority.append(rank)
-    return immediate_acceptance(profile, priority)
+        return _serial_dictatorship(profile, order)
+    return immediate_acceptance(profile, order, [_inverse(prefs) for prefs in profile.item_prefs])
 
 
 def boston_sequential_stepper(profile: Profile):

@@ -33,7 +33,12 @@ CSV_HEADER = ("n", "mechanism", "metric", "mean", "stderr", "samples", "orders_m
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration."""
+    """Invalid experiment configuration.  ``key`` is the config key whose
+    value is refused, if one is; ``parse_config`` names its line."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,9 @@ class ExperimentConfig:
         except ValueError:
             orders = None
         if orders is None:
-            raise ConfigError("order_mode must be 'exact' or 'sampled:K'")
+            raise ConfigError("order_mode must be 'exact' or 'sampled:K'", "order_mode")
         if orders != "all" and orders < 1:
-            raise ConfigError("sampled order count must be >= 1")
+            raise ConfigError("sampled order count must be >= 1", "order_mode")
         object.__setattr__(self, "orders", orders)
 
 
@@ -80,53 +85,63 @@ def parse_config(text: str) -> ExperimentConfig:
     def integer(key: str, text: str) -> int:
         try:
             return int(text)
-        except ValueError:  # every default parses, so ``key`` was given
-            raise ConfigError(f"line {lines[key]}: {key} needs an integer, got {text!r}") from None
+        except ValueError:
+            raise ConfigError(f"{key} needs an integer, got {text!r}", key) from None
 
-    mechanisms = tuple(tok.strip() for tok in values.get("mechanisms", "").split(",") if tok.strip())
-    n_values = tuple(
-        integer("n_values", tok.strip()) for tok in values.get("n_values", "").split(",") if tok.strip()
-    )
-    metrics = tuple(tok.strip() for tok in values.get("metrics", "").split(",") if tok.strip())
-    profile_samples = integer("profile_samples", values.get("profile_samples", "1000"))
-    order_mode = values.get("order_mode", "sampled:1")
-    seed = integer("seed", values.get("seed", "0"))
-    cfg = ExperimentConfig(mechanisms, n_values, metrics, profile_samples, order_mode, seed)
-    validate_config(cfg)
+    try:
+        mechanisms = tuple(tok.strip() for tok in values.get("mechanisms", "").split(",") if tok.strip())
+        n_values = tuple(
+            integer("n_values", tok.strip()) for tok in values.get("n_values", "").split(",") if tok.strip()
+        )
+        metrics = tuple(tok.strip() for tok in values.get("metrics", "").split(",") if tok.strip())
+        profile_samples = integer("profile_samples", values.get("profile_samples", "1000"))
+        order_mode = values.get("order_mode", "sampled:1")
+        seed = integer("seed", values.get("seed", "0"))
+        cfg = ExperimentConfig(mechanisms, n_values, metrics, profile_samples, order_mode, seed)
+        validate_config(cfg)
+    except ConfigError as exc:  # a refused value gets the line of its key, if given
+        if exc.key not in lines:
+            raise
+        raise ConfigError(f"line {lines[exc.key]}: {exc}", exc.key) from None
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     if not cfg.mechanisms:
-        raise ConfigError("empty mechanism list")
+        raise ConfigError("empty mechanism list", "mechanisms")
     if not cfg.n_values or any(n < 1 for n in cfg.n_values):
-        raise ConfigError("n_values must be positive")
+        raise ConfigError("n_values must be positive", "n_values")
     if not cfg.metrics:
-        raise ConfigError("empty metric list")
+        raise ConfigError("empty metric list", "metrics")
     for m in cfg.metrics:
         if m not in METRICS:
-            raise ConfigError(f"unknown metric {m!r}")
+            raise ConfigError(f"unknown metric {m!r}", "metrics")
     if cfg.profile_samples < 1:
-        raise ConfigError("profile_samples must be >= 1")
+        raise ConfigError("profile_samples must be >= 1", "profile_samples")
     if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
+        raise ConfigError("seed must be >= 0", "seed")
     if (cfg.orders == "all" and max(cfg.n_values) > ENUMERATION_LIMIT
             and set(cfg.metrics) != {"order_bias"}):
         raise ConfigError(
-            f"order_mode=exact needs n <= {ENUMERATION_LIMIT}, got {max(cfg.n_values)}"
+            f"order_mode=exact needs n <= {ENUMERATION_LIMIT}, got {max(cfg.n_values)}", "order_mode"
         )
     if "util_loss" in cfg.metrics and min(cfg.n_values) < 2:
-        raise ConfigError("util_loss needs n >= 2: with one agent the optimum is 0")
+        raise ConfigError("util_loss needs n >= 2: with one agent the optimum is 0", "n_values")
     for code in cfg.mechanisms:
-        mech, randomized = resolve(code)  # raises on unknown codes / +G on PS
+        try:
+            mech, randomized = resolve(code)  # raises on unknown codes / +G on PS
+        except ValueError as exc:
+            raise ConfigError(str(exc), "mechanisms") from None
         if mech.needs_item_prefs:
-            raise ConfigError(f"{code} needs two-sided profiles; experiments sample one-sided")
+            raise ConfigError(f"{code} needs two-sided profiles; experiments sample one-sided", "mechanisms")
         for metric in cfg.metrics:
             if metric == "order_bias":
                 if randomized:
-                    raise ConfigError(f"order_bias evaluates a fixed order; drop the R- prefix on {code}")
+                    raise ConfigError(
+                        f"order_bias evaluates a fixed order; drop the R- prefix on {code}", "mechanisms"
+                    )
             elif mech.kind == "matching" and not randomized:
-                raise ConfigError(f"{metric} needs the randomized version: use R-{code}")
+                raise ConfigError(f"{metric} needs the randomized version: use R-{code}", "mechanisms")
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[Tuple]:

@@ -23,13 +23,13 @@ MatchingMechanism = Callable[[Profile, AgentOrder], Matching]
 # ``admit(state, work, agent)`` returns the state and work after ``agent``
 # joins the agents admitted so far, every agent the last included, and
 # ``settle(state, work)`` the outcome ``item_of`` of a state reached once all
-# n have joined, which the walk counts folded by class and, for a ``Runner``
-# with a ``trade``, ``exact_counts`` trades once per folded outcome.  A state
-# must be hashable, is hashed once per admit that reaches it, and must depend
-# on nothing but the admitted agents' order, so keep it to what later admits
-# read; ``work`` is what the mechanism counts towards a bound it enforces by
-# raising; prefix walks that meet in one state go on, or settle, from the
-# largest work among them.
+# n have joined, as ``run`` returns it, which the walk counts folded by class
+# and ``exact_counts`` trades once per folded outcome for a ``+G`` Runner.
+# A state must be hashable, is hashed once per admit that reaches it, and
+# must depend on nothing but the admitted agents' order, so keep it to what
+# later admits read; ``work`` is what the mechanism counts towards a bound it
+# enforces by raising; prefix walks that meet in one state go on, or settle,
+# from the largest work among them.
 Stepper = Callable[[Profile], tuple]
 
 # The largest n whose n! orders are enumerated (8! = 40320), whether one by
@@ -214,24 +214,24 @@ class LotteryResult:
 
 class Runner:
     """How a code runs: ``run(profile, order)`` is the mechanism before any
-    trade; ``stepper``, which ``exact_counts`` walks, is None exactly when
-    ``run`` never reads the order; a ``+G`` code's ``trade(profile,
-    item_of)`` maps ``run``'s outcome.  Calling the Runner runs ``run``, then
-    the trade.  Both must treat agents anonymously, as every registry code's
-    do."""
+    trade, as its outcome ``item_of``; ``stepper``, which ``exact_counts``
+    walks, is None exactly when ``run`` never reads the order; a ``+G``
+    code's ``trade(profile, item_of)`` maps ``run``'s outcome.  Calling the
+    Runner runs ``run``, then the trade, and returns the ``Matching``.  Both
+    must treat agents anonymously, as every registry code's do."""
 
     __slots__ = ("run", "stepper", "trade")
 
-    def __init__(self, run: MatchingMechanism, stepper: Optional[Stepper], trade: Optional[Callable] = None):
+    def __init__(self, run: Callable, stepper: Optional[Stepper], trade: Optional[Callable] = None):
         self.run = run
         self.stepper = stepper
         self.trade = trade
 
     def __call__(self, profile: Profile, order: AgentOrder) -> Matching:
-        matching = self.run(profile, order)
-        if self.trade is None:
-            return matching
-        return _trusted(Matching, self.trade(profile, matching.item_of))
+        item_of = self.run(profile, order)
+        if self.trade is not None:
+            item_of = self.trade(profile, item_of)
+        return _trusted(Matching, item_of)
 
 
 def _check_limit(n: int) -> None:
@@ -324,7 +324,7 @@ def exact_counts(mechanism: MatchingMechanism, profile: Profile) -> ClassCounts:
             by_prefs.setdefault(prefs, []).append(a)
         classes = tuple(map(tuple, by_prefs.values()))
     if mechanism.stepper is None:
-        outcome = fold_outcome(mechanism.run(profile, AgentOrder.identity(n)).item_of, classes)
+        outcome = fold_outcome(mechanism.run(profile, AgentOrder.identity(n)), classes)
         counts = ClassCounts(classes, {outcome: math.factorial(n) // spread_size(classes)})
     else:
         counts = ClassCounts(classes, _walk(mechanism.stepper(profile), classes))

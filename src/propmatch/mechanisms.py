@@ -7,11 +7,16 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .lottery import MatchingMechanism
-from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _trusted
+from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _inverse, _trusted
 
 
 def serial_dictatorship(profile: Profile, order: AgentOrder) -> Matching:
     """Agents pick in order; each takes its best still-unallocated item."""
+    return _trusted(Matching, _serial_dictatorship(profile, order))
+
+
+def _serial_dictatorship(profile: Profile, order: AgentOrder) -> Tuple[int, ...]:
+    """``serial_dictatorship``'s outcome ``item_of``, the core of SD and BOS-SEQ."""
     n = profile.n
     if len(order.order) != n:
         raise InvalidInstanceError("order length must equal agent count")
@@ -24,7 +29,7 @@ def serial_dictatorship(profile: Profile, order: AgentOrder) -> Matching:
                 break
         taken[o] = True
         item_of[j] = o
-    return _trusted(Matching, tuple(item_of))
+    return tuple(item_of)
 
 
 def serial_dictatorship_stepper(profile: Profile):
@@ -47,12 +52,17 @@ def serial_dictatorship_stepper(profile: Profile):
     return (None,) * profile.n, admit, settle
 
 
-def immediate_acceptance(profile: Profile, priority: Sequence[Sequence[int]]) -> Matching:
-    """Simultaneous immediate acceptance: in round r every unmatched agent
-    applies to its rank-r item, and a contested free item goes to the applicant
-    with the smallest ``priority[item][agent]``; the others are rejected for good.
-    """
+def immediate_acceptance(
+    profile: Profile, order: AgentOrder, priority: Optional[Sequence[Sequence[int]]] = None
+) -> Tuple[int, ...]:
+    """Simultaneous immediate acceptance, as an ``item_of``: in round r every
+    unmatched agent applies to its rank-r item, and a contested free item
+    goes to the applicant with the smallest ``priority[item][agent]``, by
+    default the earliest in ``order`` (NB's core); the others are rejected
+    for good."""
     n = profile.n
+    if priority is None:
+        priority = [_inverse(order.order)] * n
     item_of: List[Optional[int]] = [None] * n
     taken = [False] * n
     for r in range(n):
@@ -66,18 +76,13 @@ def immediate_acceptance(profile: Profile, priority: Sequence[Sequence[int]]) ->
             winner = min(js, key=priority[o].__getitem__)
             taken[o] = True
             item_of[winner] = o
-    return _trusted(Matching, tuple(item_of))
+    return tuple(item_of)
 
 
 def naive_boston_one_sided(profile: Profile, order: AgentOrder) -> Matching:
-    """Simultaneous immediate acceptance with the common item preference given
-    by ``order``: in round r every unmatched agent applies to its rank-r item,
-    and a contested free item goes to the applicant earliest in ``order``.
-    """
-    position = [0] * profile.n
-    for i, a in enumerate(order.order):
-        position[a] = i
-    return immediate_acceptance(profile, [position] * profile.n)
+    """Immediate acceptance with the common item preference given by ``order``:
+    a contested free item goes to the applicant earliest in ``order``."""
+    return _trusted(Matching, immediate_acceptance(profile, order))
 
 
 def naive_boston_stepper(profile: Profile):
@@ -177,7 +182,15 @@ def probabilistic_serial(profile: Profile) -> FractionalAssignment:
 
 
 def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
-    """Trade from an initial ownership until no improving cycle remains.
+    """Trade from an initial ownership until no improving cycle remains (``trade``)."""
+    if endowment.n != profile.n:
+        raise InvalidInstanceError("endowment size mismatch")
+    return _trusted(Matching, trade(profile, endowment.item_of))
+
+
+def trade(profile: Profile, owns: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Top trading cycles from the endowment ``owns``, an ``item_of``, as an
+    ``item_of``: the trade of a ``+G`` code.
 
     Every remaining agent points to the current owner of its best remaining
     item.  Following the pointers from an agent that holds nothing reaches a
@@ -186,10 +199,7 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
     unique strict-core allocation, Shapley-Scarf).  The result is
     individually rational and has no improving trade cycle.
     """
-    n = profile.n
-    if endowment.n != n:
-        raise InvalidInstanceError("endowment size mismatch")
-    prefs, owns = profile.agent_prefs, endowment.item_of
+    n, prefs = profile.n, profile.agent_prefs
     owner = {o: a for a, o in enumerate(owns)}  # remaining items only
     # Each agent's position of its best remaining item.  Items only ever
     # leave, so the position only moves forward.
@@ -210,14 +220,7 @@ def top_trading_cycles(profile: Profile, endowment: Matching) -> Matching:
             for a in walk[walk.index(j):]:
                 item_of[a] = wants[a]
                 del owner[owns[a]]
-    return _trusted(Matching, tuple(item_of))
-
-
-def trade(profile: Profile, item_of: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Top trading cycles from the endowment ``item_of``, as an ``item_of``:
-    the trade of a ``+G`` code, which ``exact_counts`` applies to each folded
-    outcome of its base."""
-    return top_trading_cycles(profile, _trusted(Matching, item_of)).item_of
+    return tuple(item_of)
 
 
 def compose_ttc(mechanism: MatchingMechanism) -> MatchingMechanism:

@@ -31,6 +31,14 @@ def _as_permutation(seq: Iterable[int], n: int, what: str) -> Tuple[int, ...]:
     raise InvalidInstanceError(f"{what} must be a permutation of 0..{n - 1}, got {t!r}")
 
 
+def _inverse(perm: Sequence[int]) -> Tuple[int, ...]:
+    """The inverse of a permutation of 0..n-1: each value's position."""
+    inverse = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    return tuple(inverse)
+
+
 def _trusted(cls, *values):
     """``cls(*values)`` for a frozen dataclass without its ``__post_init__``
     checks: only for values valid by construction, such as a tuple built as

@@ -7,16 +7,20 @@ PFS compute the same matchings, as do NB and PFQ; both implementations are
 kept because their equivalence is a tested property.  BOS-SEQ never reads
 the item preferences it requires: it runs serial dictatorship.  BOS-SIM and
 NB share one immediate-acceptance loop, with item priorities taken from the
-item preferences and from the order respectively.  A code reads the order
-exactly when it has a stepper, which admits every agent and then settles
-each distinct final state once (NB's is ``naive_boston_stepper``, not PFQ's
+item preferences and from the order respectively.  Each code's ``Runner``
+runs its family's core, which returns the outcome ``item_of``: the engine's
+``_run`` (the engine codes and GS), ``_serial_dictatorship`` (SD, BOS-SEQ)
+or ``immediate_acceptance`` (NB, BOS-SIM).  A code reads the order exactly
+when it has a stepper, which admits every agent and then settles each
+distinct final state once (NB's is ``naive_boston_stepper``, not PFQ's
 engine stepper); GS, BOS-SIM and PS have none.
 
 Modifiers: a trailing ``+G`` reruns the output through top trading cycles
-(invalid on PS); its ``Runner`` is the base's with ``mechanisms.trade``, so
-an exact lottery folds the base's outcomes, then trades each folded outcome
-once.  A leading ``R-`` marks randomization over the initial order (an
-evaluation mode, not a different base mechanism).  ``RSD`` means ``R-SD``.
+(invalid on PS); its ``Runner`` is the base's core and stepper with
+``mechanisms.trade``, so an exact lottery folds the base's outcomes, then
+trades each folded outcome once.  A leading ``R-`` marks randomization over
+the initial order (an evaluation mode, not a different base mechanism).
+``RSD`` means ``R-SD``.
 """
 from __future__ import annotations
 
@@ -29,22 +33,23 @@ from .engine import (
     BostonMode,
     EngineConfig,
     EngineResult,
+    _boston,
+    _run,
     boston_sequential_stepper,
     engine_stepper,
-    run_boston_two_sided,
     run_engine,
     run_gale_shapley,
 )
-from .lottery import MatchingMechanism, Runner, Stepper, exact_lottery
+from .lottery import Runner, exact_lottery
 from .mechanisms import (
-    naive_boston_one_sided,
+    _serial_dictatorship,
+    immediate_acceptance,
     naive_boston_stepper,
     probabilistic_serial,
-    serial_dictatorship,
     serial_dictatorship_stepper,
     trade,
 )
-from .model import AgentOrder, FractionalAssignment, Matching, Profile
+from .model import AgentOrder, FractionalAssignment, Profile
 
 # A proposal run and its engine configuration, None for GS's stated item preferences.
 Traced = Tuple[EngineResult, Optional[EngineConfig]]
@@ -54,24 +59,17 @@ Traced = Tuple[EngineResult, Optional[EngineConfig]]
 class Mechanism:
     """A mechanism with uniform call surfaces for experiments and the CLI.
 
-    Each code sets ``_run`` for a matching or ``_assignment`` for a
-    fractional outcome.  The proposal codes (the eight engine codes and GS)
-    also set ``_trace``, the run with its events if asked, paired with its
-    configuration; their ``_run`` calls the unrecorded engine run directly,
-    so a campaign's runs build no trace and no such pair.  ``_stepper`` admits one
-    agent at a time and settles each final state once, for exact lotteries;
-    only the codes that read the order (``uses_order``) have one.  A ``+G``
-    form sets only its ``base``: its ``run`` is the base's ``Runner`` with
-    ``mechanisms.trade`` added, so a campaign runs the base once for both.
+    ``run`` is the code's ``Runner``; calling it gives the ``Matching``.  A
+    fractional code sets ``_assignment``, and its Runner refuses to run.
+    The proposal codes (the eight engine codes and GS) also set ``_trace``,
+    the public run with its events if asked, paired with its configuration.
     """
 
     code: str
     needs_item_prefs: bool
-    _run: Optional[MatchingMechanism] = None
+    run: Runner
     _assignment: Optional[Callable[[Profile], FractionalAssignment]] = None
     _trace: Optional[Callable[[Profile, AgentOrder, bool], Traced]] = None
-    _stepper: Optional[Stepper] = None
-    base: Optional["Mechanism"] = None
 
     @property
     def uses_order(self) -> bool:
@@ -81,19 +79,6 @@ class Mechanism:
     def kind(self) -> str:
         """``"fractional"`` for a random assignment, else ``"matching"``."""
         return "matching" if self._assignment is None else "fractional"
-
-    @functools.cached_property
-    def run(self) -> Runner:
-        """The matching mechanism, ``run(profile, order)``: the code's own
-        run and stepper, or for a ``+G`` form its base's ``Runner``, its
-        stepper and the trade."""
-        if self.base is not None:
-            base = self.base.run
-            return Runner(base, base.stepper, trade)
-        return Runner(self._run or self._no_run, self._stepper)
-
-    def _no_run(self, profile: Profile, order: AgentOrder) -> Matching:
-        raise ValueError(f"{self.code} does not produce discrete matchings")
 
     def trace(self, profile: Profile, order: AgentOrder, record: bool) -> Optional[Traced]:
         """The proposal run, with its events if ``record`` is set, and its
@@ -108,36 +93,33 @@ class Mechanism:
         return self._assignment(profile)
 
 
-# The runners are lambdas that read ``run_engine`` and ``run_gale_shapley``
-# from this module's globals on each call, so a wrapper set there sees every run.
+def _no_run(profile: Profile, order: AgentOrder):
+    raise ValueError("PS does not produce discrete matchings")
+
+
+# The trace lambdas read ``run_engine`` and ``run_gale_shapley`` from this
+# module's globals on each call, so a wrapper set there sees every traced run.
 def _engine_mech(code: str) -> Mechanism:
     config = EngineConfig.from_code(code)
     return Mechanism(
-        code,
-        needs_item_prefs=False,
-        _run=lambda p, o, _c=config: run_engine(p, o, _c, False).matching,
+        code, False, Runner(functools.partial(_run, config), engine_stepper(config)),
         _trace=lambda p, o, record, _c=config: (run_engine(p, o, _c, record), _c),
-        _stepper=engine_stepper(config),
     )
 
 
 _BASE = {code: _engine_mech(code) for code in ALL_ENGINE_CODES}
-_BASE["SD"] = Mechanism("SD", False, _run=serial_dictatorship, _stepper=serial_dictatorship_stepper)
-_BASE["NB"] = Mechanism("NB", False, _run=naive_boston_one_sided, _stepper=naive_boston_stepper)
-_BASE["PS"] = Mechanism("PS", False, _assignment=probabilistic_serial)
+_BASE["SD"] = Mechanism("SD", False, Runner(_serial_dictatorship, serial_dictatorship_stepper))
+_BASE["NB"] = Mechanism("NB", False, Runner(immediate_acceptance, naive_boston_stepper))
+_BASE["PS"] = Mechanism("PS", False, Runner(_no_run, None), _assignment=probabilistic_serial)
 _BASE["GS"] = Mechanism(
-    "GS", True,
-    _run=lambda p, o: run_gale_shapley(p, o, False).matching,
+    "GS", True, Runner(functools.partial(_run, None), None),
     _trace=lambda p, o, r: (run_gale_shapley(p, o, r), None),
 )
 _BASE["BOS-SEQ"] = Mechanism(
-    "BOS-SEQ", True,
-    _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SEQUENTIAL),
-    _stepper=boston_sequential_stepper,
+    "BOS-SEQ", True, Runner(functools.partial(_boston, BostonMode.SEQUENTIAL), boston_sequential_stepper)
 )
 _BASE["BOS-SIM"] = Mechanism(
-    "BOS-SIM", True,
-    _run=lambda p, o: run_boston_two_sided(p, o, BostonMode.SIMULTANEOUS),
+    "BOS-SIM", True, Runner(functools.partial(_boston, BostonMode.SIMULTANEOUS), None)
 )
 
 
@@ -167,6 +149,6 @@ def resolve(code: str) -> Tuple[Mechanism, bool]:
     if with_ttc:
         if mech.kind != "matching":
             raise ValueError(f"+G is invalid on {code}: no discrete output to trade from")
-        mech = Mechanism(code + "+G", mech.needs_item_prefs, base=mech)
+        mech = Mechanism(code + "+G", mech.needs_item_prefs, Runner(mech.run.run, mech.run.stepper, trade))
     return mech, randomized
 

@@ -182,15 +182,16 @@ def _bias_stats(sums: List[int], squares: List[int], count: int) -> WelfareStats
     return WelfareStats(bias, math.sqrt(se(hi) ** 2 + se(lo) ** 2) / n)
 
 
-def _source(mechanism) -> Tuple[int, object, Optional[Callable]]:
-    """What a matching cell runs, worked out once a campaign: ``(id(run), run,
-    trade)``.  A ``Runner`` with a ``trade`` (a ``+G`` form's) runs its
-    untraded ``run``, its base's own ``Runner``, so X and X+G share one key;
-    anything else runs itself, with no trade."""
+def _source(mechanism) -> Tuple[Callable, object, Optional[Callable]]:
+    """What a matching cell runs, worked out once a campaign: ``(core,
+    walked, trade)``.  A ``Runner``'s core is its ``run``, which a ``+G``
+    form shares with its base, so X and X+G share runs keyed by it;
+    ``walked`` is the untraded Runner.  Anything else runs itself, read
+    through ``item_of``, with no trade."""
     run = mechanism.run
-    if isinstance(run, Runner) and run.trade is not None:
-        return id(run.run), run.run, run.trade
-    return id(run), run, None
+    if isinstance(run, Runner):
+        return run.run, Runner(run.run, run.stepper), run.trade
+    return (lambda p, o: run(p, o).item_of), run, None
 
 
 def _outcome_sums(
@@ -221,7 +222,7 @@ def _utility_sums(
     orders, runs: dict,
 ) -> Tuple[List[int], int, int]:
     """``_outcome_sums`` of a matching cell on one profile, over ``orders``.
-    ``source`` is the cell's ``_source``; ``runs`` keeps by base key the
+    ``source`` is the cell's ``_source``; ``runs`` keeps by core the
     outcome counts of each base already run on these orders, so X and X+G
     run the base once.
 
@@ -235,17 +236,17 @@ def _utility_sums(
     fold: top trading cycles renames its result when agents of one class
     are renamed, and swapping items within a class changes neither the
     class's sum nor the worst-off value."""
-    key, run, trade = source
-    counts = runs.get(key)
+    core, walked, trade = source
+    counts = runs.get(core)
     if orders != "all":
         if counts is None:
-            counts = runs[key] = {}
+            counts = runs[core] = {}
             for order in orders:
-                item_of = run(profile, order).item_of
+                item_of = core(profile, order)
                 counts[item_of] = counts.get(item_of, 0) + 1
         return _outcome_sums(counts, u, profile, trade)
     if counts is None:
-        counts = runs[key] = exact_counts(run, profile)
+        counts = runs[core] = exact_counts(walked, profile)
     classes, tally = counts
     sums, total, worst = _outcome_sums(tally, u, profile, trade)
     if len(classes) < len(u):
@@ -285,11 +286,12 @@ def campaign(
     on the call, before any profile, whatever the cells, as is ``"all"``
     past ``ENUMERATION_LIMIT`` if a loss or egalitarian cell runs orders.
     Each base mechanism then runs once per order, and once on the identity
-    order for bias cells.  On drawn orders a base's outcomes are kept as
-    counts of plain ``item_of`` tuples, which X and X+G share, and a ``+G``
-    cell trades each distinct drawn outcome once; a bias cell reads its
-    base's identity-order ``item_of`` and trades it for ``+G``.  With
-    ``orders="all"`` a base's outcomes are ``exact_counts``, folded by class,
+    order for bias cells, through its core (``_source``), which returns a
+    plain ``item_of``.  On drawn orders a base's outcomes are kept as counts
+    of those tuples, which X and X+G share, and a ``+G`` cell trades each
+    distinct drawn outcome once; a bias cell reads its base's identity-order
+    ``item_of`` and trades it for ``+G``.  With ``orders="all"`` a base's
+    outcomes are ``exact_counts`` of its untraded Runner, folded by class,
     and a ``+G`` cell trades each folded outcome once, as it trades drawn ones.
     Fractional mechanisms run no orders: their sums are ``_utility_rows`` of
     the assignment, over its ``scale``, and their worst-off value is the
@@ -335,7 +337,7 @@ def campaign(
         if need_opt:
             opt = optimal_utilitarian(profile, u)[0].numerator
         drawn = [_trusted(AgentOrder, draw()) for _ in range(orders)] if sampled else orders
-        got, runs = {}, {}  # by id(mechanism): utility sums; by base key: outcome counts
+        got, runs = {}, {}  # by id(mechanism): utility sums; by core: outcome counts
         for key, (mech, source) in plans.items():
             if source is None:
                 sums, scale = _utility_rows(mech.assignment(profile), u)
@@ -351,11 +353,11 @@ def campaign(
             else:
                 nums[i].append(worst if metric == "egal_realized" else min(sums))
                 dens[i].append(total * n)
-        fixed = {}  # by base key: the base's outcome on the identity order
-        for i, base, run, trade in fixed_plans:
-            item_of = fixed.get(base)
+        fixed = {}  # by core: the base's outcome on the identity order
+        for i, core, _, trade in fixed_plans:
+            item_of = fixed.get(core)
             if item_of is None:
-                item_of = fixed[base] = run(profile, identity).item_of
+                item_of = fixed[core] = core(profile, identity)
             if trade is not None:
                 item_of = trade(profile, item_of)
             sums, squares = pos_sums[i], pos_squares[i]

@@ -458,7 +458,7 @@ class TestGenerateAndExperiment:
         config, out = tmp_path / "neg.cfg", tmp_path / "out.csv"
         config.write_text(Path(EXPERIMENT).read_text() + "seed = -5\n")
         status, stdout, err = main_result(capsys, "experiment", str(config), "--out", str(out))
-        assert (status, stdout, err) == (2, "", "error: seed must be >= 0\n")
+        assert (status, stdout, err) == (2, "", "error: line 6: seed must be >= 0\n")
         assert not out.exists()
 
     def test_experiment_empty_mechanisms_rejected(self, tmp_path):
@@ -500,7 +500,7 @@ class TestGenerateAndExperiment:
         config.write_text("mechanisms = RSD\nn_values = 3, 1\nmetrics = util_loss\n")
         status, stdout, err = main_result(capsys, "experiment", str(config), "--out", str(out))
         assert (status, stdout) == (2, "")
-        assert err == "error: util_loss needs n >= 2: with one agent the optimum is 0\n"
+        assert err == "error: line 2: util_loss needs n >= 2: with one agent the optimum is 0\n"
         assert not out.exists()
 
 

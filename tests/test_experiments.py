@@ -9,6 +9,7 @@ from propmatch.experiments import (
     parse_config,
     rows_to_csv,
     run_experiment,
+    validate_config,
 )
 
 GOOD = """
@@ -57,12 +58,44 @@ class TestParseAndValidate:
             (("n_values        = 3, 4", "n_values        = 4, x"), "line 4: n_values needs an integer, got 'x'"),
             (("profile_samples = 20", "profile_samples = 2o"), "line 6: profile_samples needs an integer, got '2o'"),
             (("seed            = 123", "seed            = 1.5"), r"line 8: seed needs an integer, got '1\.5'"),
+            # A value refused after parsing names the line of its key.
+            (("sampled:2", "exactly"), r"^line 7: order_mode must be 'exact' or 'sampled:K'$"),
+            (("sampled:2", "sampled:0"), "^line 7: sampled order count must be >= 1$"),
+            (("3, 4\nmetrics         = util_loss, egal\nprofile_samples = 20\norder_mode      = sampled:2",
+              "3, 9\nmetrics         = util_loss, egal\nprofile_samples = 20\norder_mode      = exact"),
+             "^line 7: order_mode=exact needs n <= 8, got 9$"),
+            (("n_values        = 3, 4", "n_values        = 0"), "^line 4: n_values must be positive$"),
+            (("n_values        = 3, 4", "n_values        = 1"), "^line 4: util_loss needs n >= 2"),
+            (("profile_samples = 20", "profile_samples = 0"), "^line 6: profile_samples must be >= 1$"),
+            (("seed            = 123", "seed            = -5"), "^line 8: seed must be >= 0$"),
+            (("util_loss, egal", "banana"), "^line 5: unknown metric 'banana'$"),
+            (("metrics         = util_loss, egal", "metrics         ="), "^line 5: empty metric list$"),
+            (("mechanisms      = RSD, R-TLS+G, PS", "mechanisms      ="), "^line 3: empty mechanism list$"),
+            (("RSD, R-TLS+G, PS", "RSD, BOGUS"), "^line 3: unknown mechanism code 'BOGUS'$"),
+            (("RSD, R-TLS+G, PS", "RSD, PS+G"), "^line 3: [+]G is invalid on PS"),
+            (("RSD, R-TLS+G, PS", "RSD, GS"), "^line 3: GS needs two-sided profiles"),
+            (("RSD, R-TLS+G, PS", "RSD, TLS"), "^line 3: util_loss needs the randomized version: use R-TLS$"),
+            (("util_loss, egal", "order_bias"),
+             "^line 3: order_bias evaluates a fixed order; drop the R- prefix on RSD$"),
         ],
     )
     def test_rejected_configs(self, mutation, match):
         old, new = mutation
         with pytest.raises((ConfigError, ValueError), match=match):
             parse_config(GOOD.replace(old, new))
+
+    def test_configs_built_in_code_name_no_line(self):
+        """Only ``parse_config`` names lines: a config built in code, or a
+        key left at its default, is refused with the bare message."""
+        with pytest.raises(ConfigError) as exc:
+            validate_config(ExperimentConfig(("RSD",), (0,), ("util_loss",), 5, "sampled:1", 0))
+        assert str(exc.value) == "n_values must be positive"
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(("RSD",), (3,), ("util_loss",), 5, "exactly", 0)
+        assert str(exc.value) == "order_mode must be 'exact' or 'sampled:K'"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(GOOD.replace("mechanisms      = RSD, R-TLS+G, PS", ""))
+        assert str(exc.value) == "empty mechanism list"
 
     def test_order_bias_wants_bare_codes(self):
         text = GOOD.replace("util_loss, egal", "order_bias")

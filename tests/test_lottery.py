@@ -38,7 +38,12 @@ from propmatch.lottery import (
     sampled_lottery,
     singleton_classes,
 )
-from propmatch.mechanisms import naive_boston_stepper, serial_dictatorship_stepper
+from propmatch.mechanisms import (
+    _serial_dictatorship,
+    immediate_acceptance,
+    naive_boston_stepper,
+    serial_dictatorship_stepper,
+)
 from propmatch.registry import resolve
 from propmatch.sampling import (
     ProfileSampler,
@@ -418,7 +423,7 @@ class TestOrbitLottery:
 
             return start, admit, counted
 
-        stepped = exact_lottery(Runner(serial_dictatorship, recording), p)
+        stepped = exact_lottery(Runner(_serial_dictatorship, recording), p)
         assert len(settled) <= 6 < len(lot.outcomes)
         assert stepped == lot
 
@@ -506,14 +511,14 @@ class TestSteppedCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_nb_stepper_equals_replay_on_every_orbit(self, n):
         # The plain ``naive_boston_one_sided`` is run on every order.
-        stepped = Runner(naive_boston_one_sided, naive_boston_stepper)
+        stepped = Runner(immediate_acceptance, naive_boston_stepper)
         for p in orbit_profiles(n):
             assert exact_lottery(stepped, p) == exact_lottery(naive_boston_one_sided, p), p
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(class_profiles())
     def test_nb_stepper_equals_replay(self, p):
-        stepped = Runner(naive_boston_one_sided, naive_boston_stepper)
+        stepped = Runner(immediate_acceptance, naive_boston_stepper)
         assert exact_lottery(stepped, p) == exact_lottery(naive_boston_one_sided, p)
 
     @pytest.mark.slow
@@ -550,13 +555,13 @@ class TestSteppedCounts:
 
         def fixed(pr, order):
             calls.append(order.order)
-            return serial_dictatorship(pr, AgentOrder.identity(pr.n))
+            return _serial_dictatorship(pr, AgentOrder.identity(pr.n))
 
         classes, counts = exact_counts(Runner(fixed, None), p)
         assert calls == [tuple(range(5))]
         assert classes == ((0, 2, 4), (1,), (3,))
         every = {}
-        for item_of, c in outcome_counts(fixed, p, order_stream(5)).items():
+        for item_of, c in outcome_counts(Runner(fixed, None), p, order_stream(5)).items():
             folded = fold_outcome(item_of, classes)
             every[folded] = every.get(folded, 0) + c
         assert {o: c * math.factorial(3) for o, c in counts.items()} == every
@@ -579,7 +584,7 @@ class TestSteppedCounts:
             return None, admit, settle
 
         p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
-        counts = exact_counts(Runner(serial_dictatorship, stepper), p).counts
+        counts = exact_counts(Runner(_serial_dictatorship, stepper), p).counts
         assert counts == {(0, 1, 2): 6}
         # The states of {0, 1}, {0, 2} and {1, 2} go on from 21, 31 and 32,
         # and the one final state settles from the largest of 213, 312, 321.
@@ -599,7 +604,7 @@ class TestSteppedCounts:
         p = profile([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
         # Refused by the lottery itself, before either Fraction view is read.
         with pytest.raises(InvalidInstanceError, match=r"\(0, 0, 0\) is not a matching of 3 items"):
-            exact_lottery(Runner(serial_dictatorship, stepper), p)
+            exact_lottery(Runner(_serial_dictatorship, stepper), p)
         with pytest.raises(InvalidInstanceError):
             LotteryResult((((0, 0, 0), 6),), 6)
 
@@ -636,7 +641,7 @@ class TestSteppedCounts:
 
         p = profile([[0, 1], [1, 0]])
         with pytest.raises(InvalidInstanceError, match="is not a matching of 2 items"):
-            exact_lottery(Runner(serial_dictatorship, stepper), p)
+            exact_lottery(Runner(_serial_dictatorship, stepper), p)
 
 
 def n7_class_profile(sizes, seed):
@@ -762,17 +767,17 @@ class TestOneTrade:
     ])
     def test_ttc_calls_are_the_folded_base_outcomes(self, code, name, calls, request, monkeypatch):
         p = request.getfixturevalue(name)
-        mech, _ = resolve(code)
         endowments = []
-        real = mechanisms.top_trading_cycles
+        real = mechanisms.trade
 
         def counted(profile, endowment):
-            endowments.append(endowment.item_of)
+            endowments.append(endowment)
             return real(profile, endowment)
 
-        monkeypatch.setattr(mechanisms, "top_trading_cycles", counted)
+        monkeypatch.setattr(registry, "trade", counted)  # what ``resolve`` gives a +G Runner
+        mech, _ = resolve(code)
         exact_lottery(mech.run, p)
-        assert endowments == list(exact_counts(mech.base.run, p).counts)
+        assert endowments == list(exact_counts(resolve(code[:-2])[0].run, p).counts)
         assert len(endowments) == calls
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)

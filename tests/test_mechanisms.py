@@ -23,6 +23,14 @@ from propmatch import (
     top_trading_cycles,
 )
 from propmatch import registry
+from propmatch.engine import (
+    ALL_ENGINE_CODES,
+    BostonMode,
+    EngineConfig,
+    run_boston_two_sided,
+    run_engine,
+    run_gale_shapley,
+)
 from propmatch.axioms import is_pareto_efficient
 from propmatch.lottery import exact_lottery
 from propmatch.registry import resolve
@@ -388,9 +396,53 @@ class TestComposeTTC:
                 for code in codes:
                     mech, _ = resolve(code + "+G")
                     p = two_sided if mech.needs_item_prefs else one_sided
-                    composed = compose_ttc(mech.base.run)
+                    composed = compose_ttc(resolve(code)[0].run)
                     for order in orders:
                         assert mech.run(p, order) == composed(p, order), (code, p, order)
+
+
+def _public(code):
+    """The public function of a registry matching code, as a mechanism that
+    returns a ``Matching``."""
+    if code in ALL_ENGINE_CODES:
+        config = EngineConfig.from_code(code)
+        return lambda p, o: run_engine(p, o, config, False).matching
+    if code.startswith("BOS-"):
+        mode = BostonMode.SEQUENTIAL if code == "BOS-SEQ" else BostonMode.SIMULTANEOUS
+        return lambda p, o: run_boston_two_sided(p, o, mode)
+    return {
+        "SD": serial_dictatorship,
+        "NB": naive_boston_one_sided,
+        "GS": lambda p, o: run_gale_shapley(p, o, False).matching,
+    }[code]
+
+
+class TestCoresAgainstPublicFunctions:
+    """Each registry code's Runner runs its family's core, which returns a
+    plain ``item_of`` tuple: the ``item_of`` of the code's public function.
+    Its ``+G`` form shares that core, and trading the core's tuple gives
+    ``compose_ttc`` of the public function."""
+
+    @pytest.mark.parametrize(
+        "code", [code for code, mech in registry._BASE.items() if mech.kind == "matching"]
+    )
+    def test_core_is_the_public_item_of(self, code):
+        mech, traded = resolve(code)[0], resolve(code + "+G")[0]
+        assert traded.run.run is mech.run.run
+        public = _public(code)
+        composed = compose_ttc(public)
+        rng = random.Random(code)
+        for n in range(1, 17):
+            for _ in range(2):
+                p = random_profile(rng, n)
+                if mech.needs_item_prefs:
+                    p = Profile(p.agent_prefs, random_profile(rng, n).agent_prefs)
+                for _ in range(3):
+                    order = AgentOrder(tuple(random_permutation(rng, n)))
+                    got = mech.run.run(p, order)
+                    assert type(got) is tuple and got == public(p, order).item_of, (p, order)
+                    got = traded.run.trade(p, traded.run.run(p, order))
+                    assert type(got) is tuple and got == composed(p, order).item_of, (p, order)
 
 
 class TestUniformEndowmentTrading:

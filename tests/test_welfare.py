@@ -1,4 +1,5 @@
 """Borda welfare metrics, the assignment optimum, and the sampling campaigns."""
+import dataclasses
 import functools
 import itertools
 import math
@@ -21,7 +22,7 @@ from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.experiments import ExperimentConfig, run_experiment
 from propmatch import mechanisms, registry, welfare
 from propmatch.lottery import (
-    ENUMERATION_LIMIT, ClassCounts, EnumerationLimitError, exact_counts, exact_lottery, fold_outcome,
+    ENUMERATION_LIMIT, ClassCounts, EnumerationLimitError, Runner, exact_counts, exact_lottery, fold_outcome,
     order_stream, permutation_drawer, refold, singleton_classes, spread_size,
 )
 from propmatch.registry import resolve
@@ -480,13 +481,15 @@ class TestCampaignPass:
 
     def test_one_base_run_per_order(self, monkeypatch):
         calls = []
-        real = registry.run_engine
+        for code in ("TLQ", "PLS"):  # count at each base's core, which its +G form shares
+            base = registry._BASE[code]
 
-        def counted(*args):
-            calls.append(args[1])
-            return real(*args)
+            def counted(profile, order, core=base.run.run):
+                calls.append(order)
+                return core(profile, order)
 
-        monkeypatch.setattr(registry, "run_engine", counted)
+            runner = Runner(counted, base.run.stepper)
+            monkeypatch.setitem(registry._BASE, code, dataclasses.replace(base, run=runner))
         loss = [(resolve(code)[0], "util_loss") for code in ("R-TLQ", "R-TLQ+G", "R-PLS+G")]
         campaign(loss, 5, 20, 3, orders=3)
         assert len(calls) == 2 * 20 * 3  # TLQ and PLS, once per order
@@ -501,13 +504,13 @@ class TestCampaignPass:
 
     def test_all_orders_trade_each_folded_base_outcome_once(self, monkeypatch):
         calls = []
-        real = mechanisms.top_trading_cycles
+        real = mechanisms.trade
 
         def counted(profile, endowment):
             calls.append(endowment)
             return real(profile, endowment)
 
-        monkeypatch.setattr(mechanisms, "top_trading_cycles", counted)
+        monkeypatch.setattr(registry, "trade", counted)  # what ``resolve`` gives a +G Runner
         bases = [resolve(code)[0] for code in ("SD", "TLQ")]
         cells = [(resolve(code)[0], "util_loss") for code in ("R-SD+G", "R-TLQ+G")]
         campaign(cells, 4, 40, 3, orders="all")
@@ -591,23 +594,22 @@ class TestCampaignPass:
 
 def oracle_outcomes(mechanism, profile, orders, runs):
     """``welfare._outcomes`` as it was before drawn orders kept plain
-    outcome tuples: a ``ClassCounts`` of singleton classes per drawn run, and
-    a ``refold`` by a ``functools.partial`` of the trade per ``+G`` cell;
-    the reference for ``campaign``."""
-    base = getattr(mechanism, "base", None)
-    own = base or mechanism
-    counts = runs.get(id(own))
+    outcome tuples, but with no run shared between X and X+G: a
+    ``ClassCounts`` of singleton classes per drawn run of the mechanism
+    itself, a ``+G`` run traded whole by calling its Runner; the reference
+    for ``campaign``."""
+    counts = runs.get(id(mechanism))
     if counts is None:
         if orders == "all":
-            counts = exact_counts(own.run, profile)
+            counts = exact_counts(mechanism.run, profile)
         else:
-            run, tally = own.run, {}
+            run, tally = mechanism.run, {}
             for order in orders:
                 out = run(profile, order).item_of
                 tally[out] = tally.get(out, 0) + 1
             counts = ClassCounts(singleton_classes(profile.n), tally)
-        runs[id(own)] = counts
-    return counts if base is None else refold(counts, functools.partial(mechanism.run.trade, profile))
+        runs[id(mechanism)] = counts
+    return counts
 
 
 def oracle_utility_sums(mechanism, profile, u, orders, runs):
