@@ -112,9 +112,9 @@ class LotteryResult:
     standing for its permutations within the classes, and ``folded`` keeps
     them as passed (``classes`` is every agent alone when not given).  There
     must be at least one outcome, every outcome must be a permutation of
-    0..n-1 with a count of at least 1, a representative must give each class
-    its items in ascending order, and the counts times ``spread_size`` must
-    sum to ``order_count``.
+    0..n-1 with a count of at least 1, the outcomes must be distinct and
+    sorted, a representative must give each class its items in ascending
+    order, and the counts times ``spread_size`` must sum to ``order_count``.
 
     ``rows[i][o]`` counts the orders giving agent i item o, read from the
     folded form: agent i of class C gets item o from each folded outcome
@@ -145,9 +145,13 @@ class LotteryResult:
         ):
             raise InvalidInstanceError(f"lottery classes {classes} must list agents 0..{n - 1} once, ascending")
         items = _indices(n)
+        before = None
         for item_of, c in outcomes:
             if len(item_of) != n or set(item_of) != items:
                 raise InvalidInstanceError(f"lottery outcome {item_of} is not a matching of {n} items")
+            if before is not None and item_of <= before:
+                raise InvalidInstanceError(f"lottery outcomes must be distinct and sorted: {item_of} after {before}")
+            before = item_of
             if c < 1:
                 raise InvalidInstanceError(f"lottery outcome {item_of} needs a count >= 1, got {c}")
             if any(item_of[a] > item_of[b] for members in groups for a, b in zip(members, members[1:])):

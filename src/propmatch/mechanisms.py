@@ -61,6 +61,8 @@ def immediate_acceptance(
     default the earliest in ``order`` (NB's core); the others are rejected
     for good."""
     n = profile.n
+    if len(order.order) != n:
+        raise InvalidInstanceError("order length must equal agent count")
     if priority is None:
         priority = [_inverse(order.order)] * n
     item_of: List[Optional[int]] = [None] * n

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lottery import Runner, exact_counts, order_stream, permutation_drawer, spread_size
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
@@ -182,28 +182,40 @@ def _bias_stats(sums: List[int], squares: List[int], count: int) -> WelfareStats
     return WelfareStats(bias, math.sqrt(se(hi) ** 2 + se(lo) ** 2) / n)
 
 
-def _source(mechanism) -> Tuple[Callable, object, Optional[Callable]]:
-    """What a matching cell runs, worked out once a campaign: ``(core,
-    walked, trade)``.  A ``Runner``'s core is its ``run``, which a ``+G``
-    form shares with its base, so X and X+G share runs keyed by it;
-    ``walked`` is the untraded Runner.  Anything else runs itself, read
-    through ``item_of``, with no trade."""
-    run = mechanism.run
-    if isinstance(run, Runner):
-        return run.run, Runner(run.run, run.stepper), run.trade
-    return (lambda p, o: run(p, o).item_of), run, None
-
-
-def _outcome_sums(
-    tally: Dict[Tuple[int, ...], int], u: Sequence[Sequence[int]],
-    profile: Profile, trade: Optional[Callable],
+def _utility_sums(
+    runner: Runner, profile: Profile, u: Sequence[Sequence[int]], orders, runs: dict,
 ) -> Tuple[List[int], int, int]:
-    """Expected Borda utilities over the outcome counts ``tally``, as
-    integers over one denominator: ``(sums, total, worst)`` means agent i
-    expects ``sums[i] / total`` and the worst-off agent of a run gets
-    ``worst / total`` in expectation.  With a ``trade`` (a ``+G`` cell's),
-    each distinct outcome is traded on ``profile`` once, and its count
-    goes to what the trade gives."""
+    """Expected Borda utilities of a matching cell on one profile, over
+    ``orders``, as integers over one denominator: ``(sums, total, worst)``
+    means agent i expects ``sums[i] / total`` and the worst-off agent of a
+    run gets ``worst / total`` in expectation.  ``runner`` is the cell's
+    ``mech.run``; ``runs`` keeps by its core the outcome counts of each base
+    already run on these orders, so X and X+G run the base once.
+
+    A list of drawn orders is counted as ``(None, tally)``, a plain tally of
+    the core's ``item_of`` tuples; ``"all"`` is counted by ``exact_counts``
+    of the untraded Runner, folded by class.  Either way a ``+G`` cell trades
+    each distinct base outcome once, and its count goes to what the trade
+    gives.  A folded outcome stands for ``spread_size`` outcomes: agents of
+    one class share one utility row, so the worst-off value is the same for
+    each of them, and each member of class C expects the class's sum over
+    |C|.  The trade of a folded outcome needs no second fold: top trading
+    cycles renames its result when agents of one class are renamed, and
+    swapping items within a class changes neither the class's sum nor the
+    worst-off value."""
+    core, trade = runner.run, runner.trade
+    counts = runs.get(core)
+    if counts is None:
+        if orders == "all":
+            counts = exact_counts(Runner(core, runner.stepper), profile)
+        else:
+            tally: Dict[Tuple[int, ...], int] = {}
+            for order in orders:
+                item_of = core(profile, order)
+                tally[item_of] = tally.get(item_of, 0) + 1
+            counts = None, tally
+        runs[core] = counts
+    classes, tally = counts
     sums = [0] * len(u)
     worst = total = 0
     for item_of, c in tally.items():
@@ -214,42 +226,7 @@ def _outcome_sums(
         for i, v in enumerate(values):
             sums[i] += c * v
         total += c
-    return sums, total, worst
-
-
-def _utility_sums(
-    source: Tuple[int, object, Optional[Callable]], profile: Profile, u: Sequence[Sequence[int]],
-    orders, runs: dict,
-) -> Tuple[List[int], int, int]:
-    """``_outcome_sums`` of a matching cell on one profile, over ``orders``.
-    ``source`` is the cell's ``_source``; ``runs`` keeps by core the
-    outcome counts of each base already run on these orders, so X and X+G
-    run the base once.
-
-    A list of drawn orders is counted as a dict of plain ``item_of``
-    tuples; ``"all"`` counts by ``exact_counts``, folded by class.  Either
-    way a ``+G`` cell trades each distinct base outcome once, in
-    ``_outcome_sums``.  A folded outcome stands for ``spread_size``
-    outcomes: agents of one class share one utility row, so the worst-off
-    value is the same for each of them, and each member of class C expects
-    the class's sum over |C|.  The trade of a folded outcome needs no second
-    fold: top trading cycles renames its result when agents of one class
-    are renamed, and swapping items within a class changes neither the
-    class's sum nor the worst-off value."""
-    core, walked, trade = source
-    counts = runs.get(core)
-    if orders != "all":
-        if counts is None:
-            counts = runs[core] = {}
-            for order in orders:
-                item_of = core(profile, order)
-                counts[item_of] = counts.get(item_of, 0) + 1
-        return _outcome_sums(counts, u, profile, trade)
-    if counts is None:
-        counts = runs[core] = exact_counts(walked, profile)
-    classes, tally = counts
-    sums, total, worst = _outcome_sums(tally, u, profile, trade)
-    if len(classes) < len(u):
+    if classes is not None and len(classes) < len(u):
         spread = spread_size(classes)
         for members in classes:
             each = spread // len(members) * sum(sums[a] for a in members)
@@ -285,14 +262,13 @@ def campaign(
     by one ``permutation_drawer`` for the pass.  A count k below 1 is refused
     on the call, before any profile, whatever the cells, as is ``"all"``
     past ``ENUMERATION_LIMIT`` if a loss or egalitarian cell runs orders.
-    Each base mechanism then runs once per order, and once on the identity
-    order for bias cells, through its core (``_source``), which returns a
-    plain ``item_of``.  On drawn orders a base's outcomes are kept as counts
-    of those tuples, which X and X+G share, and a ``+G`` cell trades each
-    distinct drawn outcome once; a bias cell reads its base's identity-order
-    ``item_of`` and trades it for ``+G``.  With ``orders="all"`` a base's
-    outcomes are ``exact_counts`` of its untraded Runner, folded by class,
-    and a ``+G`` cell trades each folded outcome once, as it trades drawn ones.
+    A matching cell's mechanism carries a ``lottery.Runner`` (``mech.run``),
+    as every registry code does.  Each base mechanism then runs once per
+    order, and once on the identity order for bias cells, through the
+    Runner's core, which returns a plain ``item_of``.  ``_utility_sums``
+    counts a base's outcomes, drawn or over all orders, which X and X+G
+    share, and a ``+G`` cell trades each distinct outcome once; a bias cell
+    reads its base's identity-order ``item_of`` and trades it for ``+G``.
     Fractional mechanisms run no orders: their sums are ``_utility_rows`` of
     the assignment, over its ``scale``, and their worst-off value is the
     minimum expectation.
@@ -319,12 +295,8 @@ def campaign(
         raise ValueError("util_loss needs n >= 2: with one agent the optimum is 0")
     sampled = orders != "all" and matching
     draw = permutation_drawer(random.Random(seed ^ _ORDER_SEED), n) if sampled else None
-    plans = {}  # by id(mechanism): the mechanism and ``_source``'s, None if fractional
-    for i in ratios:
-        mech = cells[i][0]
-        if id(mech) not in plans:
-            plans[id(mech)] = mech, None if mech.kind == "fractional" else _source(mech)
-    fixed_plans = [(i, *_source(cells[i][0])) for i in biased]
+    plans = {id(cells[i][0]): cells[i][0] for i in ratios}  # each mechanism once
+    fixed_plans = [(i, cells[i][0].run.run, cells[i][0].run.trade) for i in biased]
     nums = {i: [] for i in ratios}
     dens = {i: [] for i in ratios}
     pos_sums = {i: [0] * n for i in biased}
@@ -338,12 +310,12 @@ def campaign(
             opt = optimal_utilitarian(profile, u)[0].numerator
         drawn = [_trusted(AgentOrder, draw()) for _ in range(orders)] if sampled else orders
         got, runs = {}, {}  # by id(mechanism): utility sums; by core: outcome counts
-        for key, (mech, source) in plans.items():
-            if source is None:
+        for key, mech in plans.items():
+            if mech.kind == "fractional":
                 sums, scale = _utility_rows(mech.assignment(profile), u)
                 got[key] = sums, scale, min(sums)
             else:
-                got[key] = _utility_sums(source, profile, u, drawn, runs)
+                got[key] = _utility_sums(mech.run, profile, u, drawn, runs)
         for i in ratios:
             mech, metric = cells[i]
             sums, total, worst = got[id(mech)]
@@ -354,7 +326,7 @@ def campaign(
                 nums[i].append(worst if metric == "egal_realized" else min(sums))
                 dens[i].append(total * n)
         fixed = {}  # by core: the base's outcome on the identity order
-        for i, core, _, trade in fixed_plans:
+        for i, core, trade in fixed_plans:
             item_of = fixed.get(core)
             if item_of is None:
                 item_of = fixed[core] = core(profile, identity)

@@ -417,7 +417,8 @@ class TestGenerateAndExperiment:
     @pytest.mark.parametrize("config", sorted(DATA.glob("experiment34_*.cfg")), ids=lambda p: p.stem)
     def test_experiment_golden(self, capsys, config):
         """Loss and bias campaigns at n = 3 and 4, on three drawn orders a
-        profile and on all orders: the CSV equals the committed one."""
+        profile and on all orders, the pairs with each randomized code beside
+        its +G form: the CSV equals the committed one."""
         status, out, err = main_result(capsys, "experiment", str(config))
         assert (status, err) == (0, "")
         assert out == config.with_suffix(".csv").read_text()

@@ -617,6 +617,16 @@ class TestSteppedCounts:
         with pytest.raises(InvalidInstanceError, match=f"counts must sum to {order_count}"):
             LotteryResult((((0, 1), 1), ((1, 0), 1)), order_count)
 
+    @pytest.mark.parametrize("outcomes", [
+        (((1, 0), 1), ((0, 1), 1)),
+        (((0, 1), 1), ((0, 1), 1)),
+    ], ids=["unsorted", "repeated"])
+    def test_outcomes_not_distinct_and_sorted_refused(self, outcomes):
+        # Each sums to the order count, and the unsorted one has the rows of
+        # the sorted lottery, which it would compare unequal to.
+        with pytest.raises(InvalidInstanceError, match="distinct and sorted"):
+            LotteryResult(outcomes, 2)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_refused(self, count):
         # Rows and columns of these counts still sum to the order count.

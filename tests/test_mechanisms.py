@@ -33,6 +33,7 @@ from propmatch.engine import (
 )
 from propmatch.axioms import is_pareto_efficient
 from propmatch.lottery import exact_lottery
+from propmatch.model import InvalidInstanceError
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles, orbit_profiles
 
@@ -443,6 +444,22 @@ class TestCoresAgainstPublicFunctions:
                     assert type(got) is tuple and got == public(p, order).item_of, (p, order)
                     got = traded.run.trade(p, traded.run.run(p, order))
                     assert type(got) is tuple and got == composed(p, order).item_of, (p, order)
+
+
+class TestOrderLength:
+    """Every run refuses an order whose length is not the agent count: each
+    registry matching code, its ``+G`` form and its public function."""
+
+    @pytest.mark.parametrize("order", [(1, 0), (1, 0, 3, 2)], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("form", ["", "+G", "public"])
+    @pytest.mark.parametrize(
+        "code", [code for code, mech in registry._BASE.items() if mech.kind == "matching"]
+    )
+    def test_order_of_another_length_refused(self, code, form, order):
+        run = _public(code) if form == "public" else resolve(code + form)[0].run
+        p = profile([[0, 1, 2], [0, 2, 1], [1, 0, 2]], [[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+        with pytest.raises(InvalidInstanceError, match="order length must equal agent count"):
+            run(p, AgentOrder(order))
 
 
 class TestUniformEndowmentTrading:

@@ -16,7 +16,7 @@ from propmatch.model import Matching, Profile
 from propmatch.registry import resolve
 from propmatch.sampling import ProfileSampler, all_profiles, orbit_profiles
 from propmatch.textio import ProfileParseError, format_profile, parse_profile
-from propmatch.welfare import _source, _utility_sums, borda_utilities, optimal_utilitarian, utilitarian_welfare
+from propmatch.welfare import _utility_sums, borda_utilities, optimal_utilitarian, utilitarian_welfare
 
 SIZES = range(1, 9)
 ONE_SIDED = list(engine.ALL_ENGINE_CODES) + ["SD", "NB"]
@@ -151,15 +151,17 @@ class TestMechanismOutcomes:
         """The base outcomes a campaign's ``+G`` cell trades, sampled or from
         the steppers of exact counts, and what the trades give."""
         for code in ("R-PLS+G", "R-TLQ+G", "R-NB+G"):
-            source = _source(resolve(code)[0])
-            trade = source[2]
+            runner = resolve(code)[0].run
+            trade = runner.trade
             for p in profiles(n, 3):
                 u = borda_utilities(p)
                 for drawn in [orders(n, 4)] + (["all"] if n <= 6 else []):
                     runs = {}
-                    _utility_sums(source, p, u, drawn, runs)
+                    _utility_sums(runner, p, u, drawn, runs)
                     (counts,) = runs.values()
-                    for item_of in counts.counts if drawn == "all" else counts:
+                    classes, tally = counts  # a drawn entry is (None, tally)
+                    assert (classes is None) == (drawn != "all")
+                    for item_of in tally:
                         Matching(item_of)  # checked
                         Matching(trade(p, item_of))
 

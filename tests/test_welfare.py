@@ -31,7 +31,6 @@ from propmatch.welfare import (
     _bias_stats,
     _hungarian_max,
     _ratio_stats,
-    _source,
     _utility_rows,
     _utility_sums,
     borda_utilities,
@@ -232,8 +231,7 @@ class _OptimalMechanism:
     kind = "matching"
     uses_order = False
 
-    def run(self, p, order):
-        return optimal_utilitarian(p)[1]
+    run = Runner(lambda p, o: optimal_utilitarian(p)[1].item_of, None)
 
 
 class TestCampaigns:
@@ -535,14 +533,14 @@ class TestCampaignPass:
 
     @staticmethod
     def _check_folded_sums(code, top):
-        source = _source(resolve(code)[0])
-        trade = source[2]
+        runner = resolve(code)[0].run
+        trade = runner.trade
         for n in range(2, top + 1):
             for p in orbit_profiles(n):
                 u = borda_utilities(p)
                 every = list(order_stream(n))
                 runs = {}
-                assert _utility_sums(source, p, u, "all", runs) == _utility_sums(source, p, u, every, {}), p
+                assert _utility_sums(runner, p, u, "all", runs) == _utility_sums(runner, p, u, every, {}), p
                 (base,) = runs.values()
                 classes, counts = base
                 assert all(fold_outcome(item_of, classes) == item_of for item_of in counts), p
