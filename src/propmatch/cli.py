@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -95,15 +96,16 @@ def cmd_run(args) -> int:
     result, config = traced
     print(f"{format_matching(result.matching)}; proposals={result.proposal_count}")
     if args.trace:
-        sys.stdout.write(format_trace_table(order, result, config))
+        sys.stdout.writelines(format_trace_table(order, result, config))
     return 0
 
 
 def cmd_lottery(args) -> int:
+    """Exact without ``--samples``; with it, receipt frequencies over that many orders."""
     check_seed(args.seed)  # refused even when no samples are drawn
     profile = _read_profile(args.profile)
     mech, _randomized = resolve(args.mechanism)
-    if not args.samples:
+    if args.samples is None:
         out = format_matrix(mech.assignment(profile))
     elif mech.kind == "fractional":
         _fail(f"{mech.code} has an exact fractional outcome; drop --samples", USAGE_ERROR)
@@ -233,13 +235,15 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    profiles = list(profile_stream(args.n, _profile_source(args, args.count, "all"), args.seed))
+    """Write each profile as it is drawn; every input is refused before ``--out`` is made."""
+    profiles = profile_stream(args.n, _profile_source(args, args.count, "all"), args.seed)
+    total = math.factorial(args.n) ** args.n if args.exhaustive else args.count
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    width = max(3, len(str(len(profiles) - 1)))
+    width = max(3, len(str(total - 1)))
     for i, profile in enumerate(profiles):
         (outdir / f"profile_{i:0{width}d}.txt").write_text(format_profile(profile))
-    print(f"wrote {len(profiles)} profiles to {outdir}")
+    print(f"wrote {total} profiles to {outdir}")
     return 0
 
 
@@ -284,7 +288,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lottery", help="exact or sampled uniform-order lottery")
     p.add_argument("profile")
     p.add_argument("mechanism")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo order samples; default: all orders")
+    p.add_argument("--samples", type=int, help="Monte Carlo order samples; default: all orders")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("axioms", help="axiom sweeps with witnesses")

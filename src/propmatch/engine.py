@@ -424,13 +424,13 @@ def replay_trace(profile: Profile, order: AgentOrder, trace: Tuple[TraceEvent, .
 
 def format_trace_table(
     order: AgentOrder, result: EngineResult, config: Optional[EngineConfig] = None
-) -> str:
-    """Render a recorded run in the tabular trace format.
-
-    One line per proposal:
+) -> Iterator[str]:
+    """Yield a recorded run in the tabular trace format, one row per proposal
+    as it is iterated, each ending in a newline (``"".join`` gives the table):
     ``index | proposer -> item | outcome | pending-after | partial-matching | item-memories``.
     ``config`` is the engine configuration the run used; pass None for a
-    fixed-preference run (no memory column).  Costs time linear in the table.
+    fixed-preference run (no memory column).  Holds one row at a time; an
+    event that does not apply raises ``InvalidInstanceError`` at its row.
     """
     n = len(order.order)
     agents, items = names(n)
@@ -441,7 +441,6 @@ def format_trace_table(
     held: List[Optional[str]] = [None] * n
     mems: List[Optional[str]] = [None] * n
     matching_s = mem_s = "-"
-    out = []
     events = enumerate(_replay([None] * n, result.trace), start=1)
     for idx, (j, o, outcome, displaced, reset, pending, memory) in events:
         word = outcome._value_  # what ``.value`` reads, without the property
@@ -457,7 +456,4 @@ def format_trace_table(
             mems[o] = f"{items[o]}:" + ">".join(map(agent, memory)) if memory else None
             mem_s = " ".join(filter(None, mems)) or "none"
         pending_s = ",".join(map(agent, pending)) or "-"
-        out.append(
-            f"{idx} | {agents[j]} -> {items[o]} | {word} | {pending_s} | {matching_s} | {mem_s}"
-        )
-    return "\n".join(out) + "\n"
+        yield f"{idx} | {agents[j]} -> {items[o]} | {word} | {pending_s} | {matching_s} | {mem_s}\n"

@@ -25,6 +25,7 @@ from propmatch.axioms import (
 )
 from propmatch.engine import ALL_ENGINE_CODES
 from propmatch.lottery import EnumerationLimitError, exact_lottery, order_stream
+from propmatch.model import InvalidInstanceError
 from propmatch.registry import resolve
 from propmatch.sampling import all_profiles, orbit_profiles
 
@@ -112,6 +113,10 @@ class TestParetoEfficiency:
         p = profile([[0, 1], [1, 0]])
         assert is_pareto_efficient(Matching((0, 1)), p)
 
+    def test_matching_of_another_size_refused(self, trio):
+        with pytest.raises(InvalidInstanceError, match="endowment size mismatch"):
+            is_pareto_efficient(Matching((1, 0)), trio)
+
     def test_agrees_with_brute_force_exhaustive_n3(self):
         matchings = [Matching(perm) for perm in itertools.permutations(range(3))]
         for p in all_profiles(3):
@@ -189,6 +194,7 @@ class TestStrategyproofness:
             for agent in range(3):
                 report = check_strategyproofness(sd.run, p, agent)
                 assert report.overall is SPVerdict.STRATEGYPROOF
+                assert report.best_deviation() is None
 
     def test_late_swap_profits_under_accept_last(self):
         ident = profile([[0, 1, 2, 3]] * 4)
@@ -323,6 +329,11 @@ class TestStrategyproofness:
 class TestFeasibleTopK:
     def test_distinct_tops(self):
         assert feasible_top_k(profile([[0, 1], [1, 0]]), 1)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_k_outside_1_to_n_refused(self, k):
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            feasible_top_k(profile([[0, 1], [1, 0]]), k)
 
     def test_shared_top(self):
         assert not feasible_top_k(profile([[0, 1], [0, 1]]), 1)

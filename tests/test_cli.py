@@ -3,11 +3,12 @@ golden proposal tables for all eight engine codes and Gale-Shapley."""
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from propmatch import axioms, cli as cli_module, experiments, sampling
+from propmatch import axioms, cli as cli_module, experiments, profile, sampling
 from propmatch.cli import main
 from propmatch.lottery import exact_lottery
 from propmatch.model import AgentOrder
@@ -84,6 +85,30 @@ class TestRun:
         status, out, err = main_result(capsys, "run", str(DATA / "trace27.txt"), code, "--trace")
         assert (status, err) == (0, "")
         assert out == (DATA / f"trace27_{code}.txt").read_text()
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the child's ru_maxrss in KiB")
+    def test_long_trace_written_as_it_is_formatted(self, tmp_path):
+        """An identical-list TLQ trace at n = 64 is 72,907 lines, 184 MB.  It
+        is written row by row: the run's child, the only child of a fresh
+        interpreter that hashes its stdout in chunks, peaks far below the
+        594 MB that building the whole table took."""
+        path = tmp_path / "identical64.txt"
+        path.write_text(format_profile(profile([list(range(64))] * 64)))
+        script = textwrap.dedent(f"""
+            import hashlib, resource, subprocess, sys
+            argv = [sys.executable, "-m", "propmatch.cli", "run", {str(path)!r}, "TLQ", "--trace"]
+            child = subprocess.Popen(argv, stdout=subprocess.PIPE)
+            digest = hashlib.sha256()
+            for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
+                digest.update(chunk)
+            print(child.wait(), digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        status, sha, max_rss_kib = proc.stdout.split()
+        assert (status, sha) == ("0", "c07f09f1b938ce8ea4711c882dab3c4a0bdea46f0e9df3b283f9ac56516ad079")
+        assert int(max_rss_kib) < 120 * 1024
 
     def test_gale_shapley(self):
         out = cli("run", TWO_SIDED, "GS")
@@ -396,6 +421,23 @@ class TestGenerateAndExperiment:
         assert len(list(out.iterdir())) == 216
         assert len({f.read_text() for f in out.iterdir()}) == 216
 
+    def test_generate_writes_each_profile_as_drawn(self, monkeypatch, capsys, tmp_path):
+        """Profile i is on disk before profile i + 1 is drawn."""
+        out, drawn = tmp_path / "corpus", []
+        real = cli_module.profile_stream
+
+        def stream(*args):
+            for i, p in enumerate(real(*args)):
+                assert i == 0 or (out / f"profile_{i - 1:03d}.txt").exists()
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(cli_module, "profile_stream", stream)
+        assert main(["generate", "--n", "3", "--count", "5", "--seed", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 5 profiles to {out}\n"
+        assert [(out / f"profile_{i:03d}.txt").read_text() for i in range(5)] == list(
+            map(format_profile, drawn))
+
     def test_generate_rejects_zero(self, tmp_path):
         cli("generate", "--n", "0", "--out", str(tmp_path / "x"), expect=2)
 
@@ -583,6 +625,12 @@ class TestErrorContract:
             (("compare", "R-PFS", "R-SD", "--n", "3", "--samples", "5", "--seed", "-1"), 2),
             (("generate", "--n", "3", "--count", "2", "--seed", "-5",
               "--out", str(DATA / "never-written")), 2),
+            # no --samples means exact, so a count of 0 is refused as below 1
+            (("lottery", BENCH, "R-SD", "--samples", "0"), 2),
+            (("lottery", BENCH, "PS", "--samples", "0"), 1),
+            # a lottery code given to run, a two-sided code to a one-sided sweep
+            (("run", BENCH, "R-SD"), 1),
+            (("axioms", "GS", "--n", "3"), 2),
         ],
     )
     def test_bad_input(self, args, code):

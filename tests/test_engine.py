@@ -103,8 +103,9 @@ class TestEngineRuns:
             assert EngineConfig.from_code(code).code == code
 
     def test_unknown_code_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig.from_code("XYZ")
+        for code in ("XYZ", "PFSQ"):
+            with pytest.raises(ValueError, match=f"unknown engine code '{code}'"):
+                EngineConfig.from_code(code)
 
 
 def looping_profile(n=2):
@@ -194,7 +195,7 @@ class TestEngineInvariants:
         with pytest.raises(InvalidInstanceError, match="non-holder"):
             replay_trace(bench4, IDENT4, bad)
         with pytest.raises(InvalidInstanceError, match="non-holder"):
-            format_trace_table(IDENT4, r._replace(trace=bad), config)
+            "".join(format_trace_table(IDENT4, r._replace(trace=bad), config))
 
     def test_unrecorded_run_matches_recorded(self):
         for p, order in self._random_cases():
@@ -500,7 +501,7 @@ def seeded_table_digest(code, n, seed):
     else:
         config = EngineConfig.from_code(code)
         r = run_engine(p, order, config)
-    return hashlib.sha256(format_trace_table(order, r, config).encode()).hexdigest()
+    return hashlib.sha256("".join(format_trace_table(order, r, config)).encode()).hexdigest()
 
 
 class TestTraceTable:
@@ -515,7 +516,7 @@ class TestTraceTable:
     def test_columns_and_shape(self, bench4):
         config = EngineConfig.from_code("TLS")
         r = run_engine(bench4, IDENT4, config)
-        table = format_trace_table(IDENT4, r, config)
+        table = "".join(format_trace_table(IDENT4, r, config))
         lines = table.strip().splitlines()
         assert len(lines) == r.proposal_count
         first = [c.strip() for c in lines[0].split("|")]
@@ -579,7 +580,7 @@ class TestTraceTableOracle:
                 config = EngineConfig.from_code(code)
                 r = run_engine(p, order, config)
             for c in (config, None):  # None: no memory column
-                table = format_trace_table(order, r, c)
+                table = "".join(format_trace_table(order, r, c))
                 reference = reference_trace_table(order, r, c)
                 # lines first: a failure then names the first bad line cheaply
                 assert table.split("\n") == reference.split("\n")

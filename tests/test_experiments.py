@@ -77,6 +77,9 @@ class TestParseAndValidate:
             (("RSD, R-TLS+G, PS", "RSD, TLS"), "^line 3: util_loss needs the randomized version: use R-TLS$"),
             (("util_loss, egal", "order_bias"),
              "^line 3: order_bias evaluates a fixed order; drop the R- prefix on RSD$"),
+            (("sampled:2", "sampled:x"), r"^line 7: order_mode must be 'exact' or 'sampled:K'$"),
+            (("seed            = 123", "seed            = 123\nbanana"),
+             r"^line 9: expected 'key = value', got 'banana'$"),
         ],
     )
     def test_rejected_configs(self, mutation, match):

@@ -720,11 +720,16 @@ class TestFoldedResult:
                     p = profile(p.agent_prefs, p.agent_prefs)
                 lot, spread = exact_lottery(mech.run, p), spread_lottery(mech.run, p)
                 folded += len(lot.classes) < n
-                assert lot == spread and spread == lot, p
+                assert lot == spread and spread == lot and hash(lot) == hash(spread), p
                 assert lot.rows == spread.rows, p
                 assert lot.outcomes == spread.outcomes, p
                 assert lot.support == spread.support, p
         assert folded == (0 if mech.needs_item_prefs else 300)  # orbits with a shared list
+
+    def test_unequal_to_other_rows_and_to_non_lotteries(self, lottery4):
+        sd, nb = (exact_lottery(resolve(code)[0].run, lottery4) for code in ("SD", "NB"))
+        assert sd.rows != nb.rows and sd != nb
+        assert sd != sd.rows and sd.__eq__(sd.rows) is NotImplemented
 
     def test_fold_spreads_over_permutations_within_classes(self):
         # Agents 0 and 2 share a list, as do 1 and 3: the six label sequences
@@ -863,13 +868,14 @@ class TestEquivalence:
     def test_pfs_equals_sd_over_all_n3(self):
         pfs, _ = resolve("PFS")
         sd, _ = resolve("SD")
-        assert equivalent_on(pfs.run, sd.run, all_profiles(3), orders="all").equal
+        verdict = equivalent_on(pfs.run, sd.run, all_profiles(3), orders="all")
+        assert verdict.equal and verdict
 
     def test_tfq_tlq_differ_with_witness(self):
         tfq, _ = resolve("TFQ")
         tlq, _ = resolve("TLQ")
         verdict = equivalent_on(tfq.run, tlq.run, all_profiles(3), orders="all")
-        assert not verdict.equal
+        assert not verdict.equal and not verdict
         assert verdict.profile is not None and verdict.order is not None
         order = verdict.order
         assert tfq.run(verdict.profile, order) != tlq.run(verdict.profile, order)

@@ -116,6 +116,10 @@ class TestTopTradingCycles:
         m = top_trading_cycles(trio, Matching((2, 1, 0)))
         assert m.item_of == (2, 0, 1)
 
+    def test_endowment_of_another_size_refused(self, trio):
+        with pytest.raises(InvalidInstanceError, match="endowment size mismatch"):
+            top_trading_cycles(trio, Matching((1, 0)))
+
     def test_efficient_endowment_is_fixed_point(self, trio):
         eff = Matching((2, 0, 1))
         assert top_trading_cycles(trio, eff) == eff

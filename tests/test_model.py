@@ -9,6 +9,7 @@ from propmatch import (
     FractionalAssignment,
     InvalidInstanceError,
     Matching,
+    Profile,
     format_profile,
     matching_to_assignment,
     parse_profile,
@@ -106,6 +107,10 @@ class TestInvariants:
             with pytest.raises(InvalidInstanceError) as excinfo:
                 build()
             assert str(excinfo.value) == f"{what} must be a permutation of 0..2, got {shown}"
+
+    def test_profile_needs_an_agent(self):
+        with pytest.raises(InvalidInstanceError, match="profile needs at least one agent"):
+            Profile(())
 
     def test_item_pref_count_must_match(self):
         with pytest.raises(InvalidInstanceError):
@@ -205,6 +210,10 @@ class TestProfileText:
     def test_wrong_item_count(self):
         with pytest.raises(ProfileParseError, match="expected 3"):
             parse_profile("1: a,b\n2: a,b,c\n3: a,b,c\n")
+
+    def test_no_agent_lines_refused(self):
+        with pytest.raises(ProfileParseError, match="no agent lines found"):
+            parse_profile("# none\n")
 
     def test_unknown_item_name(self):
         with pytest.raises(ProfileParseError, match="unknown item"):
