@@ -10,9 +10,9 @@ import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lottery import MatchingMechanism, exact_counts, exact_lottery, order_stream
+from .lottery import MatchingMechanism, exact_counts, order_stream
 from .mechanisms import trade
-from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile
+from .model import AgentOrder, FractionalAssignment, InvalidInstanceError, Matching, Profile, _trusted
 from .sampling import Prefs, _anchored, canonical
 from .welfare import _hungarian_max
 
@@ -169,7 +169,8 @@ def _receipt_row(
     agent: int,
     memo: Optional[LotteryMemo],
 ) -> Tuple[int, ...]:
-    """The agent's exact-lottery row as receipt counts over n!.
+    """The agent's exact-lottery row as receipt counts over n!: ``exact_counts(...).rows`` of a
+    ``_trusted`` profile, valid lists with a permutation swapped in or ``canonical``'s least.
 
     With ``memo``, a one-sided row is kept under the agent's anchored form
     (``sampling._anchored``), in the anchored item names, and renamed back
@@ -179,7 +180,7 @@ def _receipt_row(
     profile's row is built without the memo.
     """
     if memo is None or item_prefs is not None:
-        return exact_lottery(mechanism, Profile(agent_prefs, item_prefs)).rows[agent]
+        return exact_counts(mechanism, _trusted(Profile, agent_prefs, item_prefs)).rows[agent]
     form, items = _anchored(agent_prefs, agent)
     row = memo.get(form)
     if row is None:
@@ -187,7 +188,7 @@ def _receipt_row(
         key = (least, None)
         rows = memo.get(key)
         if rows is None:
-            rows = memo[key] = exact_lottery(mechanism, Profile(least)).rows
+            rows = memo[key] = exact_counts(mechanism, _trusted(Profile, least, None)).rows
         least_row = rows[agents.index(0)]
         row = memo[form] = tuple([least_row[y] for y in renamed])
     return tuple([row[y] for y in items])

@@ -56,11 +56,16 @@ class ClassCounts(NamedTuple):
     ``counts`` maps each folded outcome to a count c: the outcome is the
     representative ``item_of`` that gives each class its items in ascending
     order of agent (``fold_outcome``), and it stands for every outcome that
-    permutes those items within the classes, each of them given by c orders.
-    With every agent its own class, these are plain outcome counts."""
+    permutes those items within the classes, each of them given by c orders
+    (plain outcome counts when each agent is its own class); ``rows`` are
+    their receipt rows by ``_receipt_rows``."""
 
     classes: Tuple[Tuple[int, ...], ...]
     counts: Dict[Tuple[int, ...], int]
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return _receipt_rows(self.classes, self.counts.items())
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,10 +122,8 @@ class LotteryResult:
     order, and the counts times ``spread_size`` must sum to ``order_count``.
 
     ``rows[i][o]`` counts the orders giving agent i item o, read from the
-    folded form: agent i of class C gets item o from each folded outcome
-    whose items for C include o, its count c times (|C| - 1)! and times k!
-    for each other class of size k.  Each row and column sums to
-    ``order_count``.
+    folded form after the checks by ``_receipt_rows``, as ``ClassCounts.rows``
+    is without them.  Each row and column sums to ``order_count``.
     ``outcomes`` is the lottery spread over every outcome, sorted by outcome,
     and ``assignment`` and ``support`` are the same lottery in exact
     ``Fraction`` probabilities; all three are built on first read.
@@ -158,22 +161,14 @@ class LotteryResult:
                 raise InvalidInstanceError(
                     f"lottery outcome {item_of} does not give each class its items in ascending order"
                 )
-        spread = spread_size(groups)
-        if sum(c for _, c in outcomes) * spread != order_count:
+        if sum(c for _, c in outcomes) * spread_size(groups) != order_count:
             raise InvalidInstanceError(f"lottery counts must sum to {order_count}")
-        rows = _receipt_rows(outcomes, n)
-        if groups:
-            for members in classes:
-                share = spread // len(members)
-                row = tuple(share * sum(col) for col in zip(*[rows[a] for a in members]))
-                for a in members:
-                    rows[a] = row
-        else:
+        if not groups:
             self.__dict__["outcomes"] = outcomes
         object.__setattr__(self, "folded", outcomes)
         object.__setattr__(self, "order_count", order_count)
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", _receipt_rows(classes, outcomes))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LotteryResult):
@@ -389,14 +384,23 @@ def _walk(stepped: tuple, classes) -> Dict[Tuple[int, ...], int]:
     return counts
 
 
-def _receipt_rows(outcomes: Iterable[Tuple[Tuple[int, ...], int]], n: int) -> list:
+def _receipt_rows(classes, outcomes: Iterable[Tuple[Tuple[int, ...], int]]) -> Tuple[Tuple[int, ...], ...]:
     """Per agent and item, how many of the counted runs give the agent that
-    item: one tuple per agent."""
+    item, one tuple per agent, from outcome counts folded by ``classes``:
+    agent i of class C gets item o ``spread_size(classes) // |C|`` times per
+    count of each folded outcome that gives C item o."""
+    n = sum(map(len, classes))
     rows = [[0] * n for _ in range(n)]
     for item_of, c in outcomes:
         for row, o in zip(rows, item_of):
             row[o] += c
-    return list(map(tuple, rows))
+    if len(classes) < n:
+        spread = spread_size(classes)
+        for members in classes:
+            row = tuple(spread // len(members) * sum(col) for col in zip(*[rows[a] for a in members]))
+            for a in members:
+                rows[a] = row
+    return tuple(map(tuple, rows))
 
 
 def exact_lottery(mechanism: MatchingMechanism, profile: Profile) -> LotteryResult:
@@ -417,7 +421,7 @@ def sampled_lottery(
     """
     check_seed(seed)
     orders = order_stream(profile.n, samples, random.Random(seed))
-    rows = _receipt_rows(outcome_counts(mechanism, profile, orders).items(), profile.n)
+    rows = _receipt_rows(singleton_classes(profile.n), outcome_counts(mechanism, profile, orders).items())
     return tuple(tuple(Fraction(c, samples) for c in row) for row in rows)
 
 
@@ -458,8 +462,8 @@ def randomized_equivalent_on(
     mech_b: MatchingMechanism,
     profiles: Iterable[Profile],
 ) -> EquivalenceVerdict:
-    """Compare randomized versions by exact lottery matrices (never samples)."""
+    """Compare randomized versions by exact receipt rows (``exact_counts``), never samples."""
     for profile in profiles:
-        if exact_lottery(mech_a, profile).rows != exact_lottery(mech_b, profile).rows:
+        if exact_counts(mech_a, profile).rows != exact_counts(mech_b, profile).rows:
             return EquivalenceVerdict(False, profile)
     return EquivalenceVerdict(True)

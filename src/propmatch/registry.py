@@ -25,6 +25,7 @@ the initial order (an evaluation mode, not a different base mechanism).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -40,7 +41,7 @@ from .engine import (
     run_engine,
     run_gale_shapley,
 )
-from .lottery import Runner, exact_lottery
+from .lottery import Runner, exact_counts
 from .mechanisms import (
     _serial_dictatorship,
     immediate_acceptance,
@@ -86,10 +87,10 @@ class Mechanism:
         return self._trace and self._trace(profile, order, record)
 
     def assignment(self, profile: Profile) -> FractionalAssignment:
-        """The random assignment: the fractional outcome, or the exact
-        uniform-order lottery of a matching mechanism."""
+        """The random assignment: the fractional outcome, or the exact lottery
+        of a matching mechanism, its ``exact_counts`` receipt rows over n!."""
         if self._assignment is None:
-            return exact_lottery(self.run, profile).assignment
+            return FractionalAssignment(exact_counts(self.run, profile).rows, math.factorial(profile.n))
         return self._assignment(profile)
 
 

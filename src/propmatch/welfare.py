@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .lottery import Runner, exact_counts, order_stream, permutation_drawer, spread_size
 from .model import AgentOrder, FractionalAssignment, Matching, Profile, _trusted
@@ -126,14 +126,9 @@ def _hungarian_max(weight: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...
     return sum(row[o] for row, o in zip(weight, item_of)), tuple(item_of)
 
 
-def optimal_utilitarian(
-    profile: Profile, utilities: Optional[Sequence[Sequence[int]]] = None
-) -> Tuple[Fraction, Matching]:
-    """The maximum utilitarian welfare over all matchings, with a witness.
-
-    ``utilities`` is the profile's Borda table, if the caller has built it.
-    """
-    value, item_of = _hungarian_max(borda_utilities(profile) if utilities is None else utilities)
+def optimal_utilitarian(profile: Profile) -> Tuple[Fraction, Matching]:
+    """The maximum utilitarian welfare over all matchings, with a witness, by ``_hungarian_max``."""
+    value, item_of = _hungarian_max(borda_utilities(profile))
     return Fraction(value), _trusted(Matching, item_of)
 
 
@@ -256,22 +251,21 @@ def campaign(
       never read the order have zero bias, returned exactly.
 
     Each profile's Borda table is built once if a loss or egalitarian cell
-    reads it, and its optimum once if some cell measures loss.  A one-cell pass of a matching mechanism draws k
-    orders per profile from ``random.Random(seed ^ 0x9E3779B97F4A7C15)``, so
-    every cell would draw the same orders: they are drawn once per profile,
-    by one ``permutation_drawer`` for the pass.  A count k below 1 is refused
-    on the call, before any profile, whatever the cells, as is ``"all"``
-    past ``ENUMERATION_LIMIT`` if a loss or egalitarian cell runs orders.
-    A matching cell's mechanism carries a ``lottery.Runner`` (``mech.run``),
-    as every registry code does.  Each base mechanism then runs once per
-    order, and once on the identity order for bias cells, through the
-    Runner's core, which returns a plain ``item_of``.  ``_utility_sums``
-    counts a base's outcomes, drawn or over all orders, which X and X+G
-    share, and a ``+G`` cell trades each distinct outcome once; a bias cell
-    reads its base's identity-order ``item_of`` and trades it for ``+G``.
-    Fractional mechanisms run no orders: their sums are ``_utility_rows`` of
-    the assignment, over its ``scale``, and their worst-off value is the
-    minimum expectation.
+    reads it, and its optimum, the integer of ``_hungarian_max`` on that table,
+    once if some cell measures loss.  Matching cells share the k orders drawn
+    per profile from ``random.Random(seed ^ 0x9E3779B97F4A7C15)``, as a
+    one-cell pass draws them, by one ``permutation_drawer`` for the pass.  A
+    count k below 1 is refused on the call, before any profile, whatever the
+    cells, as is ``"all"`` past ``ENUMERATION_LIMIT`` if a loss or egalitarian
+    cell runs orders.  A matching cell's mechanism carries a ``lottery.Runner``
+    (``mech.run``), as every registry code does.  Each base mechanism then runs
+    once per order, and once on the identity order for bias cells, through the
+    Runner's core, which returns a plain ``item_of``.  ``_utility_sums`` counts
+    a base's outcomes, drawn or over all orders, which X and X+G share, and a
+    ``+G`` cell trades each distinct outcome once; a bias cell reads its base's
+    identity-order ``item_of`` and trades it for ``+G``.  Fractional mechanisms
+    run no orders: their sums are ``_utility_rows`` of the assignment, over its
+    ``scale``, and their worst-off value is the minimum expectation.
     Statistics are accumulated in integers: a cell keeps each profile's value
     as a numerator and a denominator until the end.  ``profiles="orbits"`` is
     refused: an orbit's least profile stands for orbits of different sizes, so
@@ -307,7 +301,7 @@ def campaign(
         count += 1
         u = borda_utilities(profile) if ratios else None  # bias cells read ranks instead
         if need_opt:
-            opt = optimal_utilitarian(profile, u)[0].numerator
+            opt = _hungarian_max(u)[0]
         drawn = [_trusted(AgentOrder, draw()) for _ in range(orders)] if sampled else orders
         got, runs = {}, {}  # by id(mechanism): utility sums; by core: outcome counts
         for key, mech in plans.items():

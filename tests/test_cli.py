@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from propmatch import axioms, cli as cli_module, experiments, profile, sampling
+from propmatch import axioms, cli as cli_module, experiments, lottery, profile, sampling, welfare
 from propmatch.cli import main
-from propmatch.lottery import exact_lottery
+from propmatch.lottery import exact_counts
 from propmatch.model import AgentOrder
 from propmatch.registry import resolve
 from propmatch.textio import format_matching, format_profile, parse_profile
@@ -41,6 +41,9 @@ def golden_blocks(path):
 
 
 LOTTERY78 = golden_blocks(DATA / "lottery78.txt")
+# ``exact_rows.txt`` holds the output of ``sp`` sweeps and ``compare R-...``
+# runs, which read exact receipt rows, each under a line ``== ARGS``.
+EXACT_ROWS = golden_blocks(DATA / "exact_rows.txt")
 
 
 def main_result(capsys, *args):
@@ -359,9 +362,9 @@ class TestAxioms:
 
         def counted(mechanism, profile):
             calls.append(profile)
-            return exact_lottery(mechanism, profile)
+            return exact_counts(mechanism, profile)
 
-        monkeypatch.setattr(axioms, "exact_lottery", counted)
+        monkeypatch.setattr(axioms, "exact_counts", counted)
         assert main(["axioms", "SD", *args, "--axioms", "sp"]) == 0
         assert capsys.readouterr().out.startswith(f"sp, SD, {args[1]}, PASS")
         assert len(calls) == built
@@ -464,6 +467,30 @@ class TestGenerateAndExperiment:
         status, out, err = main_result(capsys, "experiment", str(config))
         assert (status, err) == (0, "")
         assert out == config.with_suffix(".csv").read_text()
+
+    @pytest.mark.parametrize("args", list(EXACT_ROWS), ids=" ".join)
+    def test_exact_rows_golden(self, capsys, args):
+        """``sp`` sweeps at n = 3, 4 and 5 and two ``compare R-...`` runs, one
+        equal and one with a witness: the output equals the committed one."""
+        assert main_result(capsys, *args) == (0, EXACT_ROWS[args], "")
+
+    def test_internal_readers_build_no_public_result(self, monkeypatch, capsys):
+        """``lottery`` on a matching code, ``sp``, ``compare R-...`` and a loss
+        campaign read ``exact_counts`` rows and the ``_hungarian_max`` optimum:
+        none builds a ``LotteryResult`` or calls ``optimal_utilitarian``."""
+
+        def refuse(*args):
+            raise AssertionError("a public wrapper was called")
+
+        monkeypatch.setattr(lottery.LotteryResult, "__init__", refuse)
+        monkeypatch.setattr(welfare, "optimal_utilitarian", refuse)
+        golden = (DATA / "lottery4_TLQ+G.txt").read_text()
+        assert main_result(capsys, "lottery", str(DATA / "lottery4.txt"), "TLQ+G") == (0, golden, "")
+        for args in [("axioms", "SD,TLQ,PLS+G", "--n", "5", "--samples", "3", "--seed", "3", "--axioms", "sp"),
+                     ("compare", "R-TLQ", "R-TLS", "--n", "3", "--exhaustive")]:
+            assert main_result(capsys, *args) == (0, EXACT_ROWS[args], "")
+        config = DATA / "experiment34_loss_exact.cfg"
+        assert main_result(capsys, "experiment", str(config)) == (0, config.with_suffix(".csv").read_text(), "")
 
     def test_experiment_roundtrip(self, tmp_path):
         config = tmp_path / "exp.cfg"

@@ -179,9 +179,14 @@ class TestProfileStream:
             profile_stream(3, profiles, -5)
         assert next(profile_stream(3, profiles, 0)).n == 3
 
-    def test_sampler_refuses_a_negative_seed(self):
-        with pytest.raises(ValueError, match="seed >= 0, got -5"):
-            ProfileSampler(3, -5)
+    @pytest.mark.parametrize("args, message", [
+        pytest.param((3, -5), "seed >= 0, got -5", id="negative-seed"),
+        # ``profile_stream`` refuses n < 1 before it builds a sampler
+        pytest.param((0, 1), "need n >= 1", id="no-agents"),
+    ])
+    def test_sampler_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ProfileSampler(*args)
 
 
 @st.composite
@@ -706,9 +711,39 @@ def spread_lottery(run, p):
     return LotteryResult(tuple(sorted(counts.items())), math.factorial(p.n))
 
 
+def rows_of_every_order(run, p):
+    """Receipt counts summed here from the outcomes of every one of the n!
+    orders, which ``exact_counts`` of a plain callable counts by definition."""
+    rows = [[0] * p.n for _ in range(p.n)]
+    for item_of, c in outcome_counts(run, p, order_stream(p.n)).items():
+        for a, o in enumerate(item_of):
+            rows[a][o] += c
+    return tuple(map(tuple, rows))
+
+
+def shared_list_profiles(seed, sizes=(5, 5, 6, 6)):
+    """Seeded one-sided profiles, one per n in ``sizes``, whose first k >= 3
+    agents share one list, the rest drawn alone."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        k = rng.randint(3, n)
+        shared = random_permutation(rng, n)
+        out.append(profile([shared] * k + [random_permutation(rng, n) for _ in range(n - k)]))
+    return out
+
+
 class TestFoldedResult:
     """``exact_lottery`` keeps its counts folded by class; every view of it
     is the one the spread counts give."""
+
+    @pytest.mark.parametrize("code", ONE_SIDED_CODES)
+    def test_class_counts_rows_equal_every_order(self, code):
+        """``ClassCounts.rows``, spread from the folded walk, on every n <= 3
+        orbit and on n = 5 and 6 profiles with a class of three or more."""
+        run = resolve(code)[0].run
+        for p in [*orbit_profiles(1), *orbit_profiles(2), *orbit_profiles(3), *shared_list_profiles(35)]:
+            assert exact_counts(run, p).rows == rows_of_every_order(run, p), p
 
     @pytest.mark.parametrize("code", STEPPED_CODES)
     def test_equals_spread_counts_on_every_orbit(self, code):

@@ -5,16 +5,17 @@ Each result is rebuilt here through the checked constructor and compared, so
 a producer that breaks that promise fails a test instead of handing an
 invalid object on."""
 import dataclasses
+import math
 import random
 from pathlib import Path
 
 import pytest
 
-from propmatch import engine, mechanisms
-from propmatch.lottery import exact_lottery, order_stream
+from propmatch import axioms, engine, mechanisms
+from propmatch.lottery import ClassCounts, exact_lottery, order_stream, singleton_classes
 from propmatch.model import Matching, Profile
 from propmatch.registry import resolve
-from propmatch.sampling import ProfileSampler, all_profiles, orbit_profiles
+from propmatch.sampling import ProfileSampler, all_profiles, canonical, orbit_profiles
 from propmatch.textio import ProfileParseError, format_profile, parse_profile
 from propmatch.welfare import _utility_sums, borda_utilities, optimal_utilitarian, utilitarian_welfare
 
@@ -145,6 +146,30 @@ class TestMechanismOutcomes:
             assert sum(w for _, w in support) == 1
             for m, _ in support:
                 checked(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_receipt_row_profiles(self, monkeypatch, n):
+        """The profiles ``_receipt_row`` hands ``exact_counts`` in an ``sp``
+        check of every agent of every orbit: without the memo, each orbit
+        member with one list swapped for a misreport; with it, each orbit's
+        least profile (``canonical``)."""
+        built = []
+
+        def record(mechanism, p):
+            built.append(p)
+            return ClassCounts(singleton_classes(n), {tuple(range(n)): math.factorial(n)})
+
+        monkeypatch.setattr(axioms, "exact_counts", record)
+        sd, memo, orbits = resolve("SD")[0].run, {}, list(orbit_profiles(n))
+        for p in orbits:
+            for agent in range(n):
+                axioms.check_strategyproofness(sd, p, agent)
+                axioms.check_strategyproofness(sd, p, agent, memo)
+        for p in built:
+            checked(p)
+        leasts = {canonical(p.agent_prefs)[0] for p in orbits}
+        assert leasts <= {p.agent_prefs for p in built}
+        assert len(built) == len(orbits) * n * math.factorial(n) + len(leasts)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_campaign_trades(self, n):

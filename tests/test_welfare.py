@@ -551,13 +551,13 @@ class TestCampaignPass:
 
     def test_optimum_once_per_profile_and_only_for_loss(self, monkeypatch):
         calls = []
-        real = welfare.optimal_utilitarian
+        real = welfare._hungarian_max
 
-        def counted(p, utilities=None):
-            calls.append(p)
-            return real(p, utilities)
+        def counted(weight):
+            calls.append(weight)
+            return real(weight)
 
-        monkeypatch.setattr(welfare, "optimal_utilitarian", counted)
+        monkeypatch.setattr(welfare, "_hungarian_max", counted)
         rsd, sd, ps = (resolve(code)[0] for code in ("RSD", "SD", "PS"))
         campaign([(rsd, "egal"), (sd, "order_bias"), (ps, "egal_realized")], 4, 30, 1)
         assert calls == []
